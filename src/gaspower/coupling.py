@@ -41,6 +41,10 @@ class GasPowerLink:
         if self.rho0 <= 0.0 or self.area <= 0.0:
             raise ConfigError("link needs positive reference density and area")
 
+    def extraction(self, power: float) -> float:
+        """Momentum-flux extraction of the generator at real power ``power``."""
+        return heat_rate(power, self) * self.rho0 / self.area
+
 
 def heat_rate(power: float, link: GasPowerLink) -> float:
     """Volumetric gas consumption of the generator at real power ``power``."""
@@ -86,7 +90,8 @@ class ExtractionHolder:
         return self.value
 
 
-def _link_junction(sim: GasSimulation, node: str) -> Junction:
+def link_junction(sim: GasSimulation, node: str) -> Junction:
+    """The junction of ``sim`` at gas node ``node``."""
     for junction in sim.junctions:
         if junction.node == node:
             return junction
@@ -123,9 +128,9 @@ def cosim_step(sim: GasSimulation, grid: PowerGrid, link: GasPowerLink,
 
     pf = solve_newton(grid, initial=warm if warm is not None else "flat")
     p_slack = float(pf.P[grid.slack_index])
-    eps_q = heat_rate(p_slack, link) * link.rho0 / link.area
+    eps_q = link.extraction(p_slack)
 
-    junction = _link_junction(sim, link.gas_node)
+    junction = link_junction(sim, link.gas_node)
     eps_cap = link_max_extraction(sim, junction)
     if eps_q >= eps_cap:
         raise InvalidDemandError(

@@ -171,7 +171,7 @@ def cweno3_step(sim: GasSimulation, dt: float) -> None:
     """
     lam = sim.max_wavespeed()
     for grid in sim.grids:
-        if dt * lam > CFL_NUMBER * grid.dx * (1.0 + 1e-12):
+        if not dt * lam <= CFL_NUMBER * grid.dx * (1.0 + 1e-12):
             raise CflViolationError(
                 f"dt={dt:g} exceeds CFL bound {CFL_NUMBER * grid.dx / lam:g} "
                 f"on pipe {grid.pipe.id} (max wavespeed {lam:g})"

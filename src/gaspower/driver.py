@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -12,9 +13,10 @@ from .coupling import (
     GasPowerLink,
     cosim_step,
     find_stationary_state,
+    link_junction,
 )
 from .cweno import cweno3_step
-from .errors import ConfigError, SchemaError
+from .errors import SchemaError
 from .friction import FrictionModel
 from .ibox import ibox_step
 from .network import (
@@ -144,12 +146,8 @@ def build_link(scenario: Scenario, sim: GasSimulation) -> GasPowerLink:
     c = scenario.coupling
     if c is None:
         raise SchemaError("scenario has no coupling section")
-    area = None
-    for junction in sim.junctions:
-        if junction.node == c.gas_node:
-            area = sim.grids[junction.ports[0].pipe_index].pipe.area
-    if area is None:
-        raise ConfigError(f"coupling node {c.gas_node!r} is not a junction")
+    junction = link_junction(sim, c.gas_node)
+    area = sim.grids[junction.ports[0].pipe_index].pipe.area
     return GasPowerLink(gas_node=c.gas_node, power_bus=c.power_bus,
                         a0=c.a0, a1=c.a1, a2=c.a2, rho0=c.rho0, area=area)
 
@@ -158,10 +156,9 @@ class _ProbeSet:
     """Resolve 'kind@where' quantity ids against the simulation objects."""
 
     def __init__(self, scenario: Scenario, sim: GasSimulation,
-                 grid: PowerGrid | None, link: GasPowerLink | None):
+                 grid: PowerGrid | None):
         self.sim = sim
         self.grid = grid
-        self.link = link
         self.series = [TimeSeriesOutput(q) for q in scenario.outputs.series]
         self._gas_port: dict[str, tuple[int, str]] = {}
         for junction in sim.junctions:
@@ -171,11 +168,7 @@ class _ProbeSet:
             g = sim.grids[pipe_index]
             node = g.pipe.node_from if end == "start" else g.pipe.node_to
             self._gas_port[node] = (pipe_index, end)
-        self._last_pf = None
-        self._last_eps = {j.node: j.extraction_at(0.0) for j in sim.junctions}
-
-    def update_power(self, pf) -> None:
-        self._last_pf = pf
+        self.pf = None      # power-flow solution that P/Q/V/phi probes read
 
     def sample(self, t: float) -> None:
         for out in self.series:
@@ -202,13 +195,13 @@ class _ProbeSet:
                     return junction.extraction_at(self.sim.t)
             raise SchemaError(f"no junction {where!r} for probe {quantity!r}")
         if kind in ("P", "Q", "V", "phi"):
-            if self.grid is None or self._last_pf is None:
+            if self.grid is None or self.pf is None:
                 raise SchemaError(f"probe {quantity!r} needs a power grid")
             if where == "slack":
                 k = self.grid.slack_index
             else:
                 k = self.grid.index(where)
-            return float(getattr(self._last_pf, kind)[k])
+            return float(getattr(self.pf, kind)[k])
         raise SchemaError(f"unknown probe kind {kind!r} in {quantity!r}")
 
 
@@ -224,17 +217,11 @@ class RunResult:
         return list(self.series) + list(self.profiles)
 
 
-def _profile_due(scenario: Scenario, t: float, dt: float):
-    for p in scenario.outputs.profiles:
-        if abs(t - p.time) <= 0.5 * dt * (1.0 + 1e-9):
-            yield p
-
-
 def _take_profiles(scenario: Scenario, sim: GasSimulation, t: float,
                    dt: float, collected: list, seen: set) -> None:
-    for spec in _profile_due(scenario, t, dt):
+    for spec in scenario.outputs.profiles:
         key = (spec.time, spec.pipe)
-        if key in seen:
+        if abs(t - spec.time) > 0.5 * dt * (1.0 + 1e-9) or key in seen:
             continue
         seen.add(key)
         for grid in sim.grids:
@@ -246,27 +233,41 @@ def _take_profiles(scenario: Scenario, sim: GasSimulation, t: float,
             ))
 
 
-def run_gas_simulation(scenario: Scenario) -> RunResult:
-    """Gas-only run of a scenario with the configured scheme."""
-    sim = build_gas_simulation(scenario)
+def _run(scenario: Scenario, sim: GasSimulation, probes: _ProbeSet,
+         power_step=None, pf=None) -> RunResult:
+    """Step ``sim`` to t_end, sampling probes and capturing profiles.
+
+    ``power_step(t, dt, stepper=, warm=)`` advances one coupled step and
+    returns its power-flow solution; ``pf`` is the one at t=0.
+    """
     stepper = cweno3_step if scenario.numerics.scheme == "cweno3" else ibox_step
-    if scenario.stationary_init:
-        find_stationary_state(sim)
     dt = scenario.numerics.dt
     n_steps = int(round(scenario.numerics.t_end / dt))
     every = max(1, int(round((scenario.numerics.sample_every or dt) / dt)))
 
-    probes = _ProbeSet(scenario, sim, None, None)
     profiles: list[ProfileOutput] = []
     seen: set = set()
-    probes.sample(0.0)
-    _take_profiles(scenario, sim, 0.0, dt, profiles, seen)
-    for k in range(n_steps):
-        stepper(sim, dt)
-        if (k + 1) % every == 0 or k + 1 == n_steps:
+    history = []
+    for k in range(n_steps + 1):   # k = 0 records the initial state
+        if k > 0 and power_step is None:
+            stepper(sim, dt)
+        elif k > 0:
+            pf = power_step(sim.t, dt, stepper=stepper, warm=pf)
+        probes.pf = pf
+        if k % every == 0 or k == n_steps:
             probes.sample(sim.t)
+            history.append((sim.t, pf))
         _take_profiles(scenario, sim, sim.t, dt, profiles, seen)
-    return RunResult(series=probes.series, profiles=profiles, sim=sim)
+    return RunResult(series=probes.series, profiles=profiles, sim=sim,
+                     power_history=history if power_step else None)
+
+
+def run_gas_simulation(scenario: Scenario) -> RunResult:
+    """Gas-only run of a scenario with the configured scheme."""
+    sim = build_gas_simulation(scenario)
+    if scenario.stationary_init:
+        find_stationary_state(sim)
+    return _run(scenario, sim, _ProbeSet(scenario, sim, None))
 
 
 def run_powerflow(scenario: Scenario):
@@ -281,7 +282,6 @@ def run_cosim(scenario: Scenario) -> RunResult:
     link = build_link(scenario, sim)
     schedules = [DemandSchedule(s.bus, s.times, s.P, s.Q)
                  for s in scenario.schedules]
-    stepper = cweno3_step if scenario.numerics.scheme == "cweno3" else ibox_step
 
     # Initial condition: power flow at t=0 fixes the extraction, then the gas
     # network is relaxed to the matching steady state.
@@ -289,33 +289,9 @@ def run_cosim(scenario: Scenario) -> RunResult:
         bus = grid.buses[grid.index(schedule.bus)]
         bus.P, bus.Q = schedule.at(0.0)
     pf = solve_newton(grid)
-    from .coupling import heat_rate  # local import avoids a cycle at module load
-
-    junction = next(j for j in sim.junctions if j.node == link.gas_node)
-    holder = junction.extraction
-    holder.value = heat_rate(float(pf.P[grid.slack_index]), link) \
-        * link.rho0 / link.area
+    junction = link_junction(sim, link.gas_node)
+    junction.extraction.value = link.extraction(float(pf.P[grid.slack_index]))
     if scenario.stationary_init:
         find_stationary_state(sim)
-
-    dt = scenario.numerics.dt
-    n_steps = int(round(scenario.numerics.t_end / dt))
-    every = max(1, int(round((scenario.numerics.sample_every or dt) / dt)))
-
-    probes = _ProbeSet(scenario, sim, grid, link)
-    probes.update_power(pf)
-    profiles: list[ProfileOutput] = []
-    seen: set = set()
-    probes.sample(0.0)
-    _take_profiles(scenario, sim, 0.0, dt, profiles, seen)
-    history = [(0.0, pf)]
-    for k in range(n_steps):
-        pf = cosim_step(sim, grid, link, schedules, sim.t, dt,
-                        stepper=stepper, warm=pf)
-        probes.update_power(pf)
-        if (k + 1) % every == 0 or k + 1 == n_steps:
-            probes.sample(sim.t)
-            history.append((sim.t, pf))
-        _take_profiles(scenario, sim, sim.t, dt, profiles, seen)
-    return RunResult(series=probes.series, profiles=profiles, sim=sim,
-                     power_history=history)
+    power_step = partial(cosim_step, sim, grid, link, schedules)
+    return _run(scenario, sim, _ProbeSet(scenario, sim, grid), power_step, pf)

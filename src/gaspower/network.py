@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, NoSolutionError
+from .errors import DomainError, NoSolutionError, NumericsError
 from .friction import FrictionModel
 from .laxcurves import GasState, lax_left, lax_right, rho_min, Side
 from .pressure import PressureLaw
@@ -90,6 +90,13 @@ class PipeGrid:
         return self.state_at(0 if end == "start" else -1)
 
     def check_subsonic(self) -> None:
+        finite = np.isfinite(self.rho) & np.isfinite(self.q)
+        if not np.all(finite):
+            i = int(np.argmin(finite))
+            raise NumericsError(
+                f"pipe {self.pipe.id}: non-finite state at x={self.x[i]:g} "
+                f"(rho={self.rho[i]:g}, q={self.q[i]:g})"
+            )
         c = np.asarray(self.law.c(self.rho))
         bad = np.abs(self.q / self.rho) >= c
         if np.any(bad):
@@ -287,19 +294,19 @@ class GasSimulation:
                         )
 
     def max_wavespeed(self) -> float:
-        lam = 0.0
-        for g in self.grids:
-            c = np.asarray(self.law.c(g.rho))
-            lam = max(lam, float(np.max(np.abs(g.q / g.rho) + c)))
-        return lam
+        """Largest |u| + c over all pipes; NaN if any state is NaN."""
+        return float(np.max(
+            [np.max(np.abs(g.q / g.rho) + np.asarray(self.law.c(g.rho)))
+             for g in self.grids], initial=0.0))
 
     def min_wavespeed(self) -> float:
-        lam = math.inf
+        """Smallest characteristic speed |u -+ c|; NaN if any state is NaN."""
+        lam = []
         for g in self.grids:
             c = np.asarray(self.law.c(g.rho))
             u = g.q / g.rho
-            lam = min(lam, float(np.min(np.minimum(np.abs(u - c), np.abs(u + c)))))
-        return lam
+            lam.append(np.min(np.minimum(np.abs(u - c), np.abs(u + c))))
+        return float(np.min(lam, initial=math.inf))
 
     def total_mass(self) -> float:
         """Mass in the network; node staggering uses the trapezoidal rule."""

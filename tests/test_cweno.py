@@ -47,6 +47,14 @@ def test_cfl_violation_raises(unit_isothermal):
         cweno3_step(sim, dx)  # wave speed ~1.1, CFL limit is 0.45 dx
 
 
+@pytest.mark.parametrize("pipe_index", [0, 1])
+def test_cfl_check_rejects_nan_state(unit_isothermal, pipe_index):
+    sim = _junction_sim(unit_isothermal, 0.0, left=(2.0, 0.2), right=(2.0, 0.2))
+    sim.grids[pipe_index].q[5] = math.nan
+    with pytest.raises(CflViolationError, match="max wavespeed nan"):
+        cweno3_step(sim, 1e-4)
+
+
 def test_mass_balance_closes_every_step(benchmark_law):
     """Interior mass change equals the weighted boundary fluxes minus the
     junction draw, step by step."""

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gaspower.errors import DomainError
+import gaspower.friction
+from gaspower.errors import ConvergenceError, DomainError
 from gaspower.friction import (
     FrictionModel,
     colebrook_friction_factor,
@@ -86,3 +87,34 @@ def test_source_derivatives_match_finite_differences():
         fd_q = (float(model.source(rho, q + h, 0.6, 5e-5))
                 - float(model.source(rho, q - h, 0.6, 5e-5))) / (2 * h)
         assert ds_dq == pytest.approx(fd_q, rel=1e-5)
+
+
+def test_colebrook_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(gaspower.friction, "COLEBROOK_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match=r"Re in \[1e\+06, 2e\+06\]"
+                       r".*diameter 0\.6 m, roughness 5e-05 m"):
+        colebrook_friction_factor(np.array([1e6, 2e6]), 0.6, 5e-5)
+
+
+def test_one_colebrook_solve_per_source_evaluation(monkeypatch):
+    """S, and S with its derivatives, each cost one Colebrook solve."""
+    model = FrictionModel()
+    rho, q = np.full(5, 2.0), np.array([-300.0, -1e-5, 0.0, 1e-5, 250.0])
+    model.source(rho, q, 0.6, 5e-5)  # warms the floor-constant cache
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return colebrook_friction_factor(*args)
+
+    monkeypatch.setattr(gaspower.friction, "colebrook_friction_factor", counted)
+    model.source_with_derivatives(rho, q, 0.6, 5e-5)
+    assert len(calls) == 1
+    model.source(rho, q, 0.6, 5e-5)
+    assert len(calls) == 2
+
+
+def test_reynolds_floor_is_not_a_constructor_field():
+    assert FrictionModel.re_floor == 100.0
+    with pytest.raises(TypeError):
+        FrictionModel(re_floor=50.0)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gaspower.errors import DomainError
+from gaspower.errors import DomainError, NumericsError
 from gaspower.laxcurves import GasState, lax_left, lax_right
 from gaspower.network import (
     BoundaryCondition,
@@ -41,6 +41,14 @@ def test_grid_staggering_layouts():
 def test_grid_subsonic_check():
     grid = PipeGrid(Pipe("P", "a", "b", 1.0), 4, IsothermalLaw(1.0)).fill(1.0, 2.0)
     with pytest.raises(DomainError):
+        grid.check_subsonic()
+
+
+@pytest.mark.parametrize("field", ["rho", "q"])
+def test_grid_subsonic_check_rejects_nan(field):
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 4, IsothermalLaw(1.0)).fill(1.0, 0.5)
+    getattr(grid, field)[2] = math.nan
+    with pytest.raises(NumericsError, match=r"pipe P: non-finite state at x=0\.625"):
         grid.check_subsonic()
 
 
@@ -163,3 +171,12 @@ def test_wavespeed_and_mass_bookkeeping(unit_isothermal):
     assert sim.max_wavespeed() == pytest.approx(1.0)
     # two unit pipes at rho=1 with unit cross-section hold two mass units
     assert sim.total_mass() == pytest.approx(2.0 * math.pi / 4.0, rel=1e-12)
+
+
+def test_wavespeeds_propagate_nan(unit_isothermal):
+    """A NaN cell must not vanish from the CFL bound as max(0.0, nan) == 0.0."""
+    for pipe_index in (0, 1):
+        sim = _two_pipe_sim(unit_isothermal)
+        sim.grids[pipe_index].rho[1] = math.nan
+        assert math.isnan(sim.max_wavespeed())
+        assert math.isnan(sim.min_wavespeed())

@@ -9,7 +9,6 @@ Regenerate them with ``PYTHONPATH=src python tests/test_reference.py``.
 """
 
 import dataclasses
-import math
 from importlib.resources import files
 from pathlib import Path
 
@@ -56,7 +55,6 @@ def test_outputs_match_recorded_reference(name, tmp_path):
         for row, ref_row in zip(rows, ref_rows):
             for a, b in zip(row, ref_row):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (path.name, row, ref_row)
-                assert not math.isnan(a)
 
 
 if __name__ == "__main__":
