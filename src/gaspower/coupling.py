@@ -24,6 +24,15 @@ from .network import GasSimulation, Junction
 from .powerflow import PowerFlowSolution, PowerGrid, solve_newton
 from .riemann import _JunctionProblem
 
+# Pseudo-time marching of find_stationary_state: first and largest implicit
+# step [s], step growth factor, state change rate declared steady [1/s] and
+# step budget.
+STATIONARY_DT_START = 10.0
+STATIONARY_DT_MAX = 1e5
+STATIONARY_GROWTH = 2.0
+STATIONARY_TOL = 1e-10
+STATIONARY_MAX_STEPS = 400
+
 
 @dataclass
 class GasPowerLink:
@@ -149,27 +158,28 @@ def cosim_step(sim: GasSimulation, grid: PowerGrid, link: GasPowerLink,
     return pf
 
 
-def find_stationary_state(sim: GasSimulation, dt_start: float = 10.0,
-                          dt_max: float = 1e5, growth: float = 2.0,
-                          tol: float = 1e-10, max_steps: int = 400) -> None:
+def find_stationary_state(sim: GasSimulation) -> None:
     """March the network to a steady state with growing implicit steps.
 
-    Boundary data and extractions must be constant in time. Convergence is
-    declared when the per-step state change rate ||dU||_inf / dt drops below
-    ``tol``; the simulation clock is reset to zero afterwards.
+    Boundary data and extractions must be constant in time. Steps start at
+    ``STATIONARY_DT_START`` and grow by ``STATIONARY_GROWTH`` up to
+    ``STATIONARY_DT_MAX``; convergence is declared when the per-step state
+    change rate ||dU||_inf / dt drops below ``STATIONARY_TOL`` within
+    ``STATIONARY_MAX_STEPS`` steps. The simulation clock is reset to zero
+    afterwards.
     """
-    dt = dt_start
+    dt = STATIONARY_DT_START
     previous = sim.state_vector()
-    for _ in range(max_steps):
+    for _ in range(STATIONARY_MAX_STEPS):
         ibox_step(sim, dt)
         current = sim.state_vector()
         rate = float(np.max(np.abs(current - previous))) / dt
         previous = current
-        if rate < tol:
+        if rate < STATIONARY_TOL:
             sim.t = 0.0
             return
-        dt = min(dt * growth, dt_max)
+        dt = min(dt * STATIONARY_GROWTH, STATIONARY_DT_MAX)
     raise ConvergenceError(
-        f"no stationary state within {max_steps} steps "
-        f"(last rate {rate:.3e}, tol {tol:g})"
+        f"no stationary state within {STATIONARY_MAX_STEPS} steps "
+        f"(last rate {rate:.3e}, tol {STATIONARY_TOL:g})"
     )

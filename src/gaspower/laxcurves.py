@@ -16,6 +16,7 @@ eigenvalue along the curve changes sign (traces beyond it are super-sonic).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import DomainError, InadmissibleError, NumericsError
+from .errors import DomainError, GasPowerError, InadmissibleError, NumericsError
 from .pressure import PressureLaw
 
 
@@ -145,30 +146,28 @@ _ANTI_LO = math.log(1e-12)
 _ANTI_HI = math.log(1e12)
 
 
+@functools.lru_cache(maxsize=16)
 def _sound_speed_antiderivative(law: PressureLaw):
-    """Cached spline antiderivative of c(e^u), validated against quadrature.
+    """Spline antiderivative of c(e^u), validated against quadrature.
 
-    Laws whose sound speed is too wild for the spline (verification fails)
-    fall back to adaptive quadrature permanently.
+    Cached per law (laws compare and hash by their ``spec()``). Laws whose
+    sound speed is too wild for the spline (verification fails) get None
+    and fall back to adaptive quadrature permanently.
     """
-    cached = getattr(law, "_rarefaction_antiderivative", "missing")
-    if cached != "missing":
-        return cached
-    try:
-        from scipy.interpolate import CubicSpline
+    from scipy.interpolate import CubicSpline
 
-        u = np.linspace(_ANTI_LO, _ANTI_HI, 5600)
+    u = np.linspace(_ANTI_LO, _ANTI_HI, 5600)
+    try:
         values = np.asarray(law.c(np.exp(u)), dtype=float)
         if not np.all(np.isfinite(values)):
-            raise ValueError("sound speed not finite on the cache range")
+            return None
         anti = CubicSpline(u, values).antiderivative()
         for a, b in ((0.3, 1.7), (-7.0, -1.0), (1.0, 9.0), (-13.0, 0.5)):
             exact = _quad_log_integral(law, a, b)
             if abs(float(anti(b) - anti(a)) - exact) > 1e-9 * max(1.0, abs(exact)):
-                raise ValueError("spline antiderivative too inaccurate")
-    except Exception:
-        anti = None
-    law._rarefaction_antiderivative = anti
+                return None
+    except (ValueError, ArithmeticError, GasPowerError):
+        return None
     return anti
 
 
@@ -190,47 +189,51 @@ def lax_right(rho: float, right: GasState, law: PressureLaw) -> float:
     return rho * right.u + math.sqrt(f_shock(rho, right.rho, law))
 
 
-def lax_left_deriv(rho: float, left: GasState, law: PressureLaw) -> float:
-    """d/drho of :func:`lax_left`.
+def lax_left_with_deriv(rho: float, left: GasState,
+                        law: PressureLaw) -> tuple[float, float]:
+    """:func:`lax_left` and its derivative, from one rarefaction integral.
 
     At the branch kink rho == rho_l the rarefaction-side limit u - c(rho_l)
-    is returned (the branches agree there in value and first derivative).
+    of the derivative is returned (the branches agree there in value and
+    first derivative).
     """
     if rho <= 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
     if rho <= left.rho:
-        return (
-            left.u
-            + rarefaction_integral(law, rho, left.rho)
-            - float(law.c(rho))
-        )
+        velocity = left.u + rarefaction_integral(law, rho, left.rho)
+        return rho * velocity, velocity - float(law.c(rho))
     f = f_shock(rho, left.rho, law)
     if f == 0.0:
-        return left.u - float(law.c(left.rho))
-    return left.u - _f_shock_deriv(rho, left.rho, law) / (2.0 * math.sqrt(f))
+        return rho * left.u, left.u - float(law.c(left.rho))
+    root = math.sqrt(f)
+    return (rho * left.u - root,
+            left.u - _f_shock_deriv(rho, left.rho, law) / (2.0 * root))
 
 
-def lax_right_deriv(rho: float, right: GasState, law: PressureLaw) -> float:
-    """d/drho of :func:`lax_right` (rarefaction-side limit at the kink)."""
+def lax_right_with_deriv(rho: float, right: GasState,
+                         law: PressureLaw) -> tuple[float, float]:
+    """:func:`lax_right` and its derivative (rarefaction-side limit at the kink)."""
     if rho <= 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
     if rho <= right.rho:
-        return (
-            right.u
-            - rarefaction_integral(law, rho, right.rho)
-            + float(law.c(rho))
-        )
+        velocity = right.u - rarefaction_integral(law, rho, right.rho)
+        return rho * velocity, velocity + float(law.c(rho))
     f = f_shock(rho, right.rho, law)
     if f == 0.0:
-        return right.u + float(law.c(right.rho))
-    return right.u + _f_shock_deriv(rho, right.rho, law) / (2.0 * math.sqrt(f))
+        return rho * right.u, right.u + float(law.c(right.rho))
+    root = math.sqrt(f)
+    return (rho * right.u + root,
+            right.u + _f_shock_deriv(rho, right.rho, law) / (2.0 * root))
 
 
-def _curve_deriv_in_coords(side: Side):
-    """In-side derivative function; the out side mirrors onto it."""
-    if side is Side.IN:
-        return lax_left_deriv
-    return lax_right_deriv
+def lax_left_deriv(rho: float, left: GasState, law: PressureLaw) -> float:
+    """d/drho of :func:`lax_left`, see :func:`lax_left_with_deriv`."""
+    return lax_left_with_deriv(rho, left, law)[1]
+
+
+def lax_right_deriv(rho: float, right: GasState, law: PressureLaw) -> float:
+    """d/drho of :func:`lax_right`, see :func:`lax_right_with_deriv`."""
+    return lax_right_with_deriv(rho, right, law)[1]
 
 
 def rho_min(state: GasState, side: Side, law: PressureLaw) -> float:

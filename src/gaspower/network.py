@@ -90,19 +90,24 @@ class PipeGrid:
         return self.state_at(0 if end == "start" else -1)
 
     def check_subsonic(self) -> None:
-        finite = np.isfinite(self.rho) & np.isfinite(self.q)
-        if not np.all(finite):
-            i = int(np.argmin(finite))
-            raise NumericsError(
-                f"pipe {self.pipe.id}: non-finite state at x={self.x[i]:g} "
-                f"(rho={self.rho[i]:g}, q={self.q[i]:g})"
-            )
+        """Raise unless every state is finite, of positive density and sub-sonic.
+
+        Non-finite states, non-positive densities and NaN sound speeds are
+        ``NumericsError``; super-sonic states are ``DomainError``.
+        """
+        self._reject(~(np.isfinite(self.rho) & np.isfinite(self.q)),
+                     NumericsError, "non-finite state")
+        self._reject(~(self.rho > 0.0), NumericsError, "non-positive density")
         c = np.asarray(self.law.c(self.rho))
-        bad = np.abs(self.q / self.rho) >= c
+        self._reject(np.isnan(c), NumericsError, "NaN sound speed")
+        self._reject(np.abs(self.q / self.rho) >= c, DomainError, "super-sonic state")
+
+    def _reject(self, bad, error, what: str) -> None:
+        """Raise ``error`` naming the pipe and the first position in ``bad``."""
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise DomainError(
-                f"pipe {self.pipe.id}: super-sonic state at x={self.x[i]:g} "
+            raise error(
+                f"pipe {self.pipe.id}: {what} at x={self.x[i]:g} "
                 f"(rho={self.rho[i]:g}, q={self.q[i]:g})"
             )
 

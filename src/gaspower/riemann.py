@@ -7,11 +7,33 @@ junction function
 
     D(rho) = sum_in lax_left_i(rho) - sum_out lax_right_j(rho)
 
-is concave for well-posed pressure laws; solutions live on its decreasing
-branch, located right of the function's maximum. Admissibility requires the
-trace density to exceed the junction minimal density (the largest per-pipe
-``rho_min``), and sub-sonic traces additionally require it to stay below the
-smallest per-pipe ``rho_max``.
+is concave for well-posed pressure laws, being a sum of concave 1-curves and
+negated convex 2-curves. Solutions live on its decreasing branch. Each port
+slope is monotone and has the admissible sign (``lax_left' < 0`` in,
+``lax_right' > 0`` out) exactly above that pipe's ``rho_min``; so a trace
+density exceeds the junction minimal density (the largest per-pipe
+``rho_min``) exactly when every port slope has the admissible sign there.
+Sub-sonic traces additionally require it to stay below the smallest per-pipe
+``rho_max``.
+
+The root of D - epsilon is found by Newton's method from the right. It
+starts at the largest datum density, where every port slope is admissible
+because each datum exceeds its own ``rho_min``. On a concave, decreasing
+function a first step from left of the root overshoots to its right, and
+from there the iterates approach the root monotonically from the right.
+Each iterate evaluates every curve and its slope from one rarefaction
+integral; the iteration stops once the step is at most 1e-15 rho.
+
+The bracketed search (``rho_min``, the maximum of D, brentq) runs only as
+the fallback. It takes over when an iterate leaves the admissible decreasing
+branch (a port slope with the wrong sign, or within a relative
+``_SLOPE_TOL`` of zero), when the iterates stop decreasing or do not
+converge, and for ports with a pressure ratio != 1, where D need not be
+concave. It therefore decides every inadmissible or unsolvable junction:
+``InvalidDemandError`` (with the supremum attached), ``NoSolutionError``,
+``InadmissibleError`` and the inadmissible solutions of the non-strict
+solvers. The junction limits ``rho_min_junction`` and ``rho_max_junction``
+are not needed on the Newton path; they are computed on demand.
 
 Ports may carry a pressure ratio r != 1 (an ideal compressor boosting that
 pipe's trace pressure into the node by the factor r); the trace density of
@@ -22,7 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from scipy.optimize import brentq
 
@@ -40,8 +63,10 @@ from .laxcurves import (
     lambda2,
     lax_left,
     lax_left_deriv,
+    lax_left_with_deriv,
     lax_right,
     lax_right_deriv,
+    lax_right_with_deriv,
     require_subsonic,
     rho_max,
     rho_min,
@@ -49,17 +74,45 @@ from .laxcurves import (
 from .pressure import PressureLaw
 
 _BRACKET_CAP = 1e12  # bracket expansion bound, relative to the density scale
+_NEWTON_MAX_ITER = 50  # Newton iterations before the fallback takes over
+_ROUNDING_STEP = 1e-14  # backward Newton step, relative to rho, taken as rounding
+# Margin of the Newton path's admissibility test: a port slope must have the
+# admissible sign by more than this fraction of the port velocity |lax/rho|
+# (c at the pipe's rho_min), i.e. the density must exceed that rho_min by
+# about this fraction. Closer roots, where D - epsilon may have a double root
+# or spline rarefaction integrals carry ~1e-10 rounding, are left to the
+# fallback, which decides them exactly as ``max_extraction`` does.
+_SLOPE_TOL = 1e-6
 
 
-@dataclass
+def _pullback(law: PressureLaw, ratio: float, value: float) -> float:
+    """Junction density whose port trace density equals ``value``."""
+    if ratio == 1.0 or value == 0.0 or value == math.inf:
+        return value
+    return law.rho_from_pressure(ratio * float(law.p(value)))
+
+
+def _port_limits(bound, incoming, outgoing, in_ratios, out_ratios, law):
+    """Per-pipe ``bound`` (``rho_min`` or ``rho_max``) at junction density.
+
+    The port map is increasing, so pulling each bound back through it keeps
+    the order of the densities.
+    """
+    for state, ratio in zip(incoming, in_ratios):
+        yield _pullback(law, ratio, bound(state, Side.IN, law))
+    for state, ratio in zip(outgoing, out_ratios):
+        yield _pullback(law, ratio, bound(state, Side.OUT, law))
+
+
+@dataclass(frozen=True)
 class JunctionSolution:
     """Traces and diagnostics of one junction Riemann solve.
 
     All traces of unit-ratio ports share the density ``rho_star`` (hence a
     common pressure); incoming and outgoing momenta balance the extraction.
-    ``rho_max_junction`` (and the derived ``subsonic_traces`` flag) is
-    evaluated on first access; locating it needs a density scan that the
-    time-stepping hot path never consumes.
+    ``rho_min_junction`` and ``rho_max_junction`` (and the derived
+    ``subsonic_traces`` flag) are evaluated from the stored data on first
+    access; the time-stepping hot path never needs them.
     """
 
     rho_star: float
@@ -70,17 +123,22 @@ class JunctionSolution:
     outgoing_traces: tuple[GasState, ...]
     incoming_waves: tuple[WaveType, ...]
     outgoing_waves: tuple[WaveType, ...]
-    rho_min_junction: float
     admissible: bool
     law: PressureLaw = field(repr=False)
-    _rho_max_fn: Callable[[], float] = field(repr=False, default=lambda: math.inf)
-    _rho_max_cache: float | None = field(repr=False, default=None)
+    in_ratios: tuple[float, ...] = field(repr=False)
+    out_ratios: tuple[float, ...] = field(repr=False)
 
-    @property
+    def _limits(self, bound):
+        return _port_limits(bound, self.incoming, self.outgoing,
+                            self.in_ratios, self.out_ratios, self.law)
+
+    @cached_property
+    def rho_min_junction(self) -> float:
+        return max(self._limits(rho_min))
+
+    @cached_property
     def rho_max_junction(self) -> float:
-        if self._rho_max_cache is None:
-            self._rho_max_cache = self._rho_max_fn()
-        return self._rho_max_cache
+        return min(self._limits(rho_max))
 
     @property
     def subsonic_traces(self) -> bool:
@@ -132,6 +190,14 @@ def _port_density_maps(law: PressureLaw, ratio: float):
     return h, dh
 
 
+def _traces(states, maps, rho_star, momenta):
+    """Trace states and wave types of one port group at ``rho_star``."""
+    traces = tuple(GasState(h(rho_star), q) for (h, _), q in zip(maps, momenta))
+    waves = tuple(WaveType.RAREFACTION if v.rho <= s.rho else WaveType.SHOCK
+                  for v, s in zip(traces, states))
+    return traces, waves
+
+
 class _JunctionProblem:
     """Scalar formulation of one junction solve."""
 
@@ -156,34 +222,11 @@ class _JunctionProblem:
         self.in_maps = [_port_density_maps(law, r) for r in self.in_ratios]
         self.out_maps = [_port_density_maps(law, r) for r in self.out_ratios]
         self.scale = max(s.rho for s in incoming + outgoing)
-        self._limits()
 
-    def _limits(self):
-        """Junction minimal density now; the maximal one stays lazy."""
-        law = self.law
-        ports = [(s, Side.IN, r) for s, r in zip(self.incoming, self.in_ratios)]
-        ports += [(s, Side.OUT, r) for s, r in zip(self.outgoing, self.out_ratios)]
-        rho_min_j = 0.0
-        for state, side, ratio in ports:
-            # Pull per-pipe bounds back through the port map (increasing).
-            rho_min_j = max(rho_min_j,
-                            self._pullback(ratio, rho_min(state, side, law)))
-        self.rho_min_junction = rho_min_j
-
-        def rho_max_junction() -> float:
-            value = math.inf
-            for state, side, ratio in ports:
-                value = min(value,
-                            self._pullback(ratio, rho_max(state, side, law)))
-            return value
-
-        self.rho_max_fn = rho_max_junction
-
-    def _pullback(self, ratio: float, value: float) -> float:
-        """Junction density whose port trace density equals ``value``."""
-        if ratio == 1.0 or value == 0.0 or value == math.inf:
-            return value
-        return self.law.rho_from_pressure(ratio * float(self.law.p(value)))
+    @cached_property
+    def rho_min_junction(self) -> float:
+        return max(_port_limits(rho_min, self.incoming, self.outgoing,
+                                self.in_ratios, self.out_ratios, self.law))
 
     def imbalance(self, rho: float) -> float:
         """D(rho): incoming minus outgoing momentum at junction density rho."""
@@ -220,7 +263,60 @@ class _JunctionProblem:
         floor = max(self.rho_min_junction, 1e-9 * self.scale)
         return self.imbalance(floor)
 
-    def solve(self, strict_admissibility: bool) -> JunctionSolution:
+    def _admissible_sweep(self, rho: float):
+        """Curves and slopes of every unit-ratio port at junction density rho.
+
+        Returns ``(q_in, q_out, D(rho) - epsilon, D'(rho))``, or None as soon
+        as a port slope is not admissible by the margin ``_SLOPE_TOL``.
+        """
+        law = self.law
+        q_in, q_out, total, slope = [], [], 0.0, 0.0
+        for state in self.incoming:
+            q, dq = lax_left_with_deriv(rho, state, law)
+            if not dq < -_SLOPE_TOL * abs(q) / rho:
+                return None
+            q_in.append(q)
+            total += q
+            slope += dq
+        for state in self.outgoing:
+            q, dq = lax_right_with_deriv(rho, state, law)
+            if not dq > _SLOPE_TOL * abs(q) / rho:
+                return None
+            q_out.append(q)
+            total -= q
+            slope -= dq
+        return q_in, q_out, total - self.epsilon, slope
+
+    def _newton(self):
+        """Admissible root of D - epsilon by Newton's method from the right.
+
+        Returns ``(rho_star, q_in, q_out)`` with the trace momenta at
+        rho_star, or None when the bracketed fallback has to decide. After
+        the first step the iterates of a concave D only move left; a step
+        back to the right is rounding at the root when it is at most
+        ``_ROUNDING_STEP`` rho, and means that D is not concave otherwise.
+        """
+        rho, step = self.scale, math.inf
+        for k in range(_NEWTON_MAX_ITER):
+            sweep = self._admissible_sweep(rho)
+            if sweep is None:
+                return None
+            q_in, q_out, residual, slope = sweep
+            if abs(step) <= 1e-15 * rho:
+                return rho, q_in, q_out
+            step = residual / slope
+            if k > 0 and step < 0.0:
+                return (rho, q_in, q_out) if -step <= _ROUNDING_STEP * rho else None
+            rho -= step
+            if not 0.0 < rho < math.inf:
+                return None
+        return None
+
+    def _bracketed(self, strict_admissibility: bool):
+        """Root on the decreasing branch by bracketing; the fallback path.
+
+        Returns ``(rho_star, q_in, q_out, admissible)``.
+        """
         eps = self.epsilon
 
         if eps > 0.0:
@@ -260,32 +356,35 @@ class _JunctionProblem:
                 f"density {self.rho_min_junction:g}; max extraction "
                 f"{self.max_extraction():g}"
             )
-
         law = self.law
-        in_traces, in_waves = [], []
-        for state, (h, _) in zip(self.incoming, self.in_maps):
-            r = h(rho_star)
-            in_traces.append(GasState(r, lax_left(r, state, law)))
-            in_waves.append(WaveType.RAREFACTION if r <= state.rho else WaveType.SHOCK)
-        out_traces, out_waves = [], []
-        for state, (h, _) in zip(self.outgoing, self.out_maps):
-            r = h(rho_star)
-            out_traces.append(GasState(r, lax_right(r, state, law)))
-            out_waves.append(WaveType.RAREFACTION if r <= state.rho else WaveType.SHOCK)
+        q_in = [lax_left(h(rho_star), s, law)
+                for s, (h, _) in zip(self.incoming, self.in_maps)]
+        q_out = [lax_right(h(rho_star), s, law)
+                 for s, (h, _) in zip(self.outgoing, self.out_maps)]
+        return rho_star, q_in, q_out, admissible
 
+    def solve(self, strict_admissibility: bool) -> JunctionSolution:
+        unit_ratios = all(r == 1.0 for r in self.in_ratios + self.out_ratios)
+        found = self._newton() if unit_ratios else None
+        if found is None:
+            rho_star, q_in, q_out, admissible = self._bracketed(strict_admissibility)
+        else:
+            (rho_star, q_in, q_out), admissible = found, True
+        in_traces, in_waves = _traces(self.incoming, self.in_maps, rho_star, q_in)
+        out_traces, out_waves = _traces(self.outgoing, self.out_maps, rho_star, q_out)
         return JunctionSolution(
             rho_star=float(rho_star),
-            epsilon=eps,
+            epsilon=self.epsilon,
             incoming=self.incoming,
             outgoing=self.outgoing,
-            incoming_traces=tuple(in_traces),
-            outgoing_traces=tuple(out_traces),
-            incoming_waves=tuple(in_waves),
-            outgoing_waves=tuple(out_waves),
-            rho_min_junction=self.rho_min_junction,
+            incoming_traces=in_traces,
+            outgoing_traces=out_traces,
+            incoming_waves=in_waves,
+            outgoing_waves=out_waves,
             admissible=admissible,
-            law=law,
-            _rho_max_fn=self.rho_max_fn,
+            law=self.law,
+            in_ratios=self.in_ratios,
+            out_ratios=self.out_ratios,
         )
 
 

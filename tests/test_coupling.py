@@ -1,11 +1,13 @@
 """Heat rate, demand schedules, stationary initialization, coupled stepping."""
 
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from gaspower import coupling
 from gaspower.coupling import (
     DemandSchedule,
     ExtractionHolder,
@@ -15,7 +17,7 @@ from gaspower.coupling import (
     heat_rate,
     link_max_extraction,
 )
-from gaspower.errors import ConfigError, InvalidDemandError
+from gaspower.errors import ConfigError, ConvergenceError, InvalidDemandError
 from gaspower.friction import FrictionModel
 from gaspower.network import (
     BoundaryCondition,
@@ -114,6 +116,19 @@ def test_frictionless_equal_ends_stay_uniform():
         find_stationary_state(sim)
     assert np.max(np.abs(grid.rho - 50.0)) < 1e-10
     assert np.max(np.abs(grid.q)) < 1e-10
+
+
+def test_stationary_march_reports_its_step_budget(monkeypatch):
+    """The march has no tuning parameters; an exhausted budget still names
+    the step count, the last rate and the tolerance."""
+    assert list(inspect.signature(find_stationary_state).parameters) == ["sim"]
+    monkeypatch.setattr(coupling, "STATIONARY_MAX_STEPS", 1)
+    sim = _small_network(IsothermalLaw(340.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError,
+                           match=r"no stationary state within 1 steps \(last rate .*, tol 1e-10\)"):
+            find_stationary_state(sim)
 
 
 def _coupled_fixture():

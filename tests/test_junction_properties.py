@@ -1,0 +1,106 @@
+"""Junction guarantees checked as properties over random sub-sonic data.
+
+Laws: the four of the pressure-law benchmark and the isothermal law. Each
+datum is (rho, u/c) with rho in [0.2, 5] and |u| <= 0.9 c. Runs are
+derandomized so that the suite is repeatable.
+"""
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from gaspower.errors import GasPowerError, InvalidDemandError, NoSolutionError
+from gaspower.laxcurves import GasState
+from gaspower.pressure import parse_law
+from gaspower.riemann import (
+    max_extraction,
+    solve_gas_power_junction,
+    solve_multi_junction,
+)
+
+LAWS = {spec: parse_law(spec) for spec in (
+    "gamma(0.7142857142857143,1.4)", "inverse", "log", "sum_gamma", "isothermal(1.0)",
+)}
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.filter_too_much])
+
+laws = st.sampled_from(sorted(LAWS))
+datum = st.tuples(st.floats(0.2, 5.0), st.floats(-0.9, 0.9))
+data = st.lists(datum, min_size=1, max_size=2)
+
+
+def _states(law, points):
+    return [GasState(rho, m * rho * float(law.c(rho))) for rho, m in points]
+
+
+def _momentum_scale(law, states):
+    """rho c bounds |q| of a sub-sonic state; it sets the momentum scale."""
+    return max(s.rho * float(law.c(s.rho)) for s in states)
+
+
+def _solve_strict(left, right, eps, law):
+    return solve_multi_junction([left], [right], eps, law)
+
+
+@PROPERTY
+@given(spec=laws, incoming=data, outgoing=data, eps=st.floats(0.0, 1.0))
+def test_traces_share_the_pressure_and_balance_the_flux(spec, incoming, outgoing, eps):
+    law = LAWS[spec]
+    data_in, data_out = _states(law, incoming), _states(law, outgoing)
+    try:
+        sol = solve_multi_junction(data_in, data_out, eps, law)
+    except GasPowerError:
+        assume(False)
+    traces = sol.incoming_traces + sol.outgoing_traces
+    assert {v.rho for v in traces} == {sol.rho_star}
+    scale = _momentum_scale(law, data_in + data_out + list(traces))
+    assert abs(sol.flux_residual()) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(spec=laws, left=datum, right=datum,
+       frac=st.one_of(st.just(0.0), st.floats(0.0, 1.2)))
+def test_admissible_exactly_above_the_junction_minimal_density(spec, left, right, frac):
+    law = LAWS[spec]
+    (left,), (right,) = _states(law, [left]), _states(law, [right])
+    eps = frac * max(max_extraction(left, right, law), 0.0)
+    try:
+        sol = solve_gas_power_junction(left, right, eps, law)
+    except (InvalidDemandError, NoSolutionError):
+        assume(False)
+    assert sol.admissible == (sol.rho_star > sol.rho_min_junction)
+
+
+@PROPERTY
+@given(spec=laws, left=datum, right=datum,
+       fracs=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)))
+def test_junction_density_decreases_as_the_extraction_grows(spec, left, right, fracs):
+    law = LAWS[spec]
+    (left,), (right,) = _states(law, [left]), _states(law, [right])
+    cap = max_extraction(left, right, law)
+    assume(cap > 0.0)
+    lo, hi = sorted(fracs)
+    rho_lo = solve_gas_power_junction(left, right, lo * cap, law).rho_star
+    rho_hi = solve_gas_power_junction(left, right, hi * cap, law).rho_star
+    assert rho_lo >= rho_hi
+    if hi - lo > 1e-9:
+        assert rho_lo > rho_hi
+
+
+@PROPERTY
+@given(spec=laws, left=datum, right=datum,
+       frac=st.one_of(st.just(1.0), st.floats(1e-6, 2.0)))
+def test_invalid_demand_exactly_at_and_above_the_supremum(spec, left, right, frac):
+    law = LAWS[spec]
+    (left,), (right,) = _states(law, [left]), _states(law, [right])
+    cap = max_extraction(left, right, law)
+    assume(cap > 0.0)
+    eps = frac * cap
+    for solve in (solve_gas_power_junction, _solve_strict):
+        if eps >= cap:
+            with pytest.raises(InvalidDemandError) as info:
+                solve(left, right, eps, law)
+            assert info.value.epsilon_max == cap
+        else:
+            assert solve(left, right, eps, law).admissible

@@ -13,10 +13,15 @@ from gaspower.laxcurves import (
     classify_wave,
     f_shock,
     lambda1,
+    _quad_log_integral,
+    _sound_speed_antiderivative,
     lax_left,
     lax_left_deriv,
+    lax_left_with_deriv,
     lax_right,
     lax_right_deriv,
+    lax_right_with_deriv,
+    rarefaction_integral,
     rho_max,
     rho_min,
 )
@@ -231,6 +236,42 @@ def test_classify_wave_rejects_inadmissible(benchmark_law):
 
 
 # -- state validation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("law", [GammaLaw(1.0, 1.4), SumGammaLaw()], ids=["gamma", "sum_gamma"])
+def test_curve_with_deriv_equals_the_separate_evaluations(law):
+    """Both branches and the kink, bit for bit."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        state = random_subsonic(rng, law)
+        for rho in (state.rho, *rng.uniform(0.05, 8.0, 4)):
+            assert lax_left_with_deriv(rho, state, law) == (
+                lax_left(rho, state, law), lax_left_deriv(rho, state, law))
+            assert lax_right_with_deriv(rho, state, law) == (
+                lax_right(rho, state, law), lax_right_deriv(rho, state, law))
+
+
+def test_rarefaction_spline_is_cached_per_law_not_stored_on_it():
+    law = SumGammaLaw()
+    rarefaction_integral(law, 0.5, 2.0)
+    assert vars(law) == {}
+    assert _sound_speed_antiderivative(SumGammaLaw()) is _sound_speed_antiderivative(law)
+
+
+def test_law_failing_spline_verification_keeps_quadrature():
+    class NanAtHighDensity(SumGammaLaw):
+        def c(self, rho):
+            return np.where(np.asarray(rho) > 1e6, math.nan, super().c(rho))
+
+        def spec(self):
+            return "sum_gamma_nan_above_1e6"
+
+    law = NanAtHighDensity()
+    assert _sound_speed_antiderivative(law) is None
+    hits = _sound_speed_antiderivative.cache_info().hits
+    expected = _quad_log_integral(law, math.log(0.5), math.log(2.0))
+    assert rarefaction_integral(law, 0.5, 2.0) == expected
+    assert _sound_speed_antiderivative.cache_info().hits == hits + 1
 
 
 def test_gas_state_requires_positive_density():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gaspower.errors import DomainError, NumericsError
@@ -49,6 +50,27 @@ def test_grid_subsonic_check_rejects_nan(field):
     grid = PipeGrid(Pipe("P", "a", "b", 1.0), 4, IsothermalLaw(1.0)).fill(1.0, 0.5)
     getattr(grid, field)[2] = math.nan
     with pytest.raises(NumericsError, match=r"pipe P: non-finite state at x=0\.625"):
+        grid.check_subsonic()
+
+
+@pytest.mark.parametrize("law", [IsothermalLaw(1.0), GammaLaw(1.0, 1.4)],
+                         ids=["isothermal", "gamma"])
+@pytest.mark.parametrize("rho", [-0.5, 0.0])
+def test_grid_subsonic_check_rejects_non_positive_density(law, rho):
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 4, law).fill(1.0, 0.1)
+    grid.rho[1] = rho
+    with pytest.raises(NumericsError, match=r"pipe P: non-positive density at x=0\.375"):
+        grid.check_subsonic()
+
+
+def test_grid_subsonic_check_rejects_nan_sound_speed():
+    class NanSoundSpeed(IsothermalLaw):
+        def c(self, rho):
+            return np.where(rho > 2.0, math.nan, 1.0)
+
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 4, NanSoundSpeed(1.0)).fill(1.0, 0.1)
+    grid.rho[3] = 3.0
+    with pytest.raises(NumericsError, match=r"pipe P: NaN sound speed at x=0\.875"):
         grid.check_subsonic()
 
 
