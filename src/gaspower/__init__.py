@@ -81,6 +81,7 @@ from .pressure import (
 )
 from .riemann import (
     JunctionSolution,
+    junction_max_extraction,
     max_extraction,
     sample_solution,
     solve_gas_power_junction,

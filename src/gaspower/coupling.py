@@ -22,7 +22,7 @@ from .errors import ConfigError, ConvergenceError, InvalidDemandError
 from .ibox import ibox_step
 from .network import GasSimulation, Junction
 from .powerflow import PowerFlowSolution, PowerGrid, solve_newton
-from .riemann import _JunctionProblem
+from .riemann import junction_max_extraction
 
 # Pseudo-time marching of find_stationary_state: first and largest implicit
 # step [s], step growth factor, state change rate declared steady [1/s] and
@@ -113,12 +113,11 @@ def link_max_extraction(sim: GasSimulation, junction: Junction) -> float:
     ports_out = junction.outgoing_ports()
     data_in = [sim.grids[p.pipe_index].end_state("end") for p in ports_in]
     data_out = [sim.grids[p.pipe_index].end_state("start") for p in ports_out]
-    problem = _JunctionProblem(
-        data_in, data_out, 0.0, sim.law,
-        in_ratios=tuple(p.pressure_ratio for p in ports_in),
-        out_ratios=tuple(p.pressure_ratio for p in ports_out),
+    return junction_max_extraction(
+        data_in, data_out, sim.law,
+        in_pressure_ratios=[p.pressure_ratio for p in ports_in],
+        out_pressure_ratios=[p.pressure_ratio for p in ports_out],
     )
-    return problem.max_extraction()
 
 
 def cosim_step(sim: GasSimulation, grid: PowerGrid, link: GasPowerLink,

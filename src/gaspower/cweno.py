@@ -110,8 +110,8 @@ def _end_traces(sim: GasSimulation, states, t_stage: float):
                             float(states[idx][1][0 if end == "start" else -1]))
         key = (idx, end)
         trace = apply_boundary(adjacent, bc, t_stage, sim.law, end,
-                               rho_guess=sim._boundary_guess.get(key))
-        sim._boundary_guess[key] = trace.rho
+                               rho_guess=sim.boundary_guess.get(key))
+        sim.boundary_guess[key] = trace.rho
         traces[key] = trace
     return traces
 

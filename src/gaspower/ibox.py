@@ -177,37 +177,27 @@ class _Assembler:
                 put(rq, rb, r * a21[b_idx] - 0.5 * dt * dgq_r[b_idx])
                 put(rq, qb, 0.5 + r * a22[b_idx] - 0.5 * dt * dgq_q[b_idx])
 
-        # Boundary rows: one scalar condition per physical pipe end.
+        # Boundary rows: one scalar condition per physical pipe end, fixing
+        # the density or the momentum of the end node.
         for (idx, end), bc in sim.boundaries.items():
             base = self.node_index(idx, end)
-            row = row_cursor
-            row_cursor += 1
-            if bc.kind in ("pressure", "density"):
-                target = bc.value(self.t_new)
-                rho_t = (law.rho_from_pressure(target)
-                         if bc.kind == "pressure" else float(target))
-                residual[row] = x[base] - rho_t
-                scale[row] = abs(x[base]) + abs(rho_t)
-                if with_jacobian:
-                    put(row, base, 1.0)
+            value = bc.value(self.t_new)
+            if bc.kind == "pressure":
+                column, target = base, law.rho_from_pressure(value)
+            elif bc.kind == "density":
+                column, target = base, value
             elif bc.kind == "flow":
-                q_t = float(bc.value(self.t_new))
-                residual[row] = x[base + 1] - q_t
-                scale[row] = abs(x[base + 1]) + abs(q_t)
-                if with_jacobian:
-                    put(row, base + 1, 1.0)
-            else:  # far-field state: density at a left end, momentum at a right
-                rho_t, q_t = bc.value(self.t_new)
-                if end == "start":
-                    residual[row] = x[base] - float(rho_t)
-                    scale[row] = abs(x[base]) + abs(rho_t)
-                    if with_jacobian:
-                        put(row, base, 1.0)
-                else:
-                    residual[row] = x[base + 1] - float(q_t)
-                    scale[row] = abs(x[base + 1]) + abs(q_t)
-                    if with_jacobian:
-                        put(row, base + 1, 1.0)
+                column, target = base + 1, value
+            elif end == "start":  # far-field state: density at a left end
+                column, target = base, value[0]
+            else:  # and momentum at a right end
+                column, target = base + 1, value[1]
+            target = float(target)
+            residual[row_cursor] = x[column] - target
+            scale[row_cursor] = abs(x[column]) + abs(target)
+            if with_jacobian:
+                put(row_cursor, column, 1.0)
+            row_cursor += 1
 
         # Junction rows: pressure equality (with compressor ratios) and mass.
         for junction in sim.junctions:

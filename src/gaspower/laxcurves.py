@@ -1,11 +1,18 @@
 """Wave curves for the isentropic flow equations.
 
 For a left datum ``(rho_l, q_l)`` the states reachable through a single
-1-wave form the curve ``lax_left``; mirrored, ``lax_right`` collects the
-states reachable from a right datum through a single 2-wave. Both consist of
-a rarefaction branch (integral of c(s)/s) below the datum density and a shock
-branch (square root of the auxiliary :func:`f_shock`) above it, joined with
-C^1 regularity at the datum.
+1-wave form the curve ``lax_left``. It consists of a rarefaction branch
+(integral of c(s)/s) below the datum density and a shock branch (square root
+of the auxiliary :func:`f_shock`) above it, joined with C^1 regularity at the
+datum.
+
+Mirror convention: the mirror image of a state keeps its density and negates
+its momentum (:meth:`GasState.mirrored`). The reflection x -> -x swaps the
+two wave families, so the 2-wave curve through a datum U is the negated
+1-wave curve through its mirror image, ``lax_right(rho; U) =
+-lax_left(rho; mirrored U)``, exactly also in floating point. Only the 1-wave
+curve is coded: ``lax_right``, ``Side.OUT``, outgoing junction ports and left
+pipe boundaries mirror their data, use it and mirror the result back.
 
 Junction admissibility is governed by two per-pipe densities derived from
 these curves: ``rho_min``, where the curve's derivative vanishes (waves below
@@ -45,10 +52,16 @@ class GasState:
         return self.q / self.rho
 
     def mirrored(self) -> "GasState":
-        return GasState(self.rho, -self.q)
+        """Mirror image: the same density with the momentum negated."""
+        return GasState(self.rho, _mirror(self.q))
 
     def is_subsonic(self, law: PressureLaw) -> bool:
         return abs(self.u) < float(law.c(self.rho))
+
+
+def _mirror(q: float) -> float:
+    """Negated momentum or slope; an exact zero stays +0.0, as in the 2-curve."""
+    return 0.0 - q
 
 
 class WaveType(enum.Enum):
@@ -181,12 +194,8 @@ def lax_left(rho: float, left: GasState, law: PressureLaw) -> float:
 
 
 def lax_right(rho: float, right: GasState, law: PressureLaw) -> float:
-    """Momentum on the 2-wave curve through ``right`` at density ``rho``."""
-    if rho <= 0.0:
-        raise DomainError(f"density must be positive, got {rho!r}")
-    if rho <= right.rho:
-        return rho * (right.u - rarefaction_integral(law, rho, right.rho))
-    return rho * right.u + math.sqrt(f_shock(rho, right.rho, law))
+    """Momentum on the 2-wave curve through ``right``: the mirrored 1-curve."""
+    return _mirror(lax_left(rho, right.mirrored(), law))
 
 
 def lax_left_with_deriv(rho: float, left: GasState,
@@ -212,18 +221,9 @@ def lax_left_with_deriv(rho: float, left: GasState,
 
 def lax_right_with_deriv(rho: float, right: GasState,
                          law: PressureLaw) -> tuple[float, float]:
-    """:func:`lax_right` and its derivative (rarefaction-side limit at the kink)."""
-    if rho <= 0.0:
-        raise DomainError(f"density must be positive, got {rho!r}")
-    if rho <= right.rho:
-        velocity = right.u - rarefaction_integral(law, rho, right.rho)
-        return rho * velocity, velocity + float(law.c(rho))
-    f = f_shock(rho, right.rho, law)
-    if f == 0.0:
-        return rho * right.u, right.u + float(law.c(right.rho))
-    root = math.sqrt(f)
-    return (rho * right.u + root,
-            right.u + _f_shock_deriv(rho, right.rho, law) / (2.0 * root))
+    """:func:`lax_right` and its derivative: the mirrored 1-curve and slope."""
+    q, dq = lax_left_with_deriv(rho, right.mirrored(), law)
+    return _mirror(q), _mirror(dq)
 
 
 def lax_left_deriv(rho: float, left: GasState, law: PressureLaw) -> float:
@@ -244,7 +244,7 @@ def rho_min(state: GasState, side: Side, law: PressureLaw) -> float:
     """
     require_subsonic(state, law)
     if side is Side.OUT:
-        # lax_right'(rho; U) = -lax_left'(rho; mirror U): same root.
+        # Mirror convention: the slopes differ only in sign, same root.
         return rho_min(state.mirrored(), Side.IN, law)
     lo = 1e-9 * state.rho
     g_lo = lax_left_deriv(lo, state, law)

@@ -4,10 +4,11 @@ A :class:`GasSimulation` owns per-pipe state arrays (cell averages for the
 explicit scheme, node values for the box scheme), junction topology with
 optional compressors and extractions, and boundary conditions. Boundary
 values are completed through wave-curve compatibility with the adjacent
-interior state: a prescribed inflow pressure fixes the boundary density and
-the momentum follows from the 2-wave curve through the neighbouring state;
-a prescribed outflow momentum is matched on the 1-wave curve, which fixes
-the boundary density.
+interior state: a prescribed pressure fixes the boundary density and the
+momentum follows from the wave curve through the neighbouring state; a
+prescribed momentum is matched on that curve, which fixes the boundary
+density. A left boundary is the mirror image of a right one (see the mirror
+convention in :mod:`gaspower.laxcurves`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, NoSolutionError, NumericsError
 from .friction import FrictionModel
-from .laxcurves import GasState, lax_left, lax_right, rho_min, Side
+from .laxcurves import GasState, Side, lax_left, rho_min
 from .pressure import PressureLaw
 
 
@@ -195,75 +196,67 @@ def apply_boundary(adjacent: GasState, bc: BoundaryCondition, t: float,
     """Complete a boundary state from prescribed data and the interior.
 
     ``end`` is the pipe end the condition acts on ('start' = left boundary).
+    At a right boundary the interior is reached through a 1-wave; a left
+    boundary, reached through a 2-wave, is solved as the mirrored right one
+    (see the mirror convention in :mod:`gaspower.laxcurves`).
     """
     if bc.kind == "state":
         rho, q = bc.value(t)
         return GasState(float(rho), float(q))
 
-    if end == "start":
-        # Left boundary: the interior is reached through a 2-wave.
-        if bc.kind in ("pressure", "density"):
-            target = bc.value(t)
-            rho_b = (law.rho_from_pressure(target)
-                     if bc.kind == "pressure" else float(target))
-            return GasState(rho_b, lax_right(rho_b, adjacent, law))
-        # prescribed momentum on the 2-curve (increasing branch)
+    mirror = end == "start"
+    interior = adjacent.mirrored() if mirror else adjacent
+    if bc.kind == "flow":
         q_b = float(bc.value(t))
-        curve = lambda r: lax_right(r, adjacent, law)
-        floor = rho_min(adjacent, Side.OUT, law)
-        rho_b = _match_on_curve(curve, q_b, adjacent, floor, sign=+1,
-                                guess=rho_guess)
+        rho_b = _match_on_curve(interior, -q_b if mirror else q_b, law, rho_guess,
+                                what=f"boundary momentum {q_b:g}")
         return GasState(rho_b, q_b)
-
-    # Right boundary: the interior is reached through a 1-wave.
-    if bc.kind in ("pressure", "density"):
-        target = bc.value(t)
-        rho_b = (law.rho_from_pressure(target)
-                 if bc.kind == "pressure" else float(target))
-        return GasState(rho_b, lax_left(rho_b, adjacent, law))
-    q_b = float(bc.value(t))
-    curve = lambda r: lax_left(r, adjacent, law)
-    floor = rho_min(adjacent, Side.IN, law)
-    rho_b = _match_on_curve(curve, q_b, adjacent, floor, sign=-1, guess=rho_guess)
-    return GasState(rho_b, q_b)
+    target = bc.value(t)
+    rho_b = (law.rho_from_pressure(target)
+             if bc.kind == "pressure" else float(target))
+    state = GasState(rho_b, lax_left(rho_b, interior, law))
+    return state.mirrored() if mirror else state
 
 
-def _match_on_curve(curve, q_target: float, adjacent: GasState, floor: float,
-                    sign: int, guess: float | None) -> float:
-    """Find rho > floor with curve(rho) == q_target on the monotone branch.
+def _match_on_curve(interior: GasState, q_target: float, law: PressureLaw,
+                    guess: float | None, what: str) -> float:
+    """Find rho > rho_min with lax_left(rho; interior) == q_target.
 
-    ``sign`` is the branch slope: +1 for the 2-curve (increasing), -1 for the
-    1-curve (decreasing). A warm-start guess narrows the bracket.
+    The 1-curve decreases above ``rho_min``. A warm-start guess narrows the
+    bracket; ``what`` names the prescribed momentum in error messages.
     """
-    g = lambda r: curve(r) - q_target
-    lo = max(floor, 1e-9 * adjacent.rho)
+    g = lambda r: lax_left(r, interior, law) - q_target
+    lo = max(rho_min(interior, Side.IN, law), 1e-9 * interior.rho)
     g_lo = g(lo)
-    if sign * g_lo > 0.0:
+    if g_lo < 0.0:
         raise NoSolutionError(
-            f"boundary momentum {q_target:g} unreachable: junction-side bound "
-            f"gives {curve(lo):g} at rho={lo:g}"
+            f"{what} unreachable: the wave curve from the interior misses it "
+            f"by {-g_lo:g} at its junction-side bound rho={lo:g}"
         )
     if guess is not None and guess > lo:
-        a, b = 0.8 * guess, 1.25 * guess
-        a = max(a, lo)
+        a, b = max(0.8 * guess, lo), 1.25 * guess
         if g(a) * g(b) <= 0.0:
             return brentq(g, a, b, rtol=1e-15)
-    hi = max(2.0 * lo, 2.0 * adjacent.rho)
+    hi = max(2.0 * lo, 2.0 * interior.rho)
     for _ in range(200):
         if g(lo) * g(hi) <= 0.0:
             break
         hi *= 2.0
     else:
         raise NoSolutionError(
-            f"no density matches boundary momentum {q_target:g} "
-            f"(searched up to rho={hi:g})"
+            f"no density matches {what} (searched up to rho={hi:g})"
         )
     return brentq(g, lo, hi, rtol=1e-15)
 
 
 @dataclass
 class GasSimulation:
-    """Mutable network state advanced by one of the two schemes."""
+    """Mutable network state advanced by one of the two schemes.
+
+    ``boundary_guess`` maps a pipe end ``(pipe index, end)`` to the boundary
+    density found there last; the explicit scheme passes it to
+    :func:`apply_boundary` as the warm start of the next momentum match.
+    """
 
     grids: list[PipeGrid]
     junctions: list[Junction] = field(default_factory=list)
@@ -278,7 +271,7 @@ class GasSimulation:
                               or len(self.grids) != 1):
             raise DomainError("periodic runs support exactly one isolated pipe")
         self.law = self.grids[0].law
-        self._boundary_guess: dict[tuple[int, str], float] = {}
+        self.boundary_guess: dict[tuple[int, str], float] = {}
         for j in self.junctions:
             areas = {round(self.grids[p.pipe_index].pipe.area, 12) for p in j.ports}
             if len(areas) > 1:
@@ -328,5 +321,9 @@ class GasSimulation:
         return np.concatenate([np.stack([g.rho, g.q]).ravel() for g in self.grids])
 
     def check_subsonic(self) -> None:
+        """:meth:`PipeGrid.check_subsonic` on every pipe, naming the time."""
         for g in self.grids:
-            g.check_subsonic()
+            try:
+                g.check_subsonic()
+            except (NumericsError, DomainError) as err:
+                raise type(err)(f"{err} at t={self.t:g}") from None

@@ -212,8 +212,8 @@ class GeneralizedGammaLaw(PressureLaw):
     """Law defined through its derivative ``p'(rho) = alpha * rho**delta``.
 
     Integrating gives ``p = alpha rho^(delta+1)/(delta+1)`` for delta != -1
-    and ``p = alpha ln(rho)`` for delta == -1. ``valid`` mirrors the closed
-    admissibility characterization: alpha > 0 and |delta| <= 2.
+    and ``p = alpha ln(rho)`` for delta == -1. ``valid`` is the closed
+    admissibility characterization :func:`classify_generalized_gamma`.
     """
 
     def __init__(self, alpha: float, delta: float):
@@ -225,7 +225,7 @@ class GeneralizedGammaLaw(PressureLaw):
 
     @property
     def valid(self) -> bool:
-        return self.alpha > 0.0 and abs(self.delta) <= 2.0
+        return classify_generalized_gamma(self.alpha, self.delta)
 
     def p(self, rho):
         if self.delta == -1.0:

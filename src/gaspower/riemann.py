@@ -2,18 +2,21 @@
 
 A junction couples pipe traces through equality of pressure (one common
 trace density for unit pressure ratios) and conservation of mass, optionally
-with a prescribed extraction ``epsilon >= 0`` drawn at the node. The scalar
-junction function
+with a prescribed extraction ``epsilon >= 0`` drawn at the node. Outgoing
+pipes follow the mirror convention of :mod:`gaspower.laxcurves`: their data
+are mirrored once per solve, so that every port is an incoming one on its
+1-wave curve, and their traces are mirrored back. The scalar junction
+function
 
-    D(rho) = sum_in lax_left_i(rho) - sum_out lax_right_j(rho)
+    D(rho) = sum over ports of lax_left(rho; port datum)
+           = sum_in lax_left_i(rho) - sum_out lax_right_j(rho)
 
-is concave for well-posed pressure laws, being a sum of concave 1-curves and
-negated convex 2-curves. Solutions live on its decreasing branch. Each port
-slope is monotone and has the admissible sign (``lax_left' < 0`` in,
-``lax_right' > 0`` out) exactly above that pipe's ``rho_min``; so a trace
+is concave for well-posed pressure laws, being a sum of concave 1-curves.
+Solutions live on its decreasing branch. Each port slope is monotone and
+negative (admissible) exactly above that pipe's ``rho_min``; so a trace
 density exceeds the junction minimal density (the largest per-pipe
-``rho_min``) exactly when every port slope has the admissible sign there.
-Sub-sonic traces additionally require it to stay below the smallest per-pipe
+``rho_min``) exactly when every port slope is negative there. Sub-sonic
+traces additionally require it to stay below the smallest per-pipe
 ``rho_max``.
 
 The root of D - epsilon is found by Newton's method from the right. It
@@ -26,14 +29,14 @@ integral; the iteration stops once the step is at most 1e-15 rho.
 
 The bracketed search (``rho_min``, the maximum of D, brentq) runs only as
 the fallback. It takes over when an iterate leaves the admissible decreasing
-branch (a port slope with the wrong sign, or within a relative
-``_SLOPE_TOL`` of zero), when the iterates stop decreasing or do not
-converge, and for ports with a pressure ratio != 1, where D need not be
-concave. It therefore decides every inadmissible or unsolvable junction:
-``InvalidDemandError`` (with the supremum attached), ``NoSolutionError``,
-``InadmissibleError`` and the inadmissible solutions of the non-strict
-solvers. The junction limits ``rho_min_junction`` and ``rho_max_junction``
-are not needed on the Newton path; they are computed on demand.
+branch (a port slope that is not negative by a relative ``_SLOPE_TOL``),
+when the iterates stop decreasing or do not converge, and for ports with a
+pressure ratio != 1, where D need not be concave. It therefore decides every
+inadmissible or unsolvable junction: ``InvalidDemandError`` (with the
+supremum attached), ``NoSolutionError``, ``InadmissibleError`` and the
+inadmissible solutions of the non-strict solvers. The junction limits
+``rho_min_junction`` and ``rho_max_junction`` are not needed on the Newton
+path; they are computed on demand.
 
 Ports may carry a pressure ratio r != 1 (an ideal compressor boosting that
 pipe's trace pressure into the node by the factor r); the trace density of
@@ -64,9 +67,6 @@ from .laxcurves import (
     lax_left,
     lax_left_deriv,
     lax_left_with_deriv,
-    lax_right,
-    lax_right_deriv,
-    lax_right_with_deriv,
     require_subsonic,
     rho_max,
     rho_min,
@@ -76,13 +76,18 @@ from .pressure import PressureLaw
 _BRACKET_CAP = 1e12  # bracket expansion bound, relative to the density scale
 _NEWTON_MAX_ITER = 50  # Newton iterations before the fallback takes over
 _ROUNDING_STEP = 1e-14  # backward Newton step, relative to rho, taken as rounding
-# Margin of the Newton path's admissibility test: a port slope must have the
-# admissible sign by more than this fraction of the port velocity |lax/rho|
-# (c at the pipe's rho_min), i.e. the density must exceed that rho_min by
-# about this fraction. Closer roots, where D - epsilon may have a double root
-# or spline rarefaction integrals carry ~1e-10 rounding, are left to the
-# fallback, which decides them exactly as ``max_extraction`` does.
+# Margin of the Newton path's admissibility test: a port slope must be
+# negative by more than this fraction of the port velocity |lax/rho| (c at
+# the pipe's rho_min), i.e. the density must exceed that rho_min by about
+# this fraction. Closer roots, where D - epsilon may have a double root or
+# spline rarefaction integrals carry ~1e-10 rounding, are left to the
+# fallback, which decides them exactly as ``junction_max_extraction`` does.
 _SLOPE_TOL = 1e-6
+
+
+def _port_data(incoming, outgoing) -> tuple[GasState, ...]:
+    """Data of all ports as incoming ones: outgoing data are mirrored."""
+    return tuple(incoming) + tuple(s.mirrored() for s in outgoing)
 
 
 def _pullback(law: PressureLaw, ratio: float, value: float) -> float:
@@ -92,16 +97,15 @@ def _pullback(law: PressureLaw, ratio: float, value: float) -> float:
     return law.rho_from_pressure(ratio * float(law.p(value)))
 
 
-def _port_limits(bound, incoming, outgoing, in_ratios, out_ratios, law):
+def _port_limits(bound, data, ratios, law):
     """Per-pipe ``bound`` (``rho_min`` or ``rho_max``) at junction density.
 
+    ``data`` are the port data as incoming ones (see :func:`_port_data`).
     The port map is increasing, so pulling each bound back through it keeps
     the order of the densities.
     """
-    for state, ratio in zip(incoming, in_ratios):
+    for state, ratio in zip(data, ratios):
         yield _pullback(law, ratio, bound(state, Side.IN, law))
-    for state, ratio in zip(outgoing, out_ratios):
-        yield _pullback(law, ratio, bound(state, Side.OUT, law))
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,8 @@ class JunctionSolution:
     out_ratios: tuple[float, ...] = field(repr=False)
 
     def _limits(self, bound):
-        return _port_limits(bound, self.incoming, self.outgoing,
-                            self.in_ratios, self.out_ratios, self.law)
+        return _port_limits(bound, _port_data(self.incoming, self.outgoing),
+                            self.in_ratios + self.out_ratios, self.law)
 
     @cached_property
     def rho_min_junction(self) -> float:
@@ -190,16 +194,13 @@ def _port_density_maps(law: PressureLaw, ratio: float):
     return h, dh
 
 
-def _traces(states, maps, rho_star, momenta):
-    """Trace states and wave types of one port group at ``rho_star``."""
-    traces = tuple(GasState(h(rho_star), q) for (h, _), q in zip(maps, momenta))
-    waves = tuple(WaveType.RAREFACTION if v.rho <= s.rho else WaveType.SHOCK
-                  for v, s in zip(traces, states))
-    return traces, waves
-
-
 class _JunctionProblem:
-    """Scalar formulation of one junction solve."""
+    """Scalar formulation of one junction solve.
+
+    ``data`` holds the incoming data, then the mirrored outgoing data, and
+    ``maps`` the density maps of the same ports, so every loop over the
+    ports treats them alike.
+    """
 
     def __init__(self, incoming, outgoing, epsilon, law,
                  in_ratios=None, out_ratios=None):
@@ -219,94 +220,75 @@ class _JunctionProblem:
         self.law = law
         self.in_ratios = tuple(in_ratios) if in_ratios else (1.0,) * len(incoming)
         self.out_ratios = tuple(out_ratios) if out_ratios else (1.0,) * len(outgoing)
-        self.in_maps = [_port_density_maps(law, r) for r in self.in_ratios]
-        self.out_maps = [_port_density_maps(law, r) for r in self.out_ratios]
-        self.scale = max(s.rho for s in incoming + outgoing)
+        self.data = _port_data(incoming, outgoing)
+        self.ratios = self.in_ratios + self.out_ratios
+        self.maps = [_port_density_maps(law, r) for r in self.ratios]
+        self.scale = max(s.rho for s in self.data)
 
     @cached_property
     def rho_min_junction(self) -> float:
-        return max(_port_limits(rho_min, self.incoming, self.outgoing,
-                                self.in_ratios, self.out_ratios, self.law))
+        return max(_port_limits(rho_min, self.data, self.ratios, self.law))
+
+    def _sweep(self, rho: float):
+        """Port momenta and slopes, D(rho) and D'(rho) at junction density rho.
+
+        Momenta and slopes are those of the mirrored data for outgoing ports.
+        """
+        momenta, slopes, total, slope = [], [], 0.0, 0.0
+        for state, (h, dh) in zip(self.data, self.maps):
+            q, dq = lax_left_with_deriv(h(rho), state, self.law)
+            dq *= dh(rho)
+            momenta.append(q)
+            slopes.append(dq)
+            total += q
+            slope += dq
+        return momenta, slopes, total, slope
 
     def imbalance(self, rho: float) -> float:
         """D(rho): incoming minus outgoing momentum at junction density rho."""
-        total = 0.0
-        for state, (h, _) in zip(self.incoming, self.in_maps):
-            total += lax_left(h(rho), state, self.law)
-        for state, (h, _) in zip(self.outgoing, self.out_maps):
-            total -= lax_right(h(rho), state, self.law)
-        return total
-
-    def imbalance_deriv(self, rho: float) -> float:
-        total = 0.0
-        for state, (h, dh) in zip(self.incoming, self.in_maps):
-            total += lax_left_deriv(h(rho), state, self.law) * dh(rho)
-        for state, (h, dh) in zip(self.outgoing, self.out_maps):
-            total -= lax_right_deriv(h(rho), state, self.law) * dh(rho)
-        return total
+        return self._sweep(rho)[2]
 
     def argmax(self) -> float:
         """Locate the maximum of D by bisecting its (decreasing) derivative."""
+        deriv = lambda r: self._sweep(r)[3]
         lo = 1e-9 * self.scale
-        if self.imbalance_deriv(lo) <= 0.0:
+        if deriv(lo) <= 0.0:
             return lo
         hi = self.scale
-        while self.imbalance_deriv(hi) > 0.0:
+        while deriv(hi) > 0.0:
             hi *= 4.0
             if hi > _BRACKET_CAP * self.scale:
                 # D keeps increasing on the whole search range.
                 return hi
-        return brentq(self.imbalance_deriv, lo, hi, rtol=1e-14)
+        return brentq(deriv, lo, hi, rtol=1e-14)
 
     def max_extraction(self) -> float:
         """Supremum of solvable extractions: D at the junction minimal density."""
         floor = max(self.rho_min_junction, 1e-9 * self.scale)
         return self.imbalance(floor)
 
-    def _admissible_sweep(self, rho: float):
-        """Curves and slopes of every unit-ratio port at junction density rho.
-
-        Returns ``(q_in, q_out, D(rho) - epsilon, D'(rho))``, or None as soon
-        as a port slope is not admissible by the margin ``_SLOPE_TOL``.
-        """
-        law = self.law
-        q_in, q_out, total, slope = [], [], 0.0, 0.0
-        for state in self.incoming:
-            q, dq = lax_left_with_deriv(rho, state, law)
-            if not dq < -_SLOPE_TOL * abs(q) / rho:
-                return None
-            q_in.append(q)
-            total += q
-            slope += dq
-        for state in self.outgoing:
-            q, dq = lax_right_with_deriv(rho, state, law)
-            if not dq > _SLOPE_TOL * abs(q) / rho:
-                return None
-            q_out.append(q)
-            total -= q
-            slope -= dq
-        return q_in, q_out, total - self.epsilon, slope
-
     def _newton(self):
         """Admissible root of D - epsilon by Newton's method from the right.
 
-        Returns ``(rho_star, q_in, q_out)`` with the trace momenta at
-        rho_star, or None when the bracketed fallback has to decide. After
-        the first step the iterates of a concave D only move left; a step
-        back to the right is rounding at the root when it is at most
-        ``_ROUNDING_STEP`` rho, and means that D is not concave otherwise.
+        Returns ``(rho_star, momenta)`` with the port momenta at rho_star,
+        or None when the bracketed fallback has to decide: as soon as a
+        port slope is not negative by the margin ``_SLOPE_TOL``, and when
+        the iteration does not settle. After the first step the iterates of
+        a concave D only move left; a step back to the right is rounding at
+        the root when it is at most ``_ROUNDING_STEP`` rho, and means that D
+        is not concave otherwise.
         """
         rho, step = self.scale, math.inf
         for k in range(_NEWTON_MAX_ITER):
-            sweep = self._admissible_sweep(rho)
-            if sweep is None:
+            momenta, slopes, total, slope = self._sweep(rho)
+            if not all(dq < -_SLOPE_TOL * abs(q) / rho
+                       for q, dq in zip(momenta, slopes)):
                 return None
-            q_in, q_out, residual, slope = sweep
             if abs(step) <= 1e-15 * rho:
-                return rho, q_in, q_out
-            step = residual / slope
+                return rho, momenta
+            step = (total - self.epsilon) / slope
             if k > 0 and step < 0.0:
-                return (rho, q_in, q_out) if -step <= _ROUNDING_STEP * rho else None
+                return (rho, momenta) if -step <= _ROUNDING_STEP * rho else None
             rho -= step
             if not 0.0 < rho < math.inf:
                 return None
@@ -315,7 +297,7 @@ class _JunctionProblem:
     def _bracketed(self, strict_admissibility: bool):
         """Root on the decreasing branch by bracketing; the fallback path.
 
-        Returns ``(rho_star, q_in, q_out, admissible)``.
+        Returns ``(rho_star, momenta, admissible)``.
         """
         eps = self.epsilon
 
@@ -356,31 +338,28 @@ class _JunctionProblem:
                 f"density {self.rho_min_junction:g}; max extraction "
                 f"{self.max_extraction():g}"
             )
-        law = self.law
-        q_in = [lax_left(h(rho_star), s, law)
-                for s, (h, _) in zip(self.incoming, self.in_maps)]
-        q_out = [lax_right(h(rho_star), s, law)
-                 for s, (h, _) in zip(self.outgoing, self.out_maps)]
-        return rho_star, q_in, q_out, admissible
+        return rho_star, self._sweep(rho_star)[0], admissible
 
     def solve(self, strict_admissibility: bool) -> JunctionSolution:
-        unit_ratios = all(r == 1.0 for r in self.in_ratios + self.out_ratios)
-        found = self._newton() if unit_ratios else None
+        found = self._newton() if all(r == 1.0 for r in self.ratios) else None
         if found is None:
-            rho_star, q_in, q_out, admissible = self._bracketed(strict_admissibility)
+            rho_star, momenta, admissible = self._bracketed(strict_admissibility)
         else:
-            (rho_star, q_in, q_out), admissible = found, True
-        in_traces, in_waves = _traces(self.incoming, self.in_maps, rho_star, q_in)
-        out_traces, out_waves = _traces(self.outgoing, self.out_maps, rho_star, q_out)
+            (rho_star, momenta), admissible = found, True
+        n_in = len(self.incoming)
+        traces = [GasState(h(rho_star), q) for (h, _), q in zip(self.maps, momenta)]
+        traces[n_in:] = [v.mirrored() for v in traces[n_in:]]
+        waves = tuple(WaveType.RAREFACTION if v.rho <= s.rho else WaveType.SHOCK
+                      for v, s in zip(traces, self.data))
         return JunctionSolution(
             rho_star=float(rho_star),
             epsilon=self.epsilon,
             incoming=self.incoming,
             outgoing=self.outgoing,
-            incoming_traces=in_traces,
-            outgoing_traces=out_traces,
-            incoming_waves=in_waves,
-            outgoing_waves=out_waves,
+            incoming_traces=tuple(traces[:n_in]),
+            outgoing_traces=tuple(traces[n_in:]),
+            incoming_waves=waves[:n_in],
+            outgoing_waves=waves[n_in:],
             admissible=admissible,
             law=self.law,
             in_ratios=self.in_ratios,
@@ -392,13 +371,12 @@ def solve_interface(left: GasState, right: GasState,
                     law: PressureLaw) -> JunctionSolution:
     """Solve the two-state interface problem (zero extraction).
 
-    The unique intersection density of the two wave curves is bracketed on
-    the decreasing branch and refined to machine precision; the solution may
+    The unique intersection density of the two wave curves is found on the
+    decreasing branch and refined to machine precision; the solution may
     carry ``admissible=False`` when that density does not exceed the junction
     minimal density.
     """
-    problem = _JunctionProblem([left], [right], 0.0, law)
-    return problem.solve(strict_admissibility=False)
+    return solve_gas_power_junction(left, right, 0.0, law)
 
 
 def solve_gas_power_junction(left: GasState, right: GasState, epsilon: float,
@@ -410,8 +388,6 @@ def solve_gas_power_junction(left: GasState, right: GasState, epsilon: float,
     into the junction. Demands at or above :func:`max_extraction` raise
     ``InvalidDemandError`` with the admissible supremum attached.
     """
-    if epsilon == 0.0:
-        return solve_interface(left, right, law)
     problem = _JunctionProblem([left], [right], epsilon, law)
     return problem.solve(strict_admissibility=False)
 
@@ -427,17 +403,29 @@ def solve_multi_junction(incoming: Sequence[GasState], outgoing: Sequence[GasSta
     smallest per-pipe ``rho_max`` is returned with ``subsonic_traces=False``.
     Pressure ratios model ideal compressors on individual ports.
     """
-    ratios_in = tuple(in_pressure_ratios) if in_pressure_ratios else None
-    ratios_out = tuple(out_pressure_ratios) if out_pressure_ratios else None
     problem = _JunctionProblem(incoming, outgoing, epsilon, law,
-                               in_ratios=ratios_in, out_ratios=ratios_out)
+                               in_pressure_ratios, out_pressure_ratios)
     return problem.solve(strict_admissibility=True)
+
+
+def junction_max_extraction(incoming: Sequence[GasState],
+                            outgoing: Sequence[GasState], law: PressureLaw, *,
+                            in_pressure_ratios: Sequence[float] | None = None,
+                            out_pressure_ratios: Sequence[float] | None = None,
+                            ) -> float:
+    """Supremum of extractions solvable for the given junction data.
+
+    It is the junction function D at the junction minimal density; ports
+    and pressure ratios are those of :func:`solve_multi_junction`.
+    """
+    problem = _JunctionProblem(incoming, outgoing, 0.0, law,
+                               in_pressure_ratios, out_pressure_ratios)
+    return problem.max_extraction()
 
 
 def max_extraction(left: GasState, right: GasState, law: PressureLaw) -> float:
     """Supremum of extractions solvable for the given two-pipe data."""
-    problem = _JunctionProblem([left], [right], 0.0, law)
-    return problem.max_extraction()
+    return junction_max_extraction([left], [right], law)
 
 
 def wave_thresholds(left: GasState, right: GasState,
@@ -508,6 +496,8 @@ def sample_solution(sol: JunctionSolution, xi: float) -> GasState:
         return v_r
     if xi >= tail:
         return right
-    rho = _invert_fan(lambda r: lax_right_deriv(r, right, law),
+    # The 2-wave fan on the mirrored 1-curve (see laxcurves).
+    mirror = right.mirrored()
+    rho = _invert_fan(lambda r: -lax_left_deriv(r, mirror, law),
                       v_r.rho, right.rho, xi)
-    return GasState(rho, lax_right(rho, right, law))
+    return GasState(rho, lax_left(rho, mirror, law)).mirrored()

@@ -1,8 +1,9 @@
 """Junction guarantees checked as properties over random sub-sonic data.
 
 Laws: the four of the pressure-law benchmark and the isothermal law. Each
-datum is (rho, u/c) with rho in [0.2, 5] and |u| <= 0.9 c. Runs are
-derandomized so that the suite is repeatable.
+datum is (rho, u/c) with rho in [0.2, 5] and |u| <= 0.9 c; a port datum
+adds a compressor pressure ratio. Runs are derandomized so that the suite is
+repeatable.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from gaspower.errors import GasPowerError, InvalidDemandError, NoSolutionError
 from gaspower.laxcurves import GasState
 from gaspower.pressure import parse_law
 from gaspower.riemann import (
+    junction_max_extraction,
     max_extraction,
     solve_gas_power_junction,
     solve_multi_junction,
@@ -104,3 +106,51 @@ def test_invalid_demand_exactly_at_and_above_the_supremum(spec, left, right, fra
             assert info.value.epsilon_max == cap
         else:
             assert solve(left, right, eps, law).admissible
+
+
+port = st.tuples(st.floats(0.2, 5.0), st.floats(-0.9, 0.9), st.sampled_from((1.05, 0.97, 1.0)))
+ports = st.lists(port, min_size=1, max_size=2)
+
+
+def _solve_or_error(incoming, outgoing, eps, law, in_ratios, out_ratios):
+    try:
+        return solve_multi_junction(incoming, outgoing, eps, law,
+                                    in_pressure_ratios=in_ratios,
+                                    out_pressure_ratios=out_ratios)
+    except GasPowerError as err:
+        return type(err)
+
+
+@PROPERTY
+@given(spec=laws, incoming=ports, outgoing=ports, compressors=st.booleans(),
+       frac=st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+def test_the_reflected_junction_has_the_mirrored_solution(spec, incoming, outgoing,
+                                                          compressors, frac):
+    """Swapping incoming and outgoing pipes and mirroring their data mirrors
+    the traces and keeps rho*, the supremum and the admissibility."""
+    law = LAWS[spec]
+    data_in = _states(law, [(rho, m) for rho, m, _ in incoming])
+    data_out = _states(law, [(rho, m) for rho, m, _ in outgoing])
+    r_in = [r if compressors else 1.0 for _, _, r in incoming]
+    r_out = [r if compressors else 1.0 for _, _, r in outgoing]
+    ref_in = [s.mirrored() for s in data_out]
+    ref_out = [s.mirrored() for s in data_in]
+    cap = junction_max_extraction(data_in, data_out, law,
+                                  in_pressure_ratios=r_in, out_pressure_ratios=r_out)
+    ref_cap = junction_max_extraction(ref_in, ref_out, law,
+                                      in_pressure_ratios=r_out, out_pressure_ratios=r_in)
+    scale = _momentum_scale(law, data_in + data_out)
+    assert ref_cap == pytest.approx(cap, rel=1e-13, abs=1e-13 * scale)
+    eps = frac * max(cap, 0.0)
+    sol = _solve_or_error(data_in, data_out, eps, law, r_in, r_out)
+    ref = _solve_or_error(ref_in, ref_out, eps, law, r_out, r_in)
+    if isinstance(sol, type):
+        assert ref is sol
+        return
+    assert ref.admissible == sol.admissible
+    assert ref.rho_star == pytest.approx(sol.rho_star, rel=1e-13)
+    for mine, theirs in ((ref.incoming_traces, sol.outgoing_traces),
+                         (ref.outgoing_traces, sol.incoming_traces)):
+        for v, w in zip(mine, theirs):
+            assert v.rho == pytest.approx(w.rho, rel=1e-13)
+            assert v.q == pytest.approx(-w.q, abs=1e-13 * scale)

@@ -20,7 +20,7 @@ from gaspower.network import (
     flux_jacobian,
     ramp,
 )
-from gaspower.pressure import GammaLaw, IsothermalLaw
+from gaspower.pressure import GammaLaw, IsothermalLaw, SumGammaLaw
 
 
 def test_pipe_geometry():
@@ -202,3 +202,35 @@ def test_wavespeeds_propagate_nan(unit_isothermal):
         sim.grids[pipe_index].rho[1] = math.nan
         assert math.isnan(sim.max_wavespeed())
         assert math.isnan(sim.min_wavespeed())
+
+
+def test_simulation_subsonic_check_names_the_time(unit_isothermal):
+    sim = _two_pipe_sim(unit_isothermal)
+    sim.t = 0.25
+    sim.grids[1].rho[2] = math.nan
+    with pytest.raises(NumericsError,
+                       match=r"pipe B: non-finite state at x=0\.625 .* at t=0\.25$"):
+        sim.check_subsonic()
+
+
+@pytest.mark.parametrize("law", [GammaLaw(1.0, 1.4), IsothermalLaw(1.0), SumGammaLaw()],
+                         ids=["gamma", "isothermal", "sum_gamma"])
+@pytest.mark.parametrize("kind", ["pressure", "density", "flow"])
+def test_left_boundary_is_the_mirrored_right_boundary(law, kind):
+    """A start boundary equals the mirror image of the end boundary solved on
+    the mirrored interior with the prescribed momentum negated, bit for bit."""
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        rho = rng.uniform(0.3, 4.0)
+        interior = GasState(rho, rng.uniform(-0.8, 0.8) * rho * float(law.c(rho)))
+        rho_b = rho * rng.uniform(0.9, 1.5)
+        value = {"pressure": float(law.p(rho_b)), "density": rho_b,
+                 "flow": lax_right(rho_b, interior, law)}[kind]
+        mirrored_value = -value if kind == "flow" else value
+        for guess in (None, rho_b):
+            left = apply_boundary(interior, BoundaryCondition(kind, constant(value)),
+                                  0.0, law, "start", rho_guess=guess)
+            right = apply_boundary(interior.mirrored(),
+                                   BoundaryCondition(kind, constant(mirrored_value)),
+                                   0.0, law, "end", rho_guess=guess)
+            assert left == right.mirrored()
