@@ -42,13 +42,14 @@ class _Assembler:
         self.sim = sim
         self.dt = dt
         self.t_new = t_new
-        self.offsets = []
-        total = 0
-        for grid in sim.grids:
-            self.offsets.append(total)
-            total += 2 * self._active_nodes(grid)
-        self.size = total
-        self.u_old = [(g.rho.copy(), g.q.copy()) for g in sim.grids]
+        counts = [self._active_nodes(g) for g in sim.grids]
+        self.offsets = [2 * sum(counts[:i]) for i in range(len(counts))]
+        self.size = 2 * sum(counts)
+        self.x_old = self.pack()
+        # Per-node geometry of the stacked network, for one friction call.
+        self.x_nodes = np.concatenate([g.x[:m] for g, m in zip(sim.grids, counts)])
+        self.diameter = np.repeat([g.pipe.diameter for g in sim.grids], counts)
+        self.roughness = np.repeat([g.pipe.roughness for g in sim.grids], counts)
 
     def _active_nodes(self, grid) -> int:
         # Periodic pipes treat the last node as an alias of the first.
@@ -76,31 +77,25 @@ class _Assembler:
         j = 0 if end == "start" else m - 1
         return self.offsets[pipe_index] + 2 * j
 
-    def _sources(self, grid, rho, q, x_nodes):
+    def _sources(self, rho, q):
         """(G_rho, G_q) and their state derivatives at the new time level."""
-        s, ds_drho, ds_dq = self.sim.friction.source_with_derivatives(
-            rho, q, grid.pipe.diameter, grid.pipe.roughness
+        friction = self.sim.friction.source_with_derivatives(
+            rho, q, self.diameter, self.roughness
         )
-        g_rho = np.zeros_like(rho)
-        dgr_drho = np.zeros_like(rho)
-        dgr_dq = np.zeros_like(rho)
-        g_q = np.asarray(s, dtype=float).copy()
-        dgq_drho = np.asarray(ds_drho, dtype=float).copy()
-        dgq_dq = np.asarray(ds_dq, dtype=float).copy()
-        if self.sim.extra_source is not None:
-            e_rho, e_q = self.sim.extra_source(x_nodes, self.t_new, rho, q)
-            g_rho += np.asarray(e_rho, dtype=float)
-            g_q += np.asarray(e_q, dtype=float)
-            # State dependence of the extra source enters by differences.
-            hr = 1e-7 * np.maximum(1.0, np.abs(rho))
-            hq = 1e-7 * np.maximum(1.0, np.abs(q))
-            er2, eq2 = self.sim.extra_source(x_nodes, self.t_new, rho + hr, q)
-            er3, eq3 = self.sim.extra_source(x_nodes, self.t_new, rho, q + hq)
-            dgr_drho += (np.asarray(er2) - np.asarray(e_rho)) / hr
-            dgq_drho += (np.asarray(eq2) - np.asarray(e_q)) / hr
-            dgr_dq += (np.asarray(er3) - np.asarray(e_rho)) / hq
-            dgq_dq += (np.asarray(eq3) - np.asarray(e_q)) / hq
-        return (g_rho, dgr_drho, dgr_dq), (g_q, dgq_drho, dgq_dq)
+        extra = self.sim.extra_source
+        if extra is None:
+            zero = np.zeros_like(rho)
+            return (zero, zero, zero), friction
+        s, ds_drho, ds_dq = friction
+        # State dependence of the extra source enters by differences.
+        hr = 1e-7 * np.maximum(1.0, np.abs(rho))
+        hq = 1e-7 * np.maximum(1.0, np.abs(q))
+        (e_r, e_q), (er2, eq2), (er3, eq3) = (
+            [np.asarray(v, dtype=float) for v in extra(self.x_nodes, self.t_new, r, m)]
+            for r, m in ((rho, q), (rho + hr, q), (rho, q + hq))
+        )
+        return ((e_r, (er2 - e_r) / hr, (er3 - e_r) / hq),
+                (s + e_q, ds_drho + (eq2 - e_q) / hr, ds_dq + (eq3 - e_q) / hq))
 
     def assemble(self, x: np.ndarray, with_jacobian: bool):
         sim, dt = self.sim, self.dt
@@ -114,24 +109,22 @@ class _Assembler:
             cols.append(np.asarray(c, dtype=np.intp).ravel())
             vals.append(np.asarray(v, dtype=float).ravel())
 
+        # Node quantities of all pipes at once, sliced per pipe below.
+        rho_all, q_all = x[0::2], x[1::2]
+        u_all = q_all / rho_all
+        src_rho, src_q = self._sources(rho_all, q_all)
+        stacked = (rho_all, q_all, self.x_old[0::2], self.x_old[1::2],
+                   np.asarray(law.p(rho_all), dtype=float) + q_all * u_all,
+                   np.asarray(law.dp(rho_all), dtype=float) - u_all * u_all,
+                   2.0 * u_all, *src_rho, *src_q)
+
         row_cursor = 0
         for idx, grid in enumerate(sim.grids):
             off = self.offsets[idx]
-            m = self._active_nodes(grid)
-            rho = x[off:off + 2 * m:2]
-            q = x[off + 1:off + 2 * m:2]
-            rho_old, q_old = self.u_old[idx]
-            rho_old, q_old = rho_old[:m], q_old[:m]
-
-            p = np.asarray(law.p(rho), dtype=float)
-            dp = np.asarray(law.dp(rho), dtype=float)
-            u = q / rho
-            fq = p + q * u
-            a21 = dp - u * u
-            a22 = 2.0 * u
-            (g_r, dgr_r, dgr_q), (g_q, dgq_r, dgq_q) = self._sources(
-                grid, rho, q, grid.x[:m]
-            )
+            nodes = slice(off // 2, off // 2 + self._active_nodes(grid))
+            (rho, q, rho_old, q_old, fq, a21, a22,
+             g_r, dgr_r, dgr_q, g_q, dgq_r, dgq_q) = (v[nodes] for v in stacked)
+            m = rho.size
 
             if sim.periodic:
                 a_idx = np.arange(m)

@@ -259,22 +259,24 @@ def rho_min(state: GasState, side: Side, law: PressureLaw) -> float:
     return float(root)
 
 
-def rho_max(state: GasState, side: Side, law: PressureLaw,
-            search_factor: float = 1e6) -> float:
+RHO_MAX_SEARCH_FACTOR = 1e6  # rho_max scans up to this multiple of the datum
+
+
+def rho_max(state: GasState, side: Side, law: PressureLaw) -> float:
     """Smallest density at which the trace turns super-sonic, +inf if none.
 
     For an in-side pipe this is the first sign change of the fast eigenvalue
     along the 1-curve; the search scans log-spaced densities up to
-    ``search_factor * state.rho`` and reports +inf beyond that bound.
+    ``RHO_MAX_SEARCH_FACTOR * state.rho`` and reports +inf beyond that bound.
     """
     require_subsonic(state, law)
     if side is Side.OUT:
-        return rho_max(state.mirrored(), Side.IN, law, search_factor)
+        return rho_max(state.mirrored(), Side.IN, law)
 
     def fast_eig(r: float) -> float:
         return lax_left(r, state, law) / r + float(law.c(r))
 
-    grid = np.geomspace(1e-9 * state.rho, search_factor * state.rho, 800)
+    grid = np.geomspace(1e-9 * state.rho, RHO_MAX_SEARCH_FACTOR * state.rho, 800)
     values = np.array([fast_eig(r) for r in grid])
     negative = np.nonzero(values < 0.0)[0]
     if negative.size == 0:

@@ -38,9 +38,15 @@ class Pipe:
     roughness: float = 0.0
 
     def __post_init__(self):
-        if self.length <= 0.0 or self.diameter <= 0.0:
+        if not (0.0 < self.length < math.inf and 0.0 < self.diameter < math.inf):
             raise DomainError(
-                f"pipe {self.id}: length and diameter must be positive"
+                f"pipe {self.id}: length and diameter must be positive and "
+                f"finite, got {self.length} and {self.diameter}"
+            )
+        if not 0.0 <= self.roughness < math.inf:
+            raise DomainError(
+                f"pipe {self.id}: roughness must be non-negative and finite, "
+                f"got {self.roughness}"
             )
 
     @property
@@ -239,7 +245,7 @@ def _match_on_curve(interior: GasState, q_target: float, law: PressureLaw,
             return brentq(g, a, b, rtol=1e-15)
     hi = max(2.0 * lo, 2.0 * interior.rho)
     for _ in range(200):
-        if g(lo) * g(hi) <= 0.0:
+        if g_lo * g(hi) <= 0.0:
             break
         hi *= 2.0
     else:

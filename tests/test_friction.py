@@ -89,18 +89,55 @@ def test_source_derivatives_match_finite_differences():
         assert ds_dq == pytest.approx(fd_q, rel=1e-5)
 
 
-def test_colebrook_non_convergence_raises(monkeypatch):
-    monkeypatch.setattr(gaspower.friction, "COLEBROOK_MAX_ITER", 1)
+def test_colebrook_non_finite_result_raises():
     with pytest.raises(ConvergenceError, match=r"Re in \[1e\+06, 2e\+06\]"
+                       r".*diameter 0\.6 m, roughness nan m"):
+        colebrook_friction_factor(np.array([1e6, 2e6]), 0.6, math.nan)
+    with pytest.raises(ConvergenceError, match=r"Re in \[1e\+06, inf\]"
                        r".*diameter 0\.6 m, roughness 5e-05 m"):
-        colebrook_friction_factor(np.array([1e6, 2e6]), 0.6, 5e-5)
+        colebrook_friction_factor(np.array([1e6, math.inf]), 0.6, 5e-5)
+
+
+def test_colebrook_residual_is_at_rounding():
+    """Over Re x d x k the relation holds to rounding of 1/sqrt(lambda)."""
+    re, d, k = np.meshgrid(np.geomspace(1e2, 1e9, 29), np.linspace(0.1, 1.4, 7),
+                           np.r_[0.0, np.geomspace(1e-7, 1e-2, 11)])
+    x = 1.0 / np.sqrt(colebrook_friction_factor(re, d, k))
+    residual = x + 2.0 * np.log10(2.51 * x / re + k / (3.71 * d))
+    assert np.max(np.abs(residual) / x) <= 1e-13
+
+
+def test_per_node_geometry_matches_per_pipe_calls():
+    """One call on stacked pipes equals one call per pipe, bit for bit."""
+    model = FrictionModel()
+    pipes = ((0.5, 1e-5, 4), (1.0, 0.0, 3), (0.3, 2e-3, 5))
+    rng = np.random.default_rng(7)
+    rho = rng.uniform(1.0, 60.0, 12)
+    q = rng.uniform(-400.0, 400.0, 12)
+    q[[1, 6]] = (0.0, 1e-6)  # nodes below the Reynolds floor
+    counts = [n for *_, n in pipes]
+    diameter = np.repeat([d for d, _, _ in pipes], counts)
+    roughness = np.repeat([k for _, k, _ in pipes], counts)
+    stacked = model.source_with_derivatives(rho, q, diameter, roughness)
+    start = 0
+    for d, k, n in pipes:
+        part = slice(start, start + n)
+        single = model.source_with_derivatives(rho[part], q[part], d, k)
+        for whole, piece in zip(stacked, single):
+            assert np.array_equal(whole[part], piece)
+        start += n
+
+
+def test_viscosity_must_be_positive_and_finite():
+    for eta in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="viscosity"):
+            FrictionModel(eta=eta)
 
 
 def test_one_colebrook_solve_per_source_evaluation(monkeypatch):
     """S, and S with its derivatives, each cost one Colebrook solve."""
     model = FrictionModel()
     rho, q = np.full(5, 2.0), np.array([-300.0, -1e-5, 0.0, 1e-5, 250.0])
-    model.source(rho, q, 0.6, 5e-5)  # warms the floor-constant cache
     calls = []
 
     def counted(*args):

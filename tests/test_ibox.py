@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import gaspower.friction
 from gaspower.errors import ConvergenceError
-from gaspower.ibox import ibox_step
+from gaspower.friction import FrictionModel, colebrook_friction_factor
+from gaspower.ibox import _Assembler, ibox_step
 from gaspower.laxcurves import GasState
 from gaspower.network import (
     BoundaryCondition,
@@ -126,3 +128,30 @@ def test_newton_failure_is_reported(unit_isothermal):
     with pytest.raises(ConvergenceError):
         for _ in range(5):
             _quiet_step(sim, 0.5)
+
+
+def test_one_friction_solve_per_assembly(monkeypatch, unit_isothermal):
+    """All pipes share one Colebrook solve per residual/Jacobian assembly."""
+    geometry = ((0.5, 1e-5), (1.0, 0.0), (0.3, 2e-3))
+    grids = [PipeGrid(Pipe(f"P{i}", f"a{i}", f"b{i}", 1000.0, diameter=d,
+                           roughness=k), 8, unit_isothermal,
+                      staggering="nodes").fill(2.0, 0.1 * (i + 1))
+             for i, (d, k) in enumerate(geometry)]
+    boundaries = {}
+    for i, grid in enumerate(grids):
+        boundaries[(i, "start")] = BoundaryCondition("density", constant(2.0))
+        boundaries[(i, "end")] = BoundaryCondition("flow", constant(grid.q[-1]))
+    sim = GasSimulation(grids=grids, boundaries=boundaries,
+                        friction=FrictionModel())
+    calls = []
+
+    def counted(*args):
+        calls.append(np.size(args[0]))
+        return colebrook_friction_factor(*args)
+
+    monkeypatch.setattr(gaspower.friction, "colebrook_friction_factor", counted)
+    asm = _Assembler(sim, 1.0, 1.0)
+    asm.assemble(asm.pack(), with_jacobian=True)
+    assert calls == [27]
+    asm.assemble(asm.pack(), with_jacobian=False)
+    assert calls == [27, 27]

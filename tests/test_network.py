@@ -30,6 +30,17 @@ def test_pipe_geometry():
         Pipe("bad", "a", "b", length=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("length", math.nan), ("length", math.inf),
+    ("diameter", math.nan), ("diameter", math.inf),
+    ("roughness", -1e-3), ("roughness", math.nan), ("roughness", math.inf),
+])
+def test_pipe_rejects_bad_geometry(field, value):
+    geometry = {"length": 1000.0, "diameter": 0.6, "roughness": 5e-5, field: value}
+    with pytest.raises(DomainError, match=f"pipe P7: .*{field}"):
+        Pipe("P7", "a", "b", **geometry)
+
+
 def test_grid_staggering_layouts():
     pipe = Pipe("P", "a", "b", 1.0)
     cells = PipeGrid(pipe, 10, IsothermalLaw(1.0))
