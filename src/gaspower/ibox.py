@@ -9,10 +9,18 @@ pair of neighbouring nodes the box relation
 
 holds, closed by one scalar boundary equation per physical pipe end and by
 pressure-equality/mass-conservation rows at junctions (with optional
-compressor ratios and extraction). The Newton iteration uses the analytic
-flux and friction Jacobians and a sparse direct linear solver; rows are
-normalized by the magnitude of their constituent terms so the convergence
-test is meaningful in SI units.
+compressor ratios and extraction). The unknowns are (rho, q) node by node,
+pipe after pipe. The rows are, in this order: the mass (even) and momentum
+(odd) rows of every neighbour pair of the stacked pipes, one row per
+boundary, and per junction its pressure rows followed by its mass row.
+
+The sparsity pattern of the Jacobian is fixed by the network and built once
+per step; each Jacobian only fills its values. Newton evaluates the residual
+first and builds a Jacobian only before a Newton step, so line-search trials
+and the converged iterate cost one residual each. The Jacobian is the
+analytic flux and friction one, the linear solver a sparse direct one; rows
+are normalized by the magnitude of their constituent terms so the
+convergence test is meaningful in SI units.
 
 The scheme is unconditionally stable for sub-sonic flow but is meant to run
 *above* the usual CFL limit: steps below dx/min|lambda| trigger a warning
@@ -27,8 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .errors import ConvergenceError
-from .network import GasSimulation
+from .errors import ConvergenceError, DomainError
+from .network import GasSimulation, flux_jacobian
 
 NEWTON_TOL = 1e-10
 NEWTON_MAXITER = 50
@@ -36,9 +44,15 @@ _EPS = float(np.finfo(float).eps)
 
 
 class _Assembler:
-    """Index bookkeeping and residual/Jacobian assembly for one network."""
+    """Index bookkeeping, fixed Jacobian pattern and row assembly of one step."""
 
     def __init__(self, sim: GasSimulation, dt: float, t_new: float):
+        for grid in sim.grids:
+            if grid.staggering != "nodes":
+                raise DomainError(
+                    f"pipe {grid.pipe.id}: the box scheme needs node values "
+                    f"(staggering='nodes'), got {grid.staggering!r} at t={sim.t:g}"
+                )
         self.sim = sim
         self.dt = dt
         self.t_new = t_new
@@ -50,6 +64,69 @@ class _Assembler:
         self.x_nodes = np.concatenate([g.x[:m] for g, m in zip(sim.grids, counts)])
         self.diameter = np.repeat([g.pipe.diameter for g in sim.grids], counts)
         self.roughness = np.repeat([g.pipe.roughness for g in sim.grids], counts)
+
+        # Neighbour pairs (a, b) of all pipes as stacked node indices; a
+        # periodic pipe wraps within itself.
+        pairs = []
+        for off, m in zip(self.offsets, counts):
+            j = off // 2 + np.arange(m)
+            pairs.append((j, np.roll(j, -1)) if sim.periodic else (j[:-1], j[1:]))
+        self.a = np.concatenate([a for a, _ in pairs])
+        self.b = np.concatenate([b for _, b in pairs])
+        self.r = np.repeat([dt / g.dx for g in sim.grids], [a.size for a, _ in pairs])
+
+        # Boundary rows fix the density or the momentum of the end node.
+        law = sim.law
+        bc_cols, targets = [], []
+        for (idx, end), bc in sim.boundaries.items():
+            base = self.node_index(idx, end)
+            value = bc.value(t_new)
+            if bc.kind == "pressure":
+                column, target = base, law.rho_from_pressure(value)
+            elif bc.kind == "density":
+                column, target = base, value
+            elif bc.kind == "flow":
+                column, target = base + 1, value
+            elif end == "start":  # far-field state: density at a left end
+                column, target = base, value[0]
+            else:  # and momentum at a right end
+                column, target = base + 1, value[1]
+            bc_cols.append(column)
+            targets.append(float(target))
+        self.bc_cols = np.array(bc_cols, dtype=np.intp)
+        self.bc_targets = np.array(targets)
+        self.bc_rows = 2 * self.a.size + np.arange(self.bc_cols.size)
+
+        # Fixed pattern: 8 box entries per pair, one per boundary row, then per
+        # junction its pressure rows (port and reference) and its mass row.
+        rr = 2 * np.arange(self.a.size)
+        ra, rb = 2 * self.a, 2 * self.b
+        rows = [rr] * 4 + [rr + 1] * 4 + [self.bc_rows]
+        cols = [ra, ra + 1, rb, rb + 1] * 2 + [self.bc_cols]
+        row = 2 * self.a.size + self.bc_cols.size
+        self.junctions = []
+        for junction in sim.junctions:
+            ports = junction.ports
+            bases = np.array([self.node_index(p.pipe_index, p.end) for p in ports])
+            n = len(ports)
+            rows += [row + np.arange(n - 1)] * 2 + [np.full(n, row + n - 1)]
+            cols += [bases[1:], np.full(n - 1, bases[0]), bases + 1]
+            self.junctions.append((
+                row, bases, [p.pressure_ratio for p in ports],
+                np.array([1.0 if p.end == "end" else -1.0 for p in ports]),
+                junction.extraction_at(t_new),
+            ))
+            row += n
+        if row != self.size:
+            raise AssertionError(
+                f"system is not square: {row} rows, {self.size} unknowns"
+            )
+        # CSR structure in sorted (row, column) order; ``jacobian`` permutes
+        # its values into it.
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self.order = np.lexsort((cols, rows))
+        self.indices = cols[self.order]
+        self.indptr = np.searchsorted(rows[self.order], np.arange(self.size + 1))
 
     def _active_nodes(self, grid) -> int:
         # Periodic pipes treat the last node as an alias of the first.
@@ -77,164 +154,85 @@ class _Assembler:
         j = 0 if end == "start" else m - 1
         return self.offsets[pipe_index] + 2 * j
 
+    def _extra(self, rho, q):
+        g = self.sim.extra_source(self.x_nodes, self.t_new, rho, q)
+        return [np.asarray(v, dtype=float) for v in g]
+
     def _sources(self, rho, q):
-        """(G_rho, G_q) and their state derivatives at the new time level."""
-        friction = self.sim.friction.source_with_derivatives(
+        """(G_rho, G_q) at the new time level."""
+        s = self.sim.friction.source(rho, q, self.diameter, self.roughness)
+        if self.sim.extra_source is None:
+            return np.zeros_like(rho), s
+        e_r, e_q = self._extra(rho, q)
+        return e_r, s + e_q
+
+    def _source_derivatives(self, rho, q):
+        """((dG_rho/drho, dG_rho/dq), (dG_q/drho, dG_q/dq)) at the new time level."""
+        _, ds_drho, ds_dq = self.sim.friction.source_with_derivatives(
             rho, q, self.diameter, self.roughness
         )
-        extra = self.sim.extra_source
-        if extra is None:
+        if self.sim.extra_source is None:
             zero = np.zeros_like(rho)
-            return (zero, zero, zero), friction
-        s, ds_drho, ds_dq = friction
+            return (zero, zero), (ds_drho, ds_dq)
         # State dependence of the extra source enters by differences.
         hr = 1e-7 * np.maximum(1.0, np.abs(rho))
         hq = 1e-7 * np.maximum(1.0, np.abs(q))
         (e_r, e_q), (er2, eq2), (er3, eq3) = (
-            [np.asarray(v, dtype=float) for v in extra(self.x_nodes, self.t_new, r, m)]
-            for r, m in ((rho, q), (rho + hr, q), (rho, q + hq))
+            self._extra(r, m) for r, m in ((rho, q), (rho + hr, q), (rho, q + hq))
         )
-        return ((e_r, (er2 - e_r) / hr, (er3 - e_r) / hq),
-                (s + e_q, ds_drho + (eq2 - e_q) / hr, ds_dq + (eq3 - e_q) / hq))
+        return (((er2 - e_r) / hr, (er3 - e_r) / hq),
+                (ds_drho + (eq2 - e_q) / hr, ds_dq + (eq3 - e_q) / hq))
 
-    def assemble(self, x: np.ndarray, with_jacobian: bool):
-        sim, dt = self.sim, self.dt
-        law = sim.law
-        residual = np.zeros(self.size)
-        scale = np.zeros(self.size)
-        rows, cols, vals = [], [], []
+    def residual(self, x: np.ndarray):
+        """Residual and row scale (sum of the terms' magnitudes) at ``x``."""
+        law, a, b, r, h = self.sim.law, self.a, self.b, self.r, 0.5 * self.dt
+        rho, q = x[0::2], x[1::2]
+        fq = np.asarray(law.p(rho), dtype=float) + q * (q / rho)
+        g_r, g_q = self._sources(rho, q)
+        residual = np.empty(self.size)
+        scale = np.empty(self.size)
+        # Mass rows (even) and momentum rows (odd) of all pairs at once.
+        for k, (u, f, g) in enumerate(((rho, q, g_r), (q, fq, g_q))):
+            u_old = self.x_old[k::2]
+            box = slice(k, 2 * a.size, 2)
+            residual[box] = (0.5 * (u[a] + u[b]) - 0.5 * (u_old[a] + u_old[b])
+                             + r * (f[b] - f[a]) - h * (g[a] + g[b]))
+            scale[box] = (0.5 * (np.abs(u[a]) + np.abs(u[b])
+                                 + np.abs(u_old[a]) + np.abs(u_old[b]))
+                          + r * (np.abs(f[a]) + np.abs(f[b]))
+                          + h * (np.abs(g[a]) + np.abs(g[b])))
+        x_bc = x[self.bc_cols]
+        residual[self.bc_rows] = x_bc - self.bc_targets
+        scale[self.bc_rows] = np.abs(x_bc) + np.abs(self.bc_targets)
+        # Junctions: pressure equality (with compressor ratios), then mass.
+        for row, bases, ratios, signs, eps in self.junctions:
+            p = np.array([float(law.p(x[c])) * k for c, k in zip(bases, ratios)])
+            mass = row + p.size - 1
+            residual[row:mass] = p[1:] - p[0]
+            scale[row:mass] = np.abs(p[1:]) + abs(p[0])
+            total, s = -eps, abs(eps)
+            for c, sign in zip(bases, signs):
+                total += sign * x[c + 1]
+                s += abs(x[c + 1])
+            residual[mass], scale[mass] = total, s
+        return residual, scale
 
-        def put(r, c, v):
-            rows.append(np.asarray(r, dtype=np.intp).ravel())
-            cols.append(np.asarray(c, dtype=np.intp).ravel())
-            vals.append(np.asarray(v, dtype=float).ravel())
-
-        # Node quantities of all pipes at once, sliced per pipe below.
-        rho_all, q_all = x[0::2], x[1::2]
-        u_all = q_all / rho_all
-        src_rho, src_q = self._sources(rho_all, q_all)
-        stacked = (rho_all, q_all, self.x_old[0::2], self.x_old[1::2],
-                   np.asarray(law.p(rho_all), dtype=float) + q_all * u_all,
-                   np.asarray(law.dp(rho_all), dtype=float) - u_all * u_all,
-                   2.0 * u_all, *src_rho, *src_q)
-
-        row_cursor = 0
-        for idx, grid in enumerate(sim.grids):
-            off = self.offsets[idx]
-            nodes = slice(off // 2, off // 2 + self._active_nodes(grid))
-            (rho, q, rho_old, q_old, fq, a21, a22,
-             g_r, dgr_r, dgr_q, g_q, dgq_r, dgq_q) = (v[nodes] for v in stacked)
-            m = rho.size
-
-            if sim.periodic:
-                a_idx = np.arange(m)
-                b_idx = np.roll(a_idx, -1)
-            else:
-                a_idx = np.arange(m - 1)
-                b_idx = a_idx + 1
-            npairs = a_idx.size
-            r = dt / grid.dx
-
-            rr = row_cursor + 2 * np.arange(npairs)      # mass rows
-            rq = rr + 1                                   # momentum rows
-            row_cursor += 2 * npairs
-
-            residual[rr] = (0.5 * (rho[a_idx] + rho[b_idx])
-                            - 0.5 * (rho_old[a_idx] + rho_old[b_idx])
-                            + r * (q[b_idx] - q[a_idx])
-                            - 0.5 * dt * (g_r[a_idx] + g_r[b_idx]))
-            scale[rr] = (0.5 * (np.abs(rho[a_idx]) + np.abs(rho[b_idx])
-                                + np.abs(rho_old[a_idx]) + np.abs(rho_old[b_idx]))
-                         + r * (np.abs(q[a_idx]) + np.abs(q[b_idx]))
-                         + 0.5 * dt * (np.abs(g_r[a_idx]) + np.abs(g_r[b_idx])))
-            residual[rq] = (0.5 * (q[a_idx] + q[b_idx])
-                            - 0.5 * (q_old[a_idx] + q_old[b_idx])
-                            + r * (fq[b_idx] - fq[a_idx])
-                            - 0.5 * dt * (g_q[a_idx] + g_q[b_idx]))
-            scale[rq] = (0.5 * (np.abs(q[a_idx]) + np.abs(q[b_idx])
-                                + np.abs(q_old[a_idx]) + np.abs(q_old[b_idx]))
-                         + r * (np.abs(fq[a_idx]) + np.abs(fq[b_idx]))
-                         + 0.5 * dt * (np.abs(g_q[a_idx]) + np.abs(g_q[b_idx])))
-
-            if with_jacobian:
-                ra = off + 2 * a_idx
-                qa = ra + 1
-                rb = off + 2 * b_idx
-                qb = rb + 1
-                put(rr, ra, 0.5 - 0.5 * dt * dgr_r[a_idx])
-                put(rr, qa, -r - 0.5 * dt * dgr_q[a_idx])
-                put(rr, rb, 0.5 - 0.5 * dt * dgr_r[b_idx])
-                put(rr, qb, r - 0.5 * dt * dgr_q[b_idx])
-                put(rq, ra, -r * a21[a_idx] - 0.5 * dt * dgq_r[a_idx])
-                put(rq, qa, 0.5 - r * a22[a_idx] - 0.5 * dt * dgq_q[a_idx])
-                put(rq, rb, r * a21[b_idx] - 0.5 * dt * dgq_r[b_idx])
-                put(rq, qb, 0.5 + r * a22[b_idx] - 0.5 * dt * dgq_q[b_idx])
-
-        # Boundary rows: one scalar condition per physical pipe end, fixing
-        # the density or the momentum of the end node.
-        for (idx, end), bc in sim.boundaries.items():
-            base = self.node_index(idx, end)
-            value = bc.value(self.t_new)
-            if bc.kind == "pressure":
-                column, target = base, law.rho_from_pressure(value)
-            elif bc.kind == "density":
-                column, target = base, value
-            elif bc.kind == "flow":
-                column, target = base + 1, value
-            elif end == "start":  # far-field state: density at a left end
-                column, target = base, value[0]
-            else:  # and momentum at a right end
-                column, target = base + 1, value[1]
-            target = float(target)
-            residual[row_cursor] = x[column] - target
-            scale[row_cursor] = abs(x[column]) + abs(target)
-            if with_jacobian:
-                put(row_cursor, column, 1.0)
-            row_cursor += 1
-
-        # Junction rows: pressure equality (with compressor ratios) and mass.
-        for junction in sim.junctions:
-            ports = junction.ports
-            bases = [self.node_index(p.pipe_index, p.end) for p in ports]
-            ref = ports[0]
-            ref_base = bases[0]
-            ref_rho = x[ref_base]
-            ref_p = float(law.p(ref_rho)) * ref.pressure_ratio
-            ref_dp = float(law.dp(ref_rho)) * ref.pressure_ratio
-            for port, base in zip(ports[1:], bases[1:]):
-                row = row_cursor
-                row_cursor += 1
-                p_i = float(law.p(x[base])) * port.pressure_ratio
-                residual[row] = p_i - ref_p
-                scale[row] = abs(p_i) + abs(ref_p)
-                if with_jacobian:
-                    put(row, base, float(law.dp(x[base])) * port.pressure_ratio)
-                    put(row, ref_base, -ref_dp)
-            row = row_cursor
-            row_cursor += 1
-            eps = junction.extraction_at(self.t_new)
-            total = -eps
-            s = abs(eps)
-            for port, base in zip(ports, bases):
-                sign = 1.0 if port.end == "end" else -1.0
-                total += sign * x[base + 1]
-                s += abs(x[base + 1])
-                if with_jacobian:
-                    put(row, base + 1, sign)
-            residual[row] = total
-            scale[row] = s
-
-        if row_cursor != self.size:
-            raise AssertionError(
-                f"system is not square: {row_cursor} rows, {self.size} unknowns"
-            )
-        if not with_jacobian:
-            return residual, scale, None
-        jac = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.size, self.size),
-        ).tocsr()
-        return residual, scale, jac
+    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
+        """Analytic Jacobian at ``x``, filled into the fixed pattern."""
+        law, a, b, r, h = self.sim.law, self.a, self.b, self.r, 0.5 * self.dt
+        rho, q = x[0::2], x[1::2]
+        a21, a22 = flux_jacobian(rho, q, law)
+        (dgr_r, dgr_q), (dgq_r, dgq_q) = self._source_derivatives(rho, q)
+        vals = [0.5 - h * dgr_r[a], -r - h * dgr_q[a],
+                0.5 - h * dgr_r[b], r - h * dgr_q[b],
+                -r * a21[a] - h * dgq_r[a], 0.5 - r * a22[a] - h * dgq_q[a],
+                r * a21[b] - h * dgq_r[b], 0.5 + r * a22[b] - h * dgq_q[b],
+                np.ones(self.bc_cols.size)]
+        for _, bases, ratios, signs, _ in self.junctions:
+            dp = np.array([float(law.dp(x[c])) * k for c, k in zip(bases, ratios)])
+            vals += [dp[1:], np.full(dp.size - 1, -dp[0]), signs]
+        return sp.csr_matrix((np.concatenate(vals)[self.order], self.indices,
+                              self.indptr), shape=(self.size, self.size))
 
 
 def _scaled_norm(residual: np.ndarray, scale: np.ndarray) -> float:
@@ -258,18 +256,18 @@ def ibox_step(sim: GasSimulation, dt: float) -> None:
 
     asm = _Assembler(sim, dt, sim.t + dt)
     x = asm.pack()
-    residual, scale, jac = asm.assemble(x, with_jacobian=True)
+    residual, scale = asm.residual(x)
     norm = _scaled_norm(residual, scale)
-    for iteration in range(NEWTON_MAXITER):
+    for _ in range(NEWTON_MAXITER):
         if norm <= NEWTON_TOL:
             break
-        step = spsolve(jac, -residual)
+        step = spsolve(asm.jacobian(x), -residual)
         factor = 1.0
         for _ in range(12):
             x_try = x + factor * step
             if np.all(x_try[0::2] > 0.0):
-                r_try, s_try, _ = asm.assemble(x_try, with_jacobian=False)
-                norm_try = _scaled_norm(r_try, s_try)
+                residual, scale = asm.residual(x_try)
+                norm_try = _scaled_norm(residual, scale)
                 if norm_try <= norm * (1.0 - 1e-4) or norm_try <= NEWTON_TOL:
                     break
             factor *= 0.5
@@ -278,9 +276,7 @@ def ibox_step(sim: GasSimulation, dt: float) -> None:
                 f"box-scheme Newton stalled at t={sim.t:g} "
                 f"(scaled residual {norm:.3e})"
             )
-        x = x_try
-        residual, scale, jac = asm.assemble(x, with_jacobian=True)
-        norm = _scaled_norm(residual, scale)
+        x, norm = x_try, norm_try
     else:
         raise ConvergenceError(
             f"box-scheme Newton did not converge within {NEWTON_MAXITER} "

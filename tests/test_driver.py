@@ -1,11 +1,17 @@
 """Scenario-to-simulation wiring: topology derivation, probes, schemes."""
 
+import dataclasses
 from importlib.resources import files
 
 import pytest
 
-from gaspower.driver import build_gas_simulation, build_link, run_gas_simulation
-from gaspower.errors import SchemaError
+from gaspower.driver import (
+    build_gas_simulation,
+    build_link,
+    run_cosim,
+    run_gas_simulation,
+)
+from gaspower.errors import DomainError, SchemaError
 from gaspower.scenario import load_scenario, scenario_from_dict
 
 BUNDLED = files("gaspower") / "scenarios"
@@ -94,3 +100,13 @@ def test_link_area_comes_from_the_junction_pipes():
     link = build_link(scn, sim)
     assert link.area == pytest.approx(0.2827433388230814, rel=1e-12)
     assert link.rho0 == 0.785
+
+
+def test_stationary_start_rejects_cell_grids():
+    """The stationary start runs the box scheme, which needs node values;
+    on CWENO cell centres it would treat the outer centres as pipe ends."""
+    scn = load_scenario(BUNDLED / "gaslib9.scn")
+    scn = dataclasses.replace(
+        scn, numerics=dataclasses.replace(scn.numerics, scheme="cweno3"))
+    with pytest.raises(DomainError, match=r"pipe P10: .*staggering='nodes'"):
+        run_cosim(scn)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import gaspower.friction
+import gaspower.ibox
 from gaspower.errors import ConvergenceError
 from gaspower.friction import FrictionModel, colebrook_friction_factor
 from gaspower.ibox import _Assembler, ibox_step
@@ -30,14 +31,19 @@ def _quiet_step(sim, dt):
         ibox_step(sim, dt)
 
 
-def test_stationary_frictionless_state_is_a_fixed_point(unit_isothermal):
-    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 50, unit_isothermal,
+def _uniform_frictionless_flow(law):
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 50, law,
                     staggering="nodes").fill(2.0, 0.3)
-    sim = GasSimulation(
+    return GasSimulation(
         grids=[grid],
         boundaries={(0, "start"): BoundaryCondition("density", constant(2.0)),
                     (0, "end"): BoundaryCondition("flow", constant(0.3))},
     )
+
+
+def test_stationary_frictionless_state_is_a_fixed_point(unit_isothermal):
+    sim = _uniform_frictionless_flow(unit_isothermal)
+    grid = sim.grids[0]
     for _ in range(5):
         _quiet_step(sim, 0.1)
     assert np.max(np.abs(grid.rho - 2.0)) < 1e-12
@@ -151,7 +157,115 @@ def test_one_friction_solve_per_assembly(monkeypatch, unit_isothermal):
 
     monkeypatch.setattr(gaspower.friction, "colebrook_friction_factor", counted)
     asm = _Assembler(sim, 1.0, 1.0)
-    asm.assemble(asm.pack(), with_jacobian=True)
+    asm.jacobian(asm.pack())
     assert calls == [27]
-    asm.assemble(asm.pack(), with_jacobian=False)
+    asm.residual(asm.pack())
     assert calls == [27, 27]
+
+
+def _three_pipe_network(law):
+    """Pipes 0 -> 1 through a junction with extraction and a compressor on
+    port 1, and an isolated pipe 2: pressure, flow, density and state ends,
+    Colebrook friction and a state-dependent extra source."""
+    pipes = [Pipe("P0", "in", "j", 1000.0, diameter=0.5, roughness=1e-4),
+             Pipe("P1", "j", "out", 800.0, diameter=0.5, roughness=1e-4),
+             Pipe("P2", "a", "b", 600.0, diameter=0.3, roughness=2e-3)]
+    grids = [PipeGrid(p, 6, law, staggering="nodes") for p in pipes]
+    for i, grid in enumerate(grids):
+        s = grid.x / grid.pipe.length
+        grid.rho[:] = 2.0 + 0.1 * i + 0.05 * np.sin(3.0 * s)
+        grid.q[:] = 1.5 - 0.2 * i + 0.1 * np.cos(2.0 * s)
+
+    def extra(x, t, rho, q):
+        return 1e-4 * np.sin(x / 300.0) * rho * q, -1e-3 * (1.0 + t) * rho * q
+
+    return GasSimulation(
+        grids=grids,
+        junctions=[Junction("j", [JunctionPort(0, "end"),
+                                  JunctionPort(1, "start", pressure_ratio=1.05)],
+                            extraction=constant(0.3))],
+        boundaries={(0, "start"): BoundaryCondition("pressure", constant(2.5)),
+                    (1, "end"): BoundaryCondition("flow", constant(1.2)),
+                    (2, "start"): BoundaryCondition("density", constant(2.2)),
+                    (2, "end"): BoundaryCondition("state", constant((2.1, 1.1)))},
+        friction=FrictionModel(),
+        extra_source=extra,
+    )
+
+
+def _periodic_pipe(law):
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 7, law, staggering="nodes")
+    grid.set_profile(lambda x: 2.0 + 0.2 * np.sin(2 * np.pi * x),
+                     lambda x: 0.4 + 0.1 * np.cos(2 * np.pi * x))
+
+    def drag(x, t, rho, q):
+        return np.zeros_like(rho), -0.7 * q * rho
+
+    return GasSimulation(grids=[grid], periodic=True, extra_source=drag)
+
+
+@pytest.mark.parametrize("build", [_three_pipe_network, _periodic_pipe])
+def test_jacobian_matches_central_differences_of_the_residual(build, benchmark_law):
+    """Every entry of the fixed pattern, and no other, carries the slope."""
+    asm = _Assembler(build(benchmark_law), 0.5, 0.5)
+    x = asm.pack() * (1.0 + 1e-3 * np.sin(np.arange(asm.size)))
+    jac = asm.jacobian(x).toarray()
+    fd = np.empty_like(jac)
+    for j in range(x.size):
+        h = 1e-6 * max(1.0, abs(x[j]))
+        e = np.zeros_like(x)
+        e[j] = h
+        fd[:, j] = (asm.residual(x + e)[0] - asm.residual(x - e)[0]) / (2.0 * h)
+    np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-9 * np.abs(jac).max())
+
+
+def test_jacobian_only_before_a_newton_step(monkeypatch, benchmark_law,
+                                            unit_isothermal):
+    counts = {"jacobian": 0, "spsolve": 0}
+    jacobian, spsolve = _Assembler.jacobian, gaspower.ibox.spsolve
+
+    def counted_jacobian(self, x):
+        counts["jacobian"] += 1
+        return jacobian(self, x)
+
+    def counted_spsolve(*args):
+        counts["spsolve"] += 1
+        return spsolve(*args)
+
+    monkeypatch.setattr(_Assembler, "jacobian", counted_jacobian)
+    monkeypatch.setattr(gaspower.ibox, "spsolve", counted_spsolve)
+    sim = _three_pipe_network(benchmark_law)
+    for _ in range(3):
+        _quiet_step(sim, 0.5)
+    assert counts["spsolve"] > 3
+    assert counts["jacobian"] == counts["spsolve"]
+
+    # Nothing to solve at the frictionless fixed point: no Jacobian at all.
+    counts.update(jacobian=0, spsolve=0)
+    _quiet_step(_uniform_frictionless_flow(unit_isothermal), 0.1)
+    assert counts == {"jacobian": 0, "spsolve": 0}
+
+
+def test_mass_balance_closes_at_every_step(benchmark_law):
+    """Mass change = dt * area * (inflow - outflow - extraction), step by step."""
+    pipe = Pipe("L", "in", "j", 1.0, diameter=0.5)
+    a = PipeGrid(pipe, 40, benchmark_law, staggering="nodes").fill(4.0, 1.0)
+    b = PipeGrid(Pipe("R", "j", "out", 1.5, diameter=0.5), 60, benchmark_law,
+                 staggering="nodes").fill(3.0, 0.2)
+    eps = 0.35
+    sim = GasSimulation(
+        grids=[a, b],
+        junctions=[Junction("j", [JunctionPort(0, "end"), JunctionPort(1, "start")],
+                            extraction=constant(eps))],
+        boundaries={(0, "start"): BoundaryCondition("pressure", constant(6.0)),
+                    (1, "end"): BoundaryCondition("flow", constant(0.5))},
+        friction=FrictionModel(eta=1e-3),
+    )
+    dt = 0.02
+    for _ in range(20):
+        before = sim.total_mass()
+        _quiet_step(sim, dt)
+        after = sim.total_mass()
+        expected = dt * pipe.area * (a.q[0] - b.q[-1] - eps)
+        assert abs(expected) > 1e-4 * after
+        assert after - before == pytest.approx(expected, abs=1e-12 * after)
