@@ -95,32 +95,47 @@ class FrictionModel:
             raise DomainError(
                 f"viscosity must be positive and finite, got {self.eta}")
 
-    def _drag(self, q, diameter, roughness):
+    def _reynolds(self, q, diameter):
+        return np.maximum(np.abs(q) * diameter / self.eta, self.re_floor)
+
+    def factor(self, q, diameter, roughness):
+        """lambda at Re = |q| d/eta clamped at the floor: one Colebrook solve."""
+        return colebrook_friction_factor(
+            self._reynolds(np.asarray(q, dtype=float), diameter), diameter, roughness)
+
+    def _drag(self, q, diameter, roughness, lam):
         """lambda(Re) * q * max(|q|, q_floor), with Re clamped at the floor.
 
-        Returns (drag, lambda, Re, q_floor) of one Colebrook solve.
+        Returns (drag, lambda, Re, q_floor); Colebrook is solved unless
+        ``lam`` is given.
         """
         q_floor = self.re_floor * self.eta / diameter
-        re = np.maximum(np.abs(q) * diameter / self.eta, self.re_floor)
-        lam = colebrook_friction_factor(re, diameter, roughness)
+        re = self._reynolds(q, diameter)
+        if lam is None:
+            lam = colebrook_friction_factor(re, diameter, roughness)
         return lam * q * np.maximum(np.abs(q), q_floor), lam, re, q_floor
 
-    def source(self, rho, q, diameter, roughness):
-        """S(rho, q); zero when friction is disabled."""
+    def source(self, rho, q, diameter, roughness, lam=None):
+        """S(rho, q); zero when friction is disabled.
+
+        ``lam``, when given, is ``factor(q, diameter, roughness)`` of an
+        earlier call and saves the Colebrook solve.
+        """
         rho = np.asarray(rho, dtype=float)
         if not self.enabled:
             return np.zeros_like(rho)
-        drag = self._drag(np.asarray(q, dtype=float), diameter, roughness)[0]
+        drag = self._drag(np.asarray(q, dtype=float), diameter, roughness, lam)[0]
         return -drag / (2.0 * diameter * rho)
 
-    def source_with_derivatives(self, rho, q, diameter, roughness):
-        """(S, dS/drho, dS/dq) for implicit time integration."""
+    def source_with_derivatives(self, rho, q, diameter, roughness, lam=None):
+        """(S, dS/drho, dS/dq) for implicit time integration; ``lam`` as in
+        :meth:`source`."""
         rho = np.asarray(rho, dtype=float)
         q = np.asarray(q, dtype=float)
         if not self.enabled:
             z = np.zeros_like(rho)
             return z, z.copy(), z.copy()
-        drag, lam, re, q_floor = self._drag(q, diameter, roughness)
+        drag, lam, re, q_floor = self._drag(q, diameter, roughness, lam)
         s = -drag / (2.0 * diameter * rho)
         ds_drho = -s / rho
 

@@ -14,13 +14,22 @@ pipe after pipe. The rows are, in this order: the mass (even) and momentum
 (odd) rows of every neighbour pair of the stacked pipes, one row per
 boundary, and per junction its pressure rows followed by its mass row.
 
-The sparsity pattern of the Jacobian is fixed by the network and built once
-per step; each Jacobian only fills its values. Newton evaluates the residual
-first and builds a Jacobian only before a Newton step, so line-search trials
-and the converged iterate cost one residual each. The Jacobian is the
-analytic flux and friction one, the linear solver a sparse direct one; rows
-are normalized by the magnitude of their constituent terms so the
-convergence test is meaningful in SI units.
+The sparsity pattern of the Jacobian is fixed by the network layout: the
+node counts of the pipes, periodicity and the columns of the boundary rows
+and junction ports. Its band layout is built once per network layout and
+cached: reverse Cuthill-McKee orders the columns and the rows follow their
+first column, which leaves a narrow band for any topology (2/2 sub/super-
+diagonals for a chain of pipes, 5/7 for the bundled gaslib9 network with
+its loop). Each Jacobian writes its values straight into LAPACK band
+storage, and the linear solver is LAPACK's banded LU with partial pivoting;
+a zero pivot raises ``ConvergenceError`` naming the time, pipe and node.
+
+Newton evaluates the residual first and builds a Jacobian only before a
+Newton step, so line-search trials and the converged iterate cost one
+residual each, and the Jacobian reuses the friction factor of the residual
+at its iterate. The Jacobian is the analytic flux and friction one; rows are
+normalized by the magnitude of their constituent terms so the convergence
+test is meaningful in SI units.
 
 The scheme is unconditionally stable for sub-sonic flow but is meant to run
 *above* the usual CFL limit: steps below dx/min|lambda| trigger a warning
@@ -29,11 +38,15 @@ The scheme is unconditionally stable for sub-sonic flow but is meant to run
 
 from __future__ import annotations
 
+import bisect
+import functools
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dgbsv
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConvergenceError, DomainError
 from .network import GasSimulation, flux_jacobian
@@ -43,8 +56,135 @@ NEWTON_MAXITER = 50
 _EPS = float(np.finfo(float).eps)
 
 
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Jacobian pattern of one network layout and its place in band storage."""
+
+    size: int
+    a: np.ndarray          # neighbour pairs (a, b) as stacked node indices
+    b: np.ndarray
+    kl: int                # sub- and super-diagonals of the ordered matrix
+    ku: int
+    row_order: np.ndarray  # band row i holds Jacobian row row_order[i]
+    col_order: np.ndarray  # band column j holds unknown col_order[j]
+    pos: np.ndarray        # flat index of every pattern entry in band storage
+
+    def __post_init__(self):
+        # One cached layout serves every step of its networks.
+        for array in (self.a, self.b, self.row_order, self.col_order, self.pos):
+            array.flags.writeable = False
+
+    @property
+    def ldab(self) -> int:
+        # LAPACK's leading dimension: kl extra rows take the pivoting fill.
+        return 2 * self.kl + self.ku + 1
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(counts: tuple, periodic: bool, bc_cols: tuple,
+            junction_cols: tuple) -> _Layout:
+    """Band layout of the Jacobian for the active node counts of the pipes,
+    the boundary columns and the port columns of every junction.
+
+    The pattern holds, in the order ``_Assembler.jacobian`` fills it, 8 box
+    entries per neighbour pair, one entry per boundary row, then per
+    junction its pressure rows (port and reference) and its mass row.
+    Columns are ordered by reverse Cuthill-McKee on the graph that links
+    columns sharing a row, rows by their first, then their last, column in
+    that order.
+    """
+    pairs = []
+    node = 0
+    for m in counts:
+        j = node + np.arange(m)
+        pairs.append((j, np.roll(j, -1)) if periodic else (j[:-1], j[1:]))
+        node += m
+    a = np.concatenate([a for a, _ in pairs])
+    b = np.concatenate([b for _, b in pairs])
+    size = 2 * node
+    rr = 2 * np.arange(a.size)
+    ra, rb = 2 * a, 2 * b
+    bc_cols = np.array(bc_cols, dtype=np.intp)
+    rows = [rr] * 4 + [rr + 1] * 4 + [2 * a.size + np.arange(bc_cols.size)]
+    cols = [ra, ra + 1, rb, rb + 1] * 2 + [bc_cols]
+    row = 2 * a.size + bc_cols.size
+    for bases in map(np.array, junction_cols):
+        n = bases.size
+        rows += [row + np.arange(n - 1)] * 2 + [np.full(n, row + n - 1)]
+        cols += [bases[1:], np.full(n - 1, bases[0]), bases + 1]
+        row += n
+    if row != size:
+        raise AssertionError(f"system is not square: {row} rows, {size} unknowns")
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+
+    pattern = csr_array((np.ones(rows.size), (rows, cols)), shape=(size, size))
+    col_order = reverse_cuthill_mckee((pattern.T @ pattern).tocsr(),
+                                      symmetric_mode=True).astype(np.intp)
+    col_rank = np.empty(size, dtype=np.intp)
+    col_rank[col_order] = np.arange(size)
+    pc = col_rank[cols]
+    first = np.full(size, size)
+    last = np.full(size, -1)
+    np.minimum.at(first, rows, pc)
+    np.maximum.at(last, rows, pc)
+    row_order = np.lexsort((last, first))
+    row_rank = np.empty(size, dtype=np.intp)
+    row_rank[row_order] = np.arange(size)
+    pr = row_rank[rows]
+    kl, ku = max(0, int(np.max(pr - pc))), max(0, int(np.max(pc - pr)))
+    # Band storage is kept transposed, (size, ldab) in C order, which is
+    # LAPACK's column-major (ldab, size): A[i, j] sits at [j, kl + ku + i - j].
+    pos = pc * (2 * kl + ku + 1) + kl + ku + pr - pc
+    return _Layout(size, a, b, kl, ku, row_order, col_order, pos)
+
+
+class BandedJacobian:
+    """Newton matrix of one iterate in LAPACK band storage of its layout.
+
+    ``unknown(column)`` names the pipe, node and variable of a column.
+    """
+
+    def __init__(self, layout: _Layout, values: np.ndarray, unknown):
+        self.layout = layout
+        storage = np.zeros((layout.size, layout.ldab))
+        storage.ravel()[layout.pos] = values
+        self.band = storage.T
+        self.unknown = unknown
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.layout.size, self.layout.size
+
+    def toarray(self) -> np.ndarray:
+        """Dense matrix in the residual's row and the unknowns' column order."""
+        lay = self.layout
+        pc, k = np.divmod(lay.pos, lay.ldab)
+        dense = np.zeros(self.shape)
+        dense[lay.row_order[k - lay.kl - lay.ku + pc], lay.col_order[pc]] = (
+            self.band.T.ravel()[lay.pos])
+        return dense
+
+
+def spsolve(jacobian: BandedJacobian, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``jacobian @ x = rhs`` by LAPACK's banded LU (partial pivoting).
+
+    A zero pivot raises ``ConvergenceError`` naming the unknown of its column.
+    """
+    lay = jacobian.layout
+    _, _, y, info = dgbsv(lay.kl, lay.ku, jacobian.band, rhs[lay.row_order],
+                          overwrite_b=True)
+    if info > 0:
+        raise ConvergenceError(
+            f"singular box-scheme Jacobian: zero pivot at "
+            f"{jacobian.unknown(lay.col_order[info - 1])}"
+        )
+    x = np.empty_like(y)
+    x[lay.col_order] = y
+    return x
+
+
 class _Assembler:
-    """Index bookkeeping, fixed Jacobian pattern and row assembly of one step."""
+    """Per-step data and row assembly of one box step in a cached layout."""
 
     def __init__(self, sim: GasSimulation, dt: float, t_new: float):
         for grid in sim.grids:
@@ -64,16 +204,8 @@ class _Assembler:
         self.x_nodes = np.concatenate([g.x[:m] for g, m in zip(sim.grids, counts)])
         self.diameter = np.repeat([g.pipe.diameter for g in sim.grids], counts)
         self.roughness = np.repeat([g.pipe.roughness for g in sim.grids], counts)
-
-        # Neighbour pairs (a, b) of all pipes as stacked node indices; a
-        # periodic pipe wraps within itself.
-        pairs = []
-        for off, m in zip(self.offsets, counts):
-            j = off // 2 + np.arange(m)
-            pairs.append((j, np.roll(j, -1)) if sim.periodic else (j[:-1], j[1:]))
-        self.a = np.concatenate([a for a, _ in pairs])
-        self.b = np.concatenate([b for _, b in pairs])
-        self.r = np.repeat([dt / g.dx for g in sim.grids], [a.size for a, _ in pairs])
+        # The last residual's q and friction factor, for the Jacobian there.
+        self._friction_at = (None, None)
 
         # Boundary rows fix the density or the momentum of the end node.
         law = sim.law
@@ -93,40 +225,26 @@ class _Assembler:
                 column, target = base + 1, value[1]
             bc_cols.append(column)
             targets.append(float(target))
-        self.bc_cols = np.array(bc_cols, dtype=np.intp)
         self.bc_targets = np.array(targets)
-        self.bc_rows = 2 * self.a.size + np.arange(self.bc_cols.size)
+        self.bc_cols = np.array(bc_cols, dtype=np.intp)
+        pairs = [m if sim.periodic else m - 1 for m in counts]
+        self.r = np.repeat([dt / g.dx for g in sim.grids], pairs)
+        self.bc_rows = 2 * sum(pairs) + np.arange(self.bc_cols.size)
 
-        # Fixed pattern: 8 box entries per pair, one per boundary row, then per
-        # junction its pressure rows (port and reference) and its mass row.
-        rr = 2 * np.arange(self.a.size)
-        ra, rb = 2 * self.a, 2 * self.b
-        rows = [rr] * 4 + [rr + 1] * 4 + [self.bc_rows]
-        cols = [ra, ra + 1, rb, rb + 1] * 2 + [self.bc_cols]
-        row = 2 * self.a.size + self.bc_cols.size
+        # Junctions: pressure rows (port and reference), then the mass row.
         self.junctions = []
+        row = self.bc_rows.size + 2 * sum(pairs)
         for junction in sim.junctions:
             ports = junction.ports
-            bases = np.array([self.node_index(p.pipe_index, p.end) for p in ports])
-            n = len(ports)
-            rows += [row + np.arange(n - 1)] * 2 + [np.full(n, row + n - 1)]
-            cols += [bases[1:], np.full(n - 1, bases[0]), bases + 1]
+            bases = tuple(self.node_index(p.pipe_index, p.end) for p in ports)
             self.junctions.append((
                 row, bases, [p.pressure_ratio for p in ports],
                 np.array([1.0 if p.end == "end" else -1.0 for p in ports]),
                 junction.extraction_at(t_new),
             ))
-            row += n
-        if row != self.size:
-            raise AssertionError(
-                f"system is not square: {row} rows, {self.size} unknowns"
-            )
-        # CSR structure in sorted (row, column) order; ``jacobian`` permutes
-        # its values into it.
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        self.order = np.lexsort((cols, rows))
-        self.indices = cols[self.order]
-        self.indptr = np.searchsorted(rows[self.order], np.arange(self.size + 1))
+            row += len(ports)
+        self.layout = _layout(tuple(counts), sim.periodic, tuple(bc_cols),
+                              tuple(bases for _, bases, *_ in self.junctions))
 
     def _active_nodes(self, grid) -> int:
         # Periodic pipes treat the last node as an alias of the first.
@@ -154,13 +272,24 @@ class _Assembler:
         j = 0 if end == "start" else m - 1
         return self.offsets[pipe_index] + 2 * j
 
+    def unknown(self, column: int) -> str:
+        """Time, pipe, node and variable of unknown ``column``."""
+        i = bisect.bisect_right(self.offsets, column) - 1
+        node, k = divmod(int(column) - self.offsets[i], 2)
+        return (f"t={self.sim.t:g}, pipe {self.sim.grids[i].pipe.id} node "
+                f"{node} ({'q' if k else 'rho'})")
+
     def _extra(self, rho, q):
         g = self.sim.extra_source(self.x_nodes, self.t_new, rho, q)
         return [np.asarray(v, dtype=float) for v in g]
 
     def _sources(self, rho, q):
         """(G_rho, G_q) at the new time level."""
-        s = self.sim.friction.source(rho, q, self.diameter, self.roughness)
+        friction = self.sim.friction
+        lam = (friction.factor(q, self.diameter, self.roughness)
+               if friction.enabled else None)
+        self._friction_at = (q.copy(), lam)
+        s = friction.source(rho, q, self.diameter, self.roughness, lam)
         if self.sim.extra_source is None:
             return np.zeros_like(rho), s
         e_r, e_q = self._extra(rho, q)
@@ -168,8 +297,11 @@ class _Assembler:
 
     def _source_derivatives(self, rho, q):
         """((dG_rho/drho, dG_rho/dq), (dG_q/drho, dG_q/dq)) at the new time level."""
+        q_known, lam = self._friction_at
+        if not np.array_equal(q, q_known):
+            lam = None
         _, ds_drho, ds_dq = self.sim.friction.source_with_derivatives(
-            rho, q, self.diameter, self.roughness
+            rho, q, self.diameter, self.roughness, lam
         )
         if self.sim.extra_source is None:
             zero = np.zeros_like(rho)
@@ -185,7 +317,8 @@ class _Assembler:
 
     def residual(self, x: np.ndarray):
         """Residual and row scale (sum of the terms' magnitudes) at ``x``."""
-        law, a, b, r, h = self.sim.law, self.a, self.b, self.r, 0.5 * self.dt
+        law, r, h = self.sim.law, self.r, 0.5 * self.dt
+        a, b = self.layout.a, self.layout.b
         rho, q = x[0::2], x[1::2]
         fq = np.asarray(law.p(rho), dtype=float) + q * (q / rho)
         g_r, g_q = self._sources(rho, q)
@@ -217,9 +350,10 @@ class _Assembler:
             residual[mass], scale[mass] = total, s
         return residual, scale
 
-    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        """Analytic Jacobian at ``x``, filled into the fixed pattern."""
-        law, a, b, r, h = self.sim.law, self.a, self.b, self.r, 0.5 * self.dt
+    def jacobian(self, x: np.ndarray) -> BandedJacobian:
+        """Analytic Jacobian at ``x``, filled into the layout's band storage."""
+        law, r, h = self.sim.law, self.r, 0.5 * self.dt
+        a, b = self.layout.a, self.layout.b
         rho, q = x[0::2], x[1::2]
         a21, a22 = flux_jacobian(rho, q, law)
         (dgr_r, dgr_q), (dgq_r, dgq_q) = self._source_derivatives(rho, q)
@@ -231,8 +365,7 @@ class _Assembler:
         for _, bases, ratios, signs, _ in self.junctions:
             dp = np.array([float(law.dp(x[c])) * k for c, k in zip(bases, ratios)])
             vals += [dp[1:], np.full(dp.size - 1, -dp[0]), signs]
-        return sp.csr_matrix((np.concatenate(vals)[self.order], self.indices,
-                              self.indptr), shape=(self.size, self.size))
+        return BandedJacobian(self.layout, np.concatenate(vals), self.unknown)
 
 
 def _scaled_norm(residual: np.ndarray, scale: np.ndarray) -> float:

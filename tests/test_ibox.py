@@ -1,13 +1,17 @@
 """Implicit box scheme: fixed points, the discrete relation, ODE limit."""
 
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 
 import gaspower.friction
 import gaspower.ibox
+from gaspower.driver import build_gas_simulation
 from gaspower.errors import ConvergenceError
 from gaspower.friction import FrictionModel, colebrook_friction_factor
 from gaspower.ibox import _Assembler, ibox_step
@@ -23,6 +27,7 @@ from gaspower.network import (
     flux,
 )
 from gaspower.riemann import solve_gas_power_junction
+from gaspower.scenario import load_scenario
 
 
 def _quiet_step(sim, dt):
@@ -269,3 +274,162 @@ def test_mass_balance_closes_at_every_step(benchmark_law):
         expected = dt * pipe.area * (a.q[0] - b.q[-1] - eps)
         assert abs(expected) > 1e-4 * after
         assert after - before == pytest.approx(expected, abs=1e-12 * after)
+
+
+def _random_network(rng, law, pipes, junctions, ends, periodic=False):
+    """``pipes`` pipes with random grids and states, the given junctions,
+    and a boundary at every end that no junction takes: of the kind that
+    ``ends`` maps it to, else of a random kind."""
+    grids = []
+    for i in range(pipes):
+        pipe = Pipe(f"P{i}", f"a{i}", f"b{i}", float(rng.uniform(200.0, 900.0)),
+                    diameter=0.5, roughness=1e-4)
+        grid = PipeGrid(pipe, int(rng.integers(3, 12)), law, staggering="nodes")
+        grid.rho[:] = rng.uniform(1.8, 2.6, grid.x.size)
+        grid.q[:] = rng.uniform(0.2, 0.8, grid.x.size)
+        if periodic:
+            grid.rho[-1], grid.q[-1] = grid.rho[0], grid.q[0]
+        grids.append(grid)
+    covered = {(p.pipe_index, p.end) for j in junctions for p in j.ports}
+    boundaries = {}
+    if not periodic:
+        for i in range(pipes):
+            for end in ("start", "end"):
+                if (i, end) in covered:
+                    continue
+                kind = ends.get((i, end)) or str(rng.choice(
+                    ["pressure", "density", "flow", "state"]))
+                k = 0 if end == "start" else -1
+                rho, q = float(grids[i].rho[k]), float(grids[i].q[k])
+                value = {"pressure": float(law.p(rho)), "density": rho,
+                         "flow": q, "state": (rho, q)}[kind]
+                boundaries[(i, end)] = BoundaryCondition(kind, constant(value))
+    return GasSimulation(grids=grids, junctions=junctions, boundaries=boundaries,
+                         friction=FrictionModel(), periodic=periodic)
+
+
+def _port(i, end, ratio=1.0):
+    return JunctionPort(i, end, pressure_ratio=ratio)
+
+
+def _chain(k):
+    return {"pipes": k, "junctions": [Junction(f"j{i}", [_port(i, "end"),
+                                                         _port(i + 1, "start")])
+                                      for i in range(k - 1)]}
+
+
+# pipes 0 and 1 merge into pipe 2 through a compressor on the outgoing port
+_TEE = {"pipes": 3, "junctions": [Junction(
+    "j", [_port(0, "end"), _port(1, "end"), _port(2, "start", 1.05)],
+    extraction=constant(0.2))]}
+# pipe 0 feeds two parallel pipes 1 and 2 that rejoin into pipe 3
+_LOOP = {"pipes": 4, "junctions": [
+    Junction("a", [_port(0, "end"), _port(1, "start"), _port(2, "start")]),
+    Junction("b", [_port(1, "end"), _port(2, "end"), _port(3, "start")],
+             extraction=constant(0.1))]}
+_NETWORKS = (
+    [pytest.param({**_chain(k), "seed": s}, id=f"chain{k}-seed{s}")
+     for k in (1, 2, 3, 4) for s in (0, 1)]
+    + [pytest.param({**_TEE, "seed": s}, id=f"tee-seed{s}") for s in (0, 1)]
+    + [pytest.param({**_LOOP, "seed": s}, id=f"loop-seed{s}") for s in (0, 1)]
+    + [pytest.param({"pipes": 1, "junctions": [], "periodic": True, "seed": 0},
+                    id="periodic")]
+    + [pytest.param({"pipes": 1, "junctions": [], "seed": 2,
+                     "ends": {(0, "start"): start, (0, "end"): end}},
+                    id=f"{start}-{end}")
+       for start in ("pressure", "density", "flow", "state")
+       for end in ("pressure", "density", "flow", "state")]
+)
+
+
+@pytest.mark.parametrize("network", _NETWORKS)
+def test_banded_solve_matches_scipy(network, benchmark_law):
+    """The banded LU in the layout's ordering solves the Newton system of
+    every network shape as SciPy's sparse direct solve does."""
+    rng = np.random.default_rng(network["seed"])
+    sim = _random_network(rng, benchmark_law, network["pipes"],
+                          network["junctions"], network.get("ends", {}),
+                          network.get("periodic", False))
+    asm = _Assembler(sim, 0.5, 0.5)
+    x = asm.pack() * rng.uniform(0.99, 1.01, asm.size)
+    jac, rhs = asm.jacobian(x), asm.residual(x)[0]
+    assert jac.shape == (asm.size, asm.size)
+    reference = scipy.sparse.linalg.spsolve(
+        scipy.sparse.csr_matrix(jac.toarray()), rhs)
+    solution = gaspower.ibox.spsolve(jac, rhs)
+    assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_layout_is_built_once_per_network_layout(benchmark_law):
+    """Steps and simulations of one network layout share one band layout;
+    changing a boundary column builds a new one."""
+    def two_pipes(outflow="flow"):
+        return _random_network(np.random.default_rng(3), benchmark_law,
+                               **_chain(2), ends={(0, "start"): "density",
+                                                  (1, "end"): outflow})
+
+    gaspower.ibox._layout.cache_clear()
+    for _ in range(2):
+        sim = two_pipes()
+        for _ in range(3):
+            _quiet_step(sim, 0.5)
+    info = gaspower.ibox._layout.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    _Assembler(two_pipes("density"), 0.5, 0.5)
+    assert gaspower.ibox._layout.cache_info().misses == 2
+
+
+def test_bandwidth_of_the_bundled_and_benchmark_networks(benchmark_law):
+    """The ordering keeps gaslib9, loop included, in a narrow band and the
+    two-pipe junction pentadiagonal."""
+    scenario = load_scenario(files("gaspower") / "scenarios" / "gaslib9.scn")
+    layout = _Assembler(build_gas_simulation(scenario), 60.0, 60.0).layout
+    assert layout.kl <= 8 and layout.ku <= 8
+    # the two-pipe junction of the fine benchmark: 2 x 5000 intervals
+    grids = [PipeGrid(Pipe(name, a, b, 0.25), 5000, benchmark_law,
+                      staggering="nodes").fill(3.0, 0.5)
+             for name, a, b in (("L", "in", "j"), ("R", "j", "out"))]
+    sim = GasSimulation(
+        grids=grids,
+        junctions=[Junction("j", [JunctionPort(0, "end"), JunctionPort(1, "start")],
+                            extraction=constant(0.5))],
+        boundaries={(0, "start"): BoundaryCondition("state", constant((3.0, 0.5))),
+                    (1, "end"): BoundaryCondition("state", constant((3.0, 0.0)))},
+    )
+    layout = _Assembler(sim, 5e-4, 5e-4).layout
+    assert (layout.size, layout.kl, layout.ku) == (20004, 2, 2)
+
+
+def test_singular_jacobian_is_a_convergence_error(benchmark_law):
+    """With zero compressor ratios the junction's pressure row vanishes; the
+    zero pivot is reported with the time, the pipe and the node."""
+    sim = _random_network(
+        np.random.default_rng(4), benchmark_law, 2,
+        [Junction("j", [_port(0, "end", 0.0), _port(1, "start", 0.0)])], {})
+    with pytest.raises(ConvergenceError,
+                       match=r"singular .* t=0, pipe P[01] node \d+ \((rho|q)\)"):
+        _quiet_step(sim, 0.5)
+
+
+def test_jacobian_reuses_the_friction_factor_of_the_same_iterate(
+        monkeypatch, benchmark_law):
+    """After a residual at the same iterate the Jacobian skips its Colebrook
+    solve and is bit for bit the one built from scratch; after a residual
+    elsewhere it solves again."""
+    asm = _Assembler(_three_pipe_network(benchmark_law), 0.5, 0.5)
+    x = asm.pack()
+    y = x * (1.0 + 1e-3 * np.cos(np.arange(asm.size)))
+    fresh = asm.jacobian(y).toarray()
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return colebrook_friction_factor(*args)
+
+    monkeypatch.setattr(gaspower.friction, "colebrook_friction_factor", counted)
+    asm.residual(x)
+    np.testing.assert_array_equal(asm.jacobian(y).toarray(), fresh)
+    assert len(calls) == 2
+    asm.residual(y)
+    np.testing.assert_array_equal(asm.jacobian(y).toarray(), fresh)
+    assert len(calls) == 3
