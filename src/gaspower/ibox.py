@@ -45,8 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConvergenceError, DomainError
 from .network import GasSimulation, flux_jacobian
@@ -93,6 +91,10 @@ def _layout(counts: tuple, periodic: bool, bc_cols: tuple,
     columns sharing a row, rows by their first, then their last, column in
     that order.
     """
+    # Only the one-off ordering needs the graph code; CWENO runs never load it.
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     pairs = []
     node = 0
     for m in counts:
