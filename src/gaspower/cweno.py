@@ -6,6 +6,11 @@ reconstruction (linear/linear/parabolic candidates with ideal weights
 at smooth critical points); the numerical flux is local Lax-Friedrichs, and
 time integration is the optimal three-stage SSP Runge-Kutta method.
 
+A stage works on one stacked array of the network (row 0 density, row 1
+momentum, pipe after pipe). A layout cached per network layout holds every
+cell's neighbours, clamped at bounded pipe ends and wrapped on a periodic
+pipe, so a stage reconstructs and takes fluxes and friction once.
+
 Coupling points are handled by solving the junction Riemann problem with the
 adjacent cell averages as data at every stage; the resulting trace states
 are imposed as exact boundary states of the neighbouring cells, whose
@@ -15,9 +20,12 @@ way through wave-curve compatible boundary states.
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import CflViolationError
+from .errors import CflViolationError, DomainError
 from .laxcurves import GasState
 from .network import GasSimulation, apply_boundary, flux
 from .riemann import solve_multi_junction
@@ -28,26 +36,50 @@ _STAGE_WEIGHTS = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 
 
-def _reconstruct(v: np.ndarray, dx: float, periodic: bool):
-    """Interface values (left edge, right edge) of each cell."""
-    n = v.size
-    if periodic:
-        vm = np.roll(v, 1)
-        vp = np.roll(v, -1)
-    else:
-        vm = np.empty_like(v)
-        vp = np.empty_like(v)
-        vm[1:] = v[:-1]
-        vp[:-1] = v[1:]
-        vm[0] = v[0]
-        vp[-1] = v[-1]
+class _Layout(NamedTuple):
+    """Cell indices of a network stacked pipe after pipe."""
 
+    offsets: np.ndarray  # first cell of every pipe, then the cell count
+    left: np.ndarray     # left and right neighbour of every cell
+    right: np.ndarray
+    first: np.ndarray    # first and last cell of every pipe
+    last: np.ndarray
+    ends: np.ndarray     # cells reconstructed to first order
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(counts: tuple, periodic: bool) -> _Layout:
+    """Layout of pipes with ``counts`` cells, wrapped when ``periodic``."""
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    first, last = offsets[:-1], offsets[1:] - 1
+    cells = np.arange(offsets[-1])
+    cell_first, cell_last = np.repeat(first, counts), np.repeat(last, counts)
+    if periodic:
+        left = np.where(cells == cell_first, cell_last, cells - 1)
+        right = np.where(cells == cell_last, cell_first, cells + 1)
+        ends = np.empty(0, dtype=np.intp)
+    else:
+        left = np.maximum(cells - 1, cell_first)
+        right = np.minimum(cells + 1, cell_last)
+        ends = np.concatenate([first, last])
+    layout = _Layout(offsets, left, right, first, last, ends)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def _reconstruct(v: np.ndarray, eps: np.ndarray, layout: _Layout):
+    """Interface values (left edge, right edge) of each cell of the stacked
+    rows ``v``; ``eps`` is dx^2 per cell."""
+    vm = np.take(v, layout.left, axis=1)
+    vp = np.take(v, layout.right, axis=1)
+    slope_l = v - vm
+    slope_r = vp - v
     p1 = 0.5 * (vp - vm)
     p2 = 0.5 * (vp - 2.0 * v + vm)
 
-    eps = dx * dx
-    is_l = (v - vm) ** 2
-    is_r = (vp - v) ** 2
+    is_l = slope_l**2
+    is_r = slope_r**2
     is_c = p1 * p1 + (13.0 / 3.0) * p2 * p2
     a_l = 0.25 / (eps + is_l) ** 2
     a_r = 0.25 / (eps + is_r) ** 2
@@ -55,49 +87,42 @@ def _reconstruct(v: np.ndarray, dx: float, periodic: bool):
     total = a_l + a_c + a_r
     w_l, w_c, w_r = a_l / total, a_c / total, a_r / total
 
-    slope_l = v - vm
-    slope_r = vp - v
-    right = (w_l * (v + 0.5 * slope_l)
-             + w_r * (v + 0.5 * slope_r)
-             + w_c * (v + 0.5 * p1 + p2 / 3.0))
-    left = (w_l * (v - 0.5 * slope_l)
-            + w_r * (v - 0.5 * slope_r)
-            + w_c * (v - 0.5 * p1 + p2 / 3.0))
+    h_l, h_r, h_c, p3 = 0.5 * slope_l, 0.5 * slope_r, 0.5 * p1, p2 / 3.0
+    right = w_l * (v + h_l) + w_r * (v + h_r) + w_c * (v + h_c + p3)
+    left = w_l * (v - h_l) + w_r * (v - h_r) + w_c * (v - h_c + p3)
 
-    if not periodic and n >= 2:
-        # End cells reduce to first order; their outer interface is served
-        # by the junction/boundary trace state anyway.
-        left[0] = right[0] = v[0]
-        left[-1] = right[-1] = v[-1]
+    # End cells of bounded pipes reduce to first order; their outer
+    # interface is served by the junction/boundary trace state anyway.
+    left[:, layout.ends] = right[:, layout.ends] = v[:, layout.ends]
     return left, right
 
 
-def _llf_flux(rho_m, q_m, rho_p, q_p, law):
-    """Local Lax-Friedrichs flux between minus/plus interface states."""
-    lam_m = np.abs(q_m / rho_m) + law.c(rho_m)
-    lam_p = np.abs(q_p / rho_p) + law.c(rho_p)
+def _llf_flux(u_m, u_p, law):
+    """Local Lax-Friedrichs flux between stacked minus/plus interface states."""
+    lam_m = np.abs(u_m[1] / u_m[0]) + law.c(u_m[0])
+    lam_p = np.abs(u_p[1] / u_p[0]) + law.c(u_p[0])
     alpha = np.maximum(lam_m, lam_p)
-    f0_m, f1_m = flux(rho_m, q_m, law)
-    f0_p, f1_p = flux(rho_p, q_p, law)
-    f0 = 0.5 * (f0_m + f0_p) - 0.5 * alpha * (rho_p - rho_m)
-    f1 = 0.5 * (f1_m + f1_p) - 0.5 * alpha * (q_p - q_m)
-    return f0, f1
+    f_m = np.array(flux(u_m[0], u_m[1], law))
+    f_p = np.array(flux(u_p[0], u_p[1], law))
+    return 0.5 * (f_m + f_p) - 0.5 * alpha * (u_p - u_m)
 
 
-def _end_traces(sim: GasSimulation, states, t_stage: float):
+def _end_traces(sim: GasSimulation, u: np.ndarray, layout: _Layout,
+                t_stage: float):
     """Trace state at every pipe end from junction solves and boundaries."""
+
+    def adjacent(idx, end):
+        cell = layout.first[idx] if end == "start" else layout.last[idx]
+        return GasState(float(u[0, cell]), float(u[1, cell]))
+
     traces: dict[tuple[int, str], GasState] = {}
     for junction in sim.junctions:
         ports_in = junction.incoming_ports()
         ports_out = junction.outgoing_ports()
-        data_in = [GasState(float(states[p.pipe_index][0][-1]),
-                            float(states[p.pipe_index][1][-1]))
-                   for p in ports_in]
-        data_out = [GasState(float(states[p.pipe_index][0][0]),
-                             float(states[p.pipe_index][1][0]))
-                    for p in ports_out]
         sol = solve_multi_junction(
-            data_in, data_out, junction.extraction_at(t_stage), sim.law,
+            [adjacent(p.pipe_index, "end") for p in ports_in],
+            [adjacent(p.pipe_index, "start") for p in ports_out],
+            junction.extraction_at(t_stage), sim.law,
             in_pressure_ratios=[p.pressure_ratio for p in ports_in],
             out_pressure_ratios=[p.pressure_ratio for p in ports_out],
         )
@@ -105,72 +130,55 @@ def _end_traces(sim: GasSimulation, states, t_stage: float):
             traces[(port.pipe_index, "end")] = trace
         for port, trace in zip(ports_out, sol.outgoing_traces):
             traces[(port.pipe_index, "start")] = trace
-    for (idx, end), bc in sim.boundaries.items():
-        adjacent = GasState(float(states[idx][0][0 if end == "start" else -1]),
-                            float(states[idx][1][0 if end == "start" else -1]))
-        key = (idx, end)
-        trace = apply_boundary(adjacent, bc, t_stage, sim.law, end,
+    for key, bc in sim.boundaries.items():
+        trace = apply_boundary(adjacent(*key), bc, t_stage, sim.law, key[1],
                                rho_guess=sim.boundary_guess.get(key))
         sim.boundary_guess[key] = trace.rho
         traces[key] = trace
     return traces
 
 
-def _rhs(sim: GasSimulation, states, t_stage: float):
-    """Semi-discrete right-hand side; also returns the net boundary mass rate."""
+def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout,
+         cells):
+    """Right-hand side of the stacked state ``u`` and the net boundary mass
+    rate; ``cells`` holds per-cell dx, diameter, roughness and center."""
     law = sim.law
-    out = []
-    mass_rate = 0.0
-    traces = {} if sim.periodic else _end_traces(sim, states, t_stage)
-    for idx, grid in enumerate(sim.grids):
-        rho, q = states[idx]
-        dx = grid.dx
-        rho_left, rho_right = _reconstruct(rho, dx, sim.periodic)
-        q_left, q_right = _reconstruct(q, dx, sim.periodic)
+    dx, diameter, roughness, x = cells
+    left, right = _reconstruct(u, dx * dx, layout)
+    # Flux through every cell's right interface; the left one is the left
+    # neighbour's, except at pipe ends, which take the flux of their trace.
+    f_right = _llf_flux(right, np.take(left, layout.right, axis=1), law)
+    f_left = np.take(f_right, layout.left, axis=1)
+    for (idx, end), trace in _end_traces(sim, u, layout, t_stage).items():
+        f, cell = (f_left, layout.first) if end == "start" else (f_right, layout.last)
+        f[:, cell[idx]] = flux(trace.rho, trace.q, law)
+    # Zero on a periodic pipe, whose end fluxes are those of one interface.
+    mass_rate = sum(grid.pipe.area * (f_left[0, i] - f_right[0, j])
+                    for grid, i, j in zip(sim.grids, layout.first, layout.last))
 
-        if sim.periodic:
-            # interface j sits between cells j-1 and j (wrapping)
-            rho_m = np.roll(rho_right, 1)
-            q_m = np.roll(q_right, 1)
-            f0, f1 = _llf_flux(rho_m, q_m, rho_left, q_left, law)
-            df0 = np.roll(f0, -1) - f0
-            df1 = np.roll(f1, -1) - f1
-        else:
-            f0 = np.empty(grid.n + 1)
-            f1 = np.empty(grid.n + 1)
-            f0[1:-1], f1[1:-1] = _llf_flux(
-                rho_right[:-1], q_right[:-1], rho_left[1:], q_left[1:], law
-            )
-            left_state = traces[(idx, "start")]
-            right_state = traces[(idx, "end")]
-            f0[0], f1[0] = flux(left_state.rho, left_state.q, law)
-            f0[-1], f1[-1] = flux(right_state.rho, right_state.q, law)
-            df0 = f0[1:] - f0[:-1]
-            df1 = f1[1:] - f1[:-1]
-            mass_rate += grid.pipe.area * (f0[0] - f0[-1])
-
-        d_rho = -df0 / dx
-        d_q = -df1 / dx
-        d_q += sim.friction.source(rho, q, grid.pipe.diameter, grid.pipe.roughness)
-        if sim.extra_source is not None:
-            # Two-point Gauss average keeps smooth (x,t) sources third order.
-            h = _GAUSS_OFFSET * dx
-            g0a, g1a = sim.extra_source(grid.x - h, t_stage, rho, q)
-            g0b, g1b = sim.extra_source(grid.x + h, t_stage, rho, q)
-            d_rho = d_rho + 0.5 * (np.asarray(g0a) + np.asarray(g0b))
-            d_q = d_q + 0.5 * (np.asarray(g1a) + np.asarray(g1b))
-        out.append((d_rho, d_q))
-    return out, mass_rate
+    d = -(f_right - f_left) / dx
+    d[1] += sim.friction.source(u[0], u[1], diameter, roughness)
+    if sim.extra_source is not None:
+        # Two-point Gauss average keeps smooth (x,t) sources third order.
+        h = _GAUSS_OFFSET * dx
+        for row, ga, gb in zip(d, sim.extra_source(x - h, t_stage, u[0], u[1]),
+                               sim.extra_source(x + h, t_stage, u[0], u[1])):
+            row += 0.5 * (np.asarray(ga) + np.asarray(gb))
+    return d, mass_rate
 
 
 def cweno3_step(sim: GasSimulation, dt: float) -> None:
     """Advance the network by one SSP-RK3 step of size ``dt``.
 
-    Raises ``CflViolationError`` when dt exceeds CFL_NUMBER * dx / max|lambda|
-    on any pipe, and aborts if a cell leaves the sub-sonic regime.
+    Raises ``DomainError`` on node grids and ``CflViolationError`` when dt
+    exceeds CFL_NUMBER * dx / max|lambda| on any pipe, and aborts if a cell
+    leaves the sub-sonic regime.
     """
     lam = sim.max_wavespeed()
     for grid in sim.grids:
+        if grid.staggering != "cells":
+            raise DomainError(f"pipe {grid.pipe.id}: CWENO3 needs cell averages, "
+                              f"got staggering={grid.staggering!r} at t={sim.t:g}")
         if not dt * lam <= CFL_NUMBER * grid.dx * (1.0 + 1e-12):
             raise CflViolationError(
                 f"dt={dt:g} exceeds CFL bound {CFL_NUMBER * grid.dx / lam:g} "
@@ -178,19 +186,22 @@ def cweno3_step(sim: GasSimulation, dt: float) -> None:
             )
 
     t = sim.t
-    u0 = [(g.rho.copy(), g.q.copy()) for g in sim.grids]
+    counts = [grid.n for grid in sim.grids]
+    layout = _layout(tuple(counts), sim.periodic)
+    geometry = [(g.dx, g.pipe.diameter, g.pipe.roughness) for g in sim.grids]
+    cells = [np.repeat(v, counts) for v in zip(*geometry)]
+    cells.append(np.concatenate([g.x for g in sim.grids]))
+    u0 = np.concatenate([(g.rho, g.q) for g in sim.grids], axis=1)
     mass_before = sim.total_mass()
 
-    k1, rate1 = _rhs(sim, u0, t + _STAGE_SHIFTS[0] * dt)
-    u1 = [(r + dt * dr, q + dt * dq)
-          for (r, q), (dr, dq) in zip(u0, k1)]
-    k2, rate2 = _rhs(sim, u1, t + _STAGE_SHIFTS[1] * dt)
-    u2 = [(0.75 * r0 + 0.25 * (r1 + dt * dr), 0.75 * q0 + 0.25 * (q1 + dt * dq))
-          for (r0, q0), (r1, q1), (dr, dq) in zip(u0, u1, k2)]
-    k3, rate3 = _rhs(sim, u2, t + _STAGE_SHIFTS[2] * dt)
-    for grid, (r0, q0), (r2, q2), (dr, dq) in zip(sim.grids, u0, u2, k3):
-        grid.rho[:] = r0 / 3.0 + (2.0 / 3.0) * (r2 + dt * dr)
-        grid.q[:] = q0 / 3.0 + (2.0 / 3.0) * (q2 + dt * dq)
+    k1, rate1 = _rhs(sim, u0, t + _STAGE_SHIFTS[0] * dt, layout, cells)
+    u1 = u0 + dt * k1
+    k2, rate2 = _rhs(sim, u1, t + _STAGE_SHIFTS[1] * dt, layout, cells)
+    u2 = 0.75 * u0 + 0.25 * (u1 + dt * k2)
+    k3, rate3 = _rhs(sim, u2, t + _STAGE_SHIFTS[2] * dt, layout, cells)
+    u3 = u0 / 3.0 + (2.0 / 3.0) * (u2 + dt * k3)
+    for grid, i, j in zip(sim.grids, layout.offsets[:-1], layout.offsets[1:]):
+        grid.rho[:], grid.q[:] = u3[:, i:j]
 
     sim.t = t + dt
     sim.check_subsonic()

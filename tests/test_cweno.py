@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import gaspower.cweno
 from gaspower.cweno import cweno3_step
-from gaspower.errors import CflViolationError
+from gaspower.errors import CflViolationError, DomainError
+from gaspower.friction import FrictionModel
 from gaspower.network import (
     BoundaryCondition,
     GasSimulation,
@@ -129,3 +131,96 @@ def test_step_aborts_on_supersonic_result(unit_isothermal):
     sim.grids[0].q[10] = 5.0
     with pytest.raises(Exception):
         cweno3_step(sim, 1e-4)
+
+
+def test_node_grids_are_a_domain_error(benchmark_law):
+    sim = _junction_sim(benchmark_law, 0.0, n=20)
+    sim.grids[1] = PipeGrid(Pipe("R", "j", "out", 0.25), 20, benchmark_law,
+                            staggering="nodes").fill(3.0, -1.0)
+    sim.t = 0.5
+    with pytest.raises(DomainError, match=r"pipe R: .*'nodes'.* at t=0\.5"):
+        cweno3_step(sim, 1e-4)
+
+
+# Pipes of the unequal network: id, length, diameter, roughness, cells.
+# T1 and T2 meet at a junction and so share a cross-section; S stands alone.
+_UNEQUAL = (("T1", 0.3, 0.5, 1e-3, 17), ("T2", 0.55, 0.5, 4e-4, 23),
+            ("S", 0.2, 0.8, 0.0, 11))
+
+
+def _unequal_network(law, order=(0, 1, 2), constant_state=None, friction=True):
+    """Two pipes joined at a junction with a 1.05 compressor and an
+    extraction, and one stand-alone pipe, listed in ``order``.
+
+    With ``constant_state`` every cell and boundary holds that state and the
+    junction has unit ratios and no extraction."""
+    grids = []
+    for k in order:
+        pid, length, diameter, roughness, n = _UNEQUAL[k]
+        grid = PipeGrid(Pipe(pid, "a", "b", length, diameter, roughness), n, law)
+        if constant_state is None:
+            grid.set_profile(lambda x, k=k: 2.5 + 0.3 * np.sin(7.0 * x + k),
+                             lambda x, k=k: 0.3 + 0.1 * np.cos(5.0 * x - k))
+        else:
+            grid.fill(*constant_state)
+        grids.append(grid)
+    at = {k: i for i, k in enumerate(order)}
+    if constant_state is None:
+        ratio, draw = 1.05, constant(0.2)
+        ends = {(0, "start"): BoundaryCondition("pressure", constant(float(law.p(2.6)))),
+                (1, "end"): BoundaryCondition("flow", constant(0.25)),
+                (2, "start"): BoundaryCondition("state", constant((2.4, 0.35))),
+                (2, "end"): BoundaryCondition("density", constant(2.5))}
+    else:
+        ratio, draw = 1.0, constant(0.0)
+        ends = {key: BoundaryCondition("state", constant(constant_state))
+                for key in ((0, "start"), (1, "end"), (2, "start"), (2, "end"))}
+    return GasSimulation(
+        grids=grids,
+        junctions=[Junction("j", [JunctionPort(at[0], "end", ratio),
+                                  JunctionPort(at[1], "start")], extraction=draw)],
+        boundaries={(at[k], end): bc for (k, end), bc in ends.items()},
+        friction=FrictionModel(eta=1e-4, enabled=friction),
+    )
+
+
+@pytest.mark.parametrize("order", [(2, 0, 1), (1, 2, 0), (0, 2, 1)])
+def test_pipe_order_does_not_change_the_result(benchmark_law, order):
+    """The stacked network array holds the pipes in list order; permuting the
+    list must not let a stencil or a flux reach across a seam between pipes."""
+    reference = _unequal_network(benchmark_law)
+    permuted = _unequal_network(benchmark_law, order)
+    for _ in range(20):
+        cweno3_step(reference, 2e-3)
+        cweno3_step(permuted, 2e-3)
+    for i, k in enumerate(order):
+        assert permuted.grids[i].pipe.id == reference.grids[k].pipe.id
+        assert permuted.grids[i].rho.tobytes() == reference.grids[k].rho.tobytes()
+        assert permuted.grids[i].q.tobytes() == reference.grids[k].q.tobytes()
+
+
+def test_mass_balance_closes_on_unequal_pipes(benchmark_law):
+    sim = _unequal_network(benchmark_law)
+    for _ in range(25):
+        cweno3_step(sim, 2e-3)
+        change, expected = sim.last_mass_balance
+        assert change == pytest.approx(expected, abs=1e-10)
+
+
+def test_constant_state_is_preserved_on_unequal_pipes(benchmark_law):
+    sim = _unequal_network(benchmark_law, constant_state=(2.0, 0.2), friction=False)
+    for _ in range(20):
+        cweno3_step(sim, 2e-3)
+    for grid in sim.grids:
+        assert np.max(np.abs(grid.rho - 2.0)) < 1e-14
+        assert np.max(np.abs(grid.q - 0.2)) < 1e-14
+
+
+def test_cell_layout_is_built_once_per_network_layout(benchmark_law):
+    gaspower.cweno._layout.cache_clear()
+    for _ in range(2):
+        sim = _unequal_network(benchmark_law)
+        for _ in range(3):
+            cweno3_step(sim, 2e-3)
+    info = gaspower.cweno._layout.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
