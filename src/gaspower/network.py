@@ -132,6 +132,13 @@ class JunctionPort:
     end: str  # "start" | "end"
     pressure_ratio: float = 1.0
 
+    def __post_init__(self):
+        if not (0.0 < self.pressure_ratio < math.inf):
+            raise DomainError(
+                f"pipe {self.pipe_index} {self.end}: compressor pressure ratio "
+                f"must be positive and finite, got {self.pressure_ratio!r}"
+            )
+
 
 @dataclass
 class Junction:

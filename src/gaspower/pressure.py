@@ -34,12 +34,45 @@ from .errors import DomainError
 REL_TOL = 1e-12
 
 
+def _float_or_array(rho):
+    """A positive float (``np.float64`` included) as a plain float, which the
+    laws evaluate with Python arithmetic and :mod:`math`, without NumPy's
+    dispatch; anything else (arrays, NaN, non-positive floats) as a float
+    array, which keeps NumPy's NaN and infinity conventions."""
+    if isinstance(rho, float) and rho > 0.0:
+        return float(rho)
+    return np.asarray(rho, dtype=float)
+
+
+def _pow(rho, exponent):
+    """``_float_or_array(rho) ** exponent``, inlined for the power laws.
+
+    ``math.pow`` calls the C library's ``pow`` as Python's ``**`` does; a
+    float power that overflows is inf, as on arrays, not an ``OverflowError``.
+    """
+    if isinstance(rho, float) and rho > 0.0:
+        try:
+            return math.pow(rho, exponent)
+        except OverflowError:
+            return math.inf
+    return np.asarray(rho, dtype=float) ** exponent
+
+
+def _horner(coefficients, r):
+    """``sum_i a_i r**i`` for i = n..1, with ``coefficients`` = (a_n, ..., a_1)."""
+    total = coefficients[0]
+    for a in coefficients[1:]:
+        total = total * r + a
+    return total * r
+
+
 class PressureLaw:
     """Strictly increasing pressure as a function of density.
 
     Subclasses supply ``p`` and ``dp``; second and third derivatives default
     to central differences with step ``1e-4 * rho``. All evaluators accept
-    floats or numpy arrays of positive densities.
+    floats or numpy arrays of positive densities; ``p``, ``dp`` and ``c``
+    return a float for a float argument.
     """
 
     label = "pressure-law"
@@ -60,7 +93,10 @@ class PressureLaw:
 
     def c(self, rho):
         """Sound speed sqrt(p'(rho))."""
-        return np.sqrt(self.dp(rho))
+        dp = self.dp(rho)
+        if isinstance(dp, float):
+            return math.sqrt(dp) if dp >= 0.0 else math.nan
+        return np.sqrt(dp)
 
     def power_form(self):
         """Return (alpha, delta) if ``p'(rho) = alpha * rho**delta``, else None.
@@ -119,18 +155,18 @@ class GammaLaw(PressureLaw):
         self.label = label or f"gamma(kappa={kappa:g}, gamma={gamma:g})"
 
     def p(self, rho):
-        return self.kappa * rho**self.gamma
+        return self.kappa * _pow(rho, self.gamma)
 
     def dp(self, rho):
-        return self.kappa * self.gamma * rho ** (self.gamma - 1.0)
+        return self.kappa * self.gamma * _pow(rho, self.gamma - 1.0)
 
     def d2p(self, rho):
         g = self.gamma
-        return self.kappa * g * (g - 1.0) * rho ** (g - 2.0)
+        return self.kappa * g * (g - 1.0) * _pow(rho, g - 2.0)
 
     def d3p(self, rho):
         g = self.gamma
-        return self.kappa * g * (g - 1.0) * (g - 2.0) * rho ** (g - 3.0)
+        return self.kappa * g * (g - 1.0) * (g - 2.0) * _pow(rho, g - 3.0)
 
     def power_form(self):
         return (self.kappa * self.gamma, self.gamma - 1.0)
@@ -155,10 +191,13 @@ class IsothermalLaw(PressureLaw):
         self.label = f"isothermal(c={c:g})"
 
     def p(self, rho):
-        return self.c0 * self.c0 * rho
+        return self.c0 * self.c0 * _float_or_array(rho)
 
     def dp(self, rho):
-        return self.c0 * self.c0 * np.ones_like(np.asarray(rho, dtype=float))
+        rho = _float_or_array(rho)
+        if isinstance(rho, float):
+            return self.c0 * self.c0
+        return self.c0 * self.c0 * np.ones_like(rho)
 
     def d2p(self, rho):
         return np.zeros_like(np.asarray(rho, dtype=float))
@@ -167,7 +206,10 @@ class IsothermalLaw(PressureLaw):
         return np.zeros_like(np.asarray(rho, dtype=float))
 
     def c(self, rho):
-        return self.c0 * np.ones_like(np.asarray(rho, dtype=float))
+        rho = _float_or_array(rho)
+        if isinstance(rho, float):
+            return self.c0
+        return self.c0 * np.ones_like(rho)
 
     def power_form(self):
         return (self.c0 * self.c0, 0.0)
@@ -190,7 +232,7 @@ class LogLaw(PressureLaw):
         return np.log(rho)
 
     def dp(self, rho):
-        return 1.0 / np.asarray(rho, dtype=float)
+        return 1.0 / _float_or_array(rho)
 
     def d2p(self, rho):
         return -1.0 / np.asarray(rho, dtype=float) ** 2
@@ -231,17 +273,17 @@ class GeneralizedGammaLaw(PressureLaw):
         if self.delta == -1.0:
             return self.alpha * np.log(rho)
         g = self.delta + 1.0
-        return self.alpha / g * rho**g
+        return self.alpha / g * _pow(rho, g)
 
     def dp(self, rho):
-        return self.alpha * rho**self.delta
+        return self.alpha * _pow(rho, self.delta)
 
     def d2p(self, rho):
-        return self.alpha * self.delta * rho ** (self.delta - 1.0)
+        return self.alpha * self.delta * _pow(rho, self.delta - 1.0)
 
     def d3p(self, rho):
         d = self.delta
-        return self.alpha * d * (d - 1.0) * rho ** (d - 2.0)
+        return self.alpha * d * (d - 1.0) * _pow(rho, d - 2.0)
 
     def power_form(self):
         return (self.alpha, self.delta)
@@ -262,31 +304,42 @@ class GeneralizedGammaLaw(PressureLaw):
 class SumGammaLaw(PressureLaw):
     """p(rho) = (1/10) * sum_{i=1..10} rho^(1+i/5) / (1+i/5).
 
-    Scaled so that p'(1) = 1, like the other benchmark laws.
+    Scaled so that p'(1) = 1, like the other benchmark laws. With
+    ``r = rho**0.2`` and sums over i = 1..10, Horner's rule evaluates
+    ``p = 0.1 rho sum r^i 5/(5+i)``, ``p' = 0.1 sum r^i``,
+    ``p'' = 0.1/rho sum (i/5) r^i`` and ``p''' = 0.1/rho^2 sum (i/5)(i/5-1) r^i``.
     """
 
     label = "sum_gamma"
-    _exponents = np.array([1.0 + i / 5.0 for i in range(1, 11)])
+    # Coefficients of r^10 down to r^1.
+    _P = tuple(5.0 / (5 + i) for i in range(10, 0, -1))
+    _DP = (1.0,) * 10
+    _D2P = tuple(i / 5.0 for i in range(10, 0, -1))
+    _D3P = tuple(i / 5.0 * (i / 5.0 - 1.0) for i in range(10, 0, -1))
+
+    @staticmethod
+    def _root(rho):
+        """(rho, rho**0.2) with r = NaN at negative densities; pow gives +inf
+        at -inf, where the exponent sums of p and p' were NaN."""
+        rho = _float_or_array(rho)
+        if isinstance(rho, float):
+            return rho, rho**0.2
+        return rho, np.where(rho < 0.0, np.nan, rho**0.2)
 
     def p(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        e = self._exponents.reshape((-1,) + (1,) * rho.ndim)
-        return 0.1 * np.sum(rho**e / e, axis=0)
+        rho, r = self._root(rho)
+        return 0.1 * rho * _horner(self._P, r)
 
     def dp(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        e = self._exponents.reshape((-1,) + (1,) * rho.ndim)
-        return 0.1 * np.sum(rho ** (e - 1.0), axis=0)
+        return 0.1 * _horner(self._DP, self._root(rho)[1])
 
     def d2p(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        e = self._exponents.reshape((-1,) + (1,) * rho.ndim)
-        return 0.1 * np.sum((e - 1.0) * rho ** (e - 2.0), axis=0)
+        rho, r = self._root(rho)
+        return 0.1 / rho * _horner(self._D2P, r)
 
     def d3p(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        e = self._exponents.reshape((-1,) + (1,) * rho.ndim)
-        return 0.1 * np.sum((e - 1.0) * (e - 2.0) * rho ** (e - 3.0), axis=0)
+        rho, r = self._root(rho)
+        return 0.1 / rho / rho * _horner(self._D3P, r)
 
     def spec(self):
         return "sum_gamma"

@@ -1,5 +1,6 @@
 """Implicit box scheme: fixed points, the discrete relation, ODE limit."""
 
+import math
 import warnings
 from importlib.resources import files
 
@@ -12,9 +13,9 @@ from scipy.integrate import solve_ivp
 import gaspower.friction
 import gaspower.ibox
 from gaspower.driver import build_gas_simulation
-from gaspower.errors import ConvergenceError
+from gaspower.errors import ConvergenceError, DomainError
 from gaspower.friction import FrictionModel, colebrook_friction_factor
-from gaspower.ibox import _Assembler, ibox_step
+from gaspower.ibox import _Assembler, ibox_step, spsolve
 from gaspower.laxcurves import GasState
 from gaspower.network import (
     BoundaryCondition,
@@ -401,14 +402,25 @@ def test_bandwidth_of_the_bundled_and_benchmark_networks(benchmark_law):
 
 
 def test_singular_jacobian_is_a_convergence_error(benchmark_law):
-    """With zero compressor ratios the junction's pressure row vanishes; the
-    zero pivot is reported with the time, the pipe and the node."""
+    """With zero ratios in the assembled junction (ports reject them, so they
+    are set on the assembler) the pressure row vanishes; the zero pivot is
+    reported with the time, the pipe and the node."""
     sim = _random_network(
         np.random.default_rng(4), benchmark_law, 2,
-        [Junction("j", [_port(0, "end", 0.0), _port(1, "start", 0.0)])], {})
+        [Junction("j", [_port(0, "end"), _port(1, "start")])], {})
+    asm = _Assembler(sim, 0.5, 0.5)
+    asm.junctions = [(row, bases, [0.0] * len(ratios), signs, eps)
+                     for row, bases, ratios, signs, eps in asm.junctions]
+    x = asm.pack()
     with pytest.raises(ConvergenceError,
                        match=r"singular .* t=0, pipe P[01] node \d+ \((rho|q)\)"):
-        _quiet_step(sim, 0.5)
+        spsolve(asm.jacobian(x), -asm.residual(x)[0])
+
+
+@pytest.mark.parametrize("ratio", [0.0, -1.05, math.nan, math.inf])
+def test_junction_port_rejects_bad_compressor_ratios(ratio):
+    with pytest.raises(DomainError, match=r"pipe 3 start: .*ratio"):
+        JunctionPort(3, "start", ratio)
 
 
 def test_jacobian_reuses_the_friction_factor_of_the_same_iterate(

@@ -30,6 +30,13 @@ FOUR_BENCHMARK_LAWS = [
     SumGammaLaw(),
 ]
 
+# Every law that parse_law knows, and one linear combination.
+PARSED_LAWS = [parse_law(text) for text in (
+    "gamma(0.7142857142857143,1.4)", "isothermal(340.0)", "inverse", "log",
+    "sum_gamma", "gamma_integral", "generalized(1.0,-1.0)", "generalized(2.0,0.5)",
+    "linear_combination(2.0*gamma(1.0,3.0),0.5*log)",
+)]
+
 
 # -- sound speed and derivatives ----------------------------------------------
 
@@ -50,10 +57,10 @@ def test_sound_speed_log_law_at_unit_density():
 
 
 def test_sound_speed_rejects_nonpositive_density():
-    with pytest.raises(DomainError):
-        sound_speed(GammaLaw(1.0, 1.4), 0.0)
-    with pytest.raises(DomainError):
-        sound_speed(GammaLaw(1.0, 1.4), -2.0)
+    for law in PARSED_LAWS:
+        for rho in (0.0, -0.0, -2.0, -math.inf):
+            with pytest.raises(DomainError):
+                sound_speed(law, rho)
 
 
 @pytest.mark.parametrize("law", FOUR_BENCHMARK_LAWS + [GammaIntegralLaw()],
@@ -252,3 +259,103 @@ def test_parse_rejects_garbage():
     for bad in ("", "nosuchlaw", "gamma(1)", "gamma(1,2,3)", "gamma(1,2)x"):
         with pytest.raises(DomainError):
             parse_law(bad)
+
+
+# -- float path ---------------------------------------------------------------
+
+FLOAT_DENSITIES = (1e-6, 0.3, 1.0, 7.5, 1e6)
+# Their p keeps NumPy's log, which returns an np.float64.
+NUMPY_LOG_P = {"log", "generalized(1.0,-1.0)",
+               "linear_combination(2.0*gamma(1.0,3.0),0.5*log)"}
+
+
+@pytest.mark.parametrize("law", PARSED_LAWS, ids=lambda l: l.spec())
+def test_float_path_returns_a_float(law):
+    for rho in FLOAT_DENSITIES + tuple(np.float64(v) for v in FLOAT_DENSITIES):
+        for method in ("p", "dp", "c"):
+            value = getattr(law, method)(rho)
+            if method == "p" and law.spec() in NUMPY_LOG_P:
+                assert isinstance(value, float), (method, rho, type(value))
+            else:
+                assert type(value) is float, (method, rho, type(value))
+
+
+@pytest.mark.parametrize("law", [l for l in PARSED_LAWS if l.power_form()],
+                         ids=lambda l: l.spec())
+def test_power_law_float_path_matches_the_array_path(law):
+    """Bit for bit where the float path uses only *, / and sqrt (isothermal,
+    log); within 2 ulp where it raises to a power: NumPy's SIMD ``power``
+    loop is not the C library's ``pow`` that Python's ``**`` calls, and on
+    x86-64 with AVX-512 the two differ by an ulp on about 5% of densities."""
+    exact = isinstance(law, (IsothermalLaw, LogLaw))
+    rho = np.geomspace(1e-6, 1e6, 401)
+    for method in ("p", "dp", "c"):
+        f = getattr(law, method)
+        on_array = np.asarray(f(rho), dtype=float)
+        on_float = np.array([f(float(v)) for v in rho])
+        if exact:
+            np.testing.assert_array_equal(on_float, on_array, err_msg=method)
+        else:
+            ulps = np.abs(on_float - on_array) / np.spacing(np.abs(on_array))
+            assert ulps.max() <= 2.0, (method, ulps.max())
+
+
+@pytest.mark.parametrize("law", PARSED_LAWS, ids=lambda l: l.spec())
+def test_float_sound_speed_is_the_root_of_the_float_derivative(law):
+    for rho in FLOAT_DENSITIES:
+        assert law.c(rho) == math.sqrt(law.dp(rho))
+
+
+@pytest.mark.parametrize("law", PARSED_LAWS, ids=lambda l: l.spec())
+def test_edge_floats_take_the_array_path(law):
+    """NaN, infinities, zeros, negative floats and floats whose powers
+    overflow give what an array gives: no math error, no complex number."""
+    with np.errstate(all="ignore"):
+        for rho in (math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0,
+                    1e-300, 1e300, np.float64(1e-300), np.float64(1e300)):
+            for method in ("p", "dp", "c"):
+                f = getattr(law, method)
+                value = f(rho)
+                assert not isinstance(value, complex), (method, rho, value)
+                np.testing.assert_allclose(
+                    value, np.asarray(f(np.array([rho])), dtype=float)[0],
+                    rtol=1e-14, err_msg=f"{method}({rho})")
+
+
+def test_sum_gamma_edge_values():
+    """The Horner form keeps the exponent sums' values at the edges."""
+    law = SumGammaLaw()
+    with np.errstate(all="ignore"):
+        for rho in (math.nan, -math.inf, -2.0):
+            for method in ("p", "dp", "c"):
+                assert math.isnan(getattr(law, method)(rho)), (method, rho)
+        for method in ("p", "dp", "c"):
+            assert getattr(law, method)(math.inf) == math.inf
+            assert getattr(law, method)(0.0) == 0.0
+
+
+def test_sum_gamma_matches_a_high_precision_oracle():
+    """p, p', p'' and p''' to 1e-14 of the sum of the terms' magnitudes,
+    on floats and on arrays, against 30-digit exponent sums."""
+    mpmath = pytest.importorskip("mpmath")
+    law = SumGammaLaw()
+    rho = np.geomspace(1e-6, 1e6, 200)
+    # method -> (coefficient, exponent) of the i-th term
+    terms = {
+        "p": lambda i: (mpmath.mpf(1) / (10 + 2 * i), mpmath.mpf(5 + i) / 5),
+        "dp": lambda i: (mpmath.mpf(1) / 10, mpmath.mpf(i) / 5),
+        "d2p": lambda i: (mpmath.mpf(i) / 50, mpmath.mpf(i - 5) / 5),
+        "d3p": lambda i: (mpmath.mpf(i * (i - 5)) / 250, mpmath.mpf(i - 10) / 5),
+    }
+    with mpmath.workdps(30):
+        for method, term in terms.items():
+            f = getattr(law, method)
+            on_array = np.asarray(f(rho), dtype=float)
+            for k, x in enumerate(rho):
+                values = [a * mpmath.mpf(float(x)) ** e
+                          for a, e in map(term, range(1, 11))]
+                exact = sum(values)
+                magnitude = float(sum(abs(v) for v in values))
+                for got in (f(float(x)), on_array[k]):
+                    assert abs(float(got - exact)) <= 1e-14 * magnitude, (
+                        method, x, got)
