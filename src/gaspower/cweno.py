@@ -6,10 +6,11 @@ reconstruction (linear/linear/parabolic candidates with ideal weights
 at smooth critical points); the numerical flux is local Lax-Friedrichs, and
 time integration is the optimal three-stage SSP Runge-Kutta method.
 
-A stage works on one stacked array of the network (row 0 density, row 1
-momentum, pipe after pipe). A layout cached per network layout holds every
-cell's neighbours, clamped at bounded pipe ends and wrapped on a periodic
-pipe, so a stage reconstructs and takes fluxes and friction once.
+A step advances the simulation's network state in place: one ``(2, N)``
+array (row 0 density, row 1 momentum, pipe after pipe) of which the pipe
+grids are views. A layout cached per network layout holds every cell's
+neighbours, clamped at bounded pipe ends and wrapped on a periodic pipe, so
+a stage reconstructs and takes fluxes and friction once for all pipes.
 
 Coupling points are handled by solving the junction Riemann problem with the
 adjacent cell averages as data at every stage; the resulting trace states
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CflViolationError, DomainError
+from .errors import CflViolationError
 from .laxcurves import GasState
 from .network import GasSimulation, apply_boundary, flux
 from .riemann import solve_multi_junction
@@ -39,7 +40,6 @@ _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 class _Layout(NamedTuple):
     """Cell indices of a network stacked pipe after pipe."""
 
-    offsets: np.ndarray  # first cell of every pipe, then the cell count
     left: np.ndarray     # left and right neighbour of every cell
     right: np.ndarray
     first: np.ndarray    # first and last cell of every pipe
@@ -50,9 +50,9 @@ class _Layout(NamedTuple):
 @functools.lru_cache(maxsize=32)
 def _layout(counts: tuple, periodic: bool) -> _Layout:
     """Layout of pipes with ``counts`` cells, wrapped when ``periodic``."""
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-    first, last = offsets[:-1], offsets[1:] - 1
-    cells = np.arange(offsets[-1])
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    cells = np.arange(last[-1] + 1)
     cell_first, cell_last = np.repeat(first, counts), np.repeat(last, counts)
     if periodic:
         left = np.where(cells == cell_first, cell_last, cells - 1)
@@ -62,7 +62,7 @@ def _layout(counts: tuple, periodic: bool) -> _Layout:
         left = np.maximum(cells - 1, cell_first)
         right = np.minimum(cells + 1, cell_last)
         ends = np.concatenate([first, last])
-    layout = _Layout(offsets, left, right, first, last, ends)
+    layout = _Layout(left, right, first, last, ends)
     for array in layout:
         array.flags.writeable = False
     return layout
@@ -138,12 +138,12 @@ def _end_traces(sim: GasSimulation, u: np.ndarray, layout: _Layout,
     return traces
 
 
-def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout,
-         cells):
+def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout):
     """Right-hand side of the stacked state ``u`` and the net boundary mass
-    rate; ``cells`` holds per-cell dx, diameter, roughness and center."""
+    rate."""
     law = sim.law
-    dx, diameter, roughness, x = cells
+    cells = sim.layout
+    dx, x = cells.dx, cells.x
     left, right = _reconstruct(u, dx * dx, layout)
     # Flux through every cell's right interface; the left one is the left
     # neighbour's, except at pipe ends, which take the flux of their trace.
@@ -153,11 +153,11 @@ def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout,
         f, cell = (f_left, layout.first) if end == "start" else (f_right, layout.last)
         f[:, cell[idx]] = flux(trace.rho, trace.q, law)
     # Zero on a periodic pipe, whose end fluxes are those of one interface.
-    mass_rate = sum(grid.pipe.area * (f_left[0, i] - f_right[0, j])
-                    for grid, i, j in zip(sim.grids, layout.first, layout.last))
+    mass_rate = float(np.dot(cells.pipe_area,
+                             f_left[0, layout.first] - f_right[0, layout.last]))
 
     d = -(f_right - f_left) / dx
-    d[1] += sim.friction.source(u[0], u[1], diameter, roughness)
+    d[1] += sim.friction.source(u[0], u[1], cells.diameter, cells.roughness)
     if sim.extra_source is not None:
         # Two-point Gauss average keeps smooth (x,t) sources third order.
         h = _GAUSS_OFFSET * dx
@@ -174,34 +174,30 @@ def cweno3_step(sim: GasSimulation, dt: float) -> None:
     exceeds CFL_NUMBER * dx / max|lambda| on any pipe, and aborts if a cell
     leaves the sub-sonic regime.
     """
+    sim.require_staggering("cells", "CWENO3")
     lam = sim.max_wavespeed()
-    for grid in sim.grids:
-        if grid.staggering != "cells":
-            raise DomainError(f"pipe {grid.pipe.id}: CWENO3 needs cell averages, "
-                              f"got staggering={grid.staggering!r} at t={sim.t:g}")
-        if not dt * lam <= CFL_NUMBER * grid.dx * (1.0 + 1e-12):
-            raise CflViolationError(
-                f"dt={dt:g} exceeds CFL bound {CFL_NUMBER * grid.dx / lam:g} "
-                f"on pipe {grid.pipe.id} (max wavespeed {lam:g})"
-            )
+    pipe_dx = sim.layout.pipe_dx
+    bad = ~(dt * lam <= CFL_NUMBER * pipe_dx * (1.0 + 1e-12))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise CflViolationError(
+            f"dt={dt:g} exceeds CFL bound {CFL_NUMBER * pipe_dx[k] / lam:g} "
+            f"on pipe {sim.grids[k].pipe.id} (max wavespeed {lam:g})"
+        )
 
     t = sim.t
-    counts = [grid.n for grid in sim.grids]
-    layout = _layout(tuple(counts), sim.periodic)
-    geometry = [(g.dx, g.pipe.diameter, g.pipe.roughness) for g in sim.grids]
-    cells = [np.repeat(v, counts) for v in zip(*geometry)]
-    cells.append(np.concatenate([g.x for g in sim.grids]))
-    u0 = np.concatenate([(g.rho, g.q) for g in sim.grids], axis=1)
+    u0 = sim.state
+    layout = _layout(sim.layout.counts, sim.periodic)
     mass_before = sim.total_mass()
 
-    k1, rate1 = _rhs(sim, u0, t + _STAGE_SHIFTS[0] * dt, layout, cells)
+    k1, rate1 = _rhs(sim, u0, t + _STAGE_SHIFTS[0] * dt, layout)
     u1 = u0 + dt * k1
-    k2, rate2 = _rhs(sim, u1, t + _STAGE_SHIFTS[1] * dt, layout, cells)
+    k2, rate2 = _rhs(sim, u1, t + _STAGE_SHIFTS[1] * dt, layout)
     u2 = 0.75 * u0 + 0.25 * (u1 + dt * k2)
-    k3, rate3 = _rhs(sim, u2, t + _STAGE_SHIFTS[2] * dt, layout, cells)
-    u3 = u0 / 3.0 + (2.0 / 3.0) * (u2 + dt * k3)
-    for grid, i, j in zip(sim.grids, layout.offsets[:-1], layout.offsets[1:]):
-        grid.rho[:], grid.q[:] = u3[:, i:j]
+    k3, rate3 = _rhs(sim, u2, t + _STAGE_SHIFTS[2] * dt, layout)
+    # u0 / 3 + (2/3) (u2 + dt k3), formed in the network state itself.
+    u0 /= 3.0
+    u0 += (2.0 / 3.0) * (u2 + dt * k3)
 
     sim.t = t + dt
     sim.check_subsonic()

@@ -9,10 +9,11 @@ pair of neighbouring nodes the box relation
 
 holds, closed by one scalar boundary equation per physical pipe end and by
 pressure-equality/mass-conservation rows at junctions (with optional
-compressor ratios and extraction). The unknowns are (rho, q) node by node,
-pipe after pipe. The rows are, in this order: the mass (even) and momentum
-(odd) rows of every neighbour pair of the stacked pipes, one row per
-boundary, and per junction its pressure rows followed by its mass row.
+compressor ratios and extraction). The unknowns are the simulation's network
+state, (rho, q) node by node and pipe after pipe, read and written in one
+piece. The rows are, in this order: the mass (even) and momentum (odd) rows
+of every neighbour pair of the stacked pipes, one row per boundary, and per
+junction its pressure rows followed by its mass row.
 
 The sparsity pattern of the Jacobian is fixed by the network layout: the
 node counts of the pipes, periodicity and the columns of the boundary rows
@@ -38,7 +39,6 @@ The scheme is unconditionally stable for sub-sonic flow but is meant to run
 
 from __future__ import annotations
 
-import bisect
 import functools
 import warnings
 from dataclasses import dataclass
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .network import GasSimulation, flux_jacobian
 
 NEWTON_TOL = 1e-10
@@ -95,15 +95,11 @@ def _layout(counts: tuple, periodic: bool, bc_cols: tuple,
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    pairs = []
-    node = 0
-    for m in counts:
-        j = node + np.arange(m)
-        pairs.append((j, np.roll(j, -1)) if periodic else (j[:-1], j[1:]))
-        node += m
-    a = np.concatenate([a for a, _ in pairs])
-    b = np.concatenate([b for _, b in pairs])
-    size = 2 * node
+    # A periodic network is one pipe whose last node neighbours its first.
+    nodes = np.arange(sum(counts))
+    a = nodes if periodic else np.delete(nodes, np.cumsum(counts) - 1)
+    b = np.roll(a, -1) if periodic else a + 1
+    size = 2 * nodes.size
     rr = 2 * np.arange(a.size)
     ra, rb = 2 * a, 2 * b
     bc_cols = np.array(bc_cols, dtype=np.intp)
@@ -189,23 +185,24 @@ class _Assembler:
     """Per-step data and row assembly of one box step in a cached layout."""
 
     def __init__(self, sim: GasSimulation, dt: float, t_new: float):
-        for grid in sim.grids:
-            if grid.staggering != "nodes":
-                raise DomainError(
-                    f"pipe {grid.pipe.id}: the box scheme needs node values "
-                    f"(staggering='nodes'), got {grid.staggering!r} at t={sim.t:g}"
-                )
+        sim.require_staggering("nodes", "the box scheme")
         self.sim = sim
         self.dt = dt
         self.t_new = t_new
-        counts = [self._active_nodes(g) for g in sim.grids]
-        self.offsets = [2 * sum(counts[:i]) for i in range(len(counts))]
-        self.size = 2 * sum(counts)
-        self.x_old = self.pack()
+        nodes = sim.layout
+        # Periodic pipes treat the last node as an alias of the first.
+        self.active = int(nodes.offsets[-1]) - (1 if sim.periodic else 0)
+        self.size = 2 * self.active
+        self.x_old = sim.state[:, :self.active].T.ravel()
         # Per-node geometry of the stacked network, for one friction call.
-        self.x_nodes = np.concatenate([g.x[:m] for g, m in zip(sim.grids, counts)])
-        self.diameter = np.repeat([g.pipe.diameter for g in sim.grids], counts)
-        self.roughness = np.repeat([g.pipe.roughness for g in sim.grids], counts)
+        self.x_nodes = nodes.x[:self.active]
+        self.diameter = nodes.diameter[:self.active]
+        self.roughness = nodes.roughness[:self.active]
+        # Density columns of the first and last active node of every pipe.
+        self.end_cols = {
+            "start": (2 * nodes.offsets[:-1]).tolist(),
+            "end": (2 * (np.minimum(nodes.offsets[1:], self.active) - 1)).tolist(),
+        }
         # The last residual's q and friction factor, for the Jacobian there.
         self._friction_at = (None, None)
 
@@ -213,7 +210,7 @@ class _Assembler:
         law = sim.law
         bc_cols, targets = [], []
         for (idx, end), bc in sim.boundaries.items():
-            base = self.node_index(idx, end)
+            base = self.end_cols[end][idx]
             value = bc.value(t_new)
             if bc.kind == "pressure":
                 column, target = base, law.rho_from_pressure(value)
@@ -229,57 +226,33 @@ class _Assembler:
             targets.append(float(target))
         self.bc_targets = np.array(targets)
         self.bc_cols = np.array(bc_cols, dtype=np.intp)
-        pairs = [m if sim.periodic else m - 1 for m in counts]
-        self.r = np.repeat([dt / g.dx for g in sim.grids], pairs)
-        self.bc_rows = 2 * sum(pairs) + np.arange(self.bc_cols.size)
+        pairs = self.active - (0 if sim.periodic else len(nodes.counts))
+        self.bc_rows = 2 * pairs + np.arange(self.bc_cols.size)
 
         # Junctions: pressure rows (port and reference), then the mass row.
         self.junctions = []
-        row = self.bc_rows.size + 2 * sum(pairs)
+        row = self.bc_rows.size + 2 * pairs
         for junction in sim.junctions:
             ports = junction.ports
-            bases = tuple(self.node_index(p.pipe_index, p.end) for p in ports)
+            bases = tuple(self.end_cols[p.end][p.pipe_index] for p in ports)
             self.junctions.append((
                 row, bases, [p.pressure_ratio for p in ports],
                 np.array([1.0 if p.end == "end" else -1.0 for p in ports]),
                 junction.extraction_at(t_new),
             ))
             row += len(ports)
-        self.layout = _layout(tuple(counts), sim.periodic, tuple(bc_cols),
+        counts = (self.active,) if sim.periodic else nodes.counts
+        self.layout = _layout(counts, sim.periodic, tuple(bc_cols),
                               tuple(bases for _, bases, *_ in self.junctions))
-
-    def _active_nodes(self, grid) -> int:
-        # Periodic pipes treat the last node as an alias of the first.
-        return grid.x.size - (1 if self.sim.periodic else 0)
-
-    def pack(self) -> np.ndarray:
-        x = np.empty(self.size)
-        for grid, off in zip(self.sim.grids, self.offsets):
-            m = self._active_nodes(grid)
-            x[off:off + 2 * m:2] = grid.rho[:m]
-            x[off + 1:off + 2 * m:2] = grid.q[:m]
-        return x
-
-    def unpack(self, x: np.ndarray) -> None:
-        for grid, off in zip(self.sim.grids, self.offsets):
-            m = self._active_nodes(grid)
-            grid.rho[:m] = x[off:off + 2 * m:2]
-            grid.q[:m] = x[off + 1:off + 2 * m:2]
-            if self.sim.periodic:
-                grid.rho[-1] = grid.rho[0]
-                grid.q[-1] = grid.q[0]
-
-    def node_index(self, pipe_index: int, end: str) -> int:
-        m = self._active_nodes(self.sim.grids[pipe_index])
-        j = 0 if end == "start" else m - 1
-        return self.offsets[pipe_index] + 2 * j
+        self.r = dt / nodes.dx[self.layout.a]
 
     def unknown(self, column: int) -> str:
         """Time, pipe, node and variable of unknown ``column``."""
-        i = bisect.bisect_right(self.offsets, column) - 1
-        node, k = divmod(int(column) - self.offsets[i], 2)
+        nodes = self.sim.layout
+        node, k = divmod(int(column), 2)
+        i = int(nodes.pipe[node])
         return (f"t={self.sim.t:g}, pipe {self.sim.grids[i].pipe.id} node "
-                f"{node} ({'q' if k else 'rho'})")
+                f"{node - nodes.offsets[i]} ({'q' if k else 'rho'})")
 
     def _extra(self, rho, q):
         g = self.sim.extra_source(self.x_nodes, self.t_new, rho, q)
@@ -380,17 +353,18 @@ def ibox_step(sim: GasSimulation, dt: float) -> None:
     """Advance the network by one implicit box step of size ``dt``."""
     lam_min = sim.min_wavespeed()
     if lam_min > 0.0:
-        for grid in sim.grids:
-            if dt < grid.dx / lam_min * (1.0 - 1e-12):
-                warnings.warn(
-                    f"box-scheme step dt={dt:g} below the inverse CFL bound "
-                    f"{grid.dx / lam_min:g} on pipe {grid.pipe.id}",
-                    stacklevel=2,
-                )
-                break
+        pipe_dx = sim.layout.pipe_dx
+        below = dt < pipe_dx / lam_min * (1.0 - 1e-12)
+        if below.any():
+            k = int(np.argmax(below))
+            warnings.warn(
+                f"box-scheme step dt={dt:g} below the inverse CFL bound "
+                f"{pipe_dx[k] / lam_min:g} on pipe {sim.grids[k].pipe.id}",
+                stacklevel=2,
+            )
 
     asm = _Assembler(sim, dt, sim.t + dt)
-    x = asm.pack()
+    x = asm.x_old
     residual, scale = asm.residual(x)
     norm = _scaled_norm(residual, scale)
     for _ in range(NEWTON_MAXITER):
@@ -418,6 +392,9 @@ def ibox_step(sim: GasSimulation, dt: float) -> None:
             f"iterations at t={sim.t:g} (scaled residual {norm:.3e})"
         )
 
-    asm.unpack(x)
+    state = sim.state
+    state[:, :asm.active] = x.reshape(-1, 2).T
+    if sim.periodic:
+        state[:, -1] = state[:, 0]
     sim.t += dt
     sim.check_subsonic()

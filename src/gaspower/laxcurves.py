@@ -240,20 +240,46 @@ def rho_min(state: GasState, side: Side, law: PressureLaw) -> float:
     """Density below which the pipe's junction wave would have the wrong sign.
 
     Root of the relevant curve derivative when it exists (unique for concave
-    curves), 0 otherwise. Refined to |drho| <= 1e-12 * max(1, rho).
+    curves) and lies above ``1e-9 * rho``, 0 otherwise. Closed form for laws
+    with ``p' = alpha * rho**delta``; other laws search the root to
+    |drho| <= 1e-15 * max(1, rho).
     """
     require_subsonic(state, law)
     if side is Side.OUT:
         # Mirror convention: the slopes differ only in sign, same root.
-        return rho_min(state.mirrored(), Side.IN, law)
+        state = state.mirrored()
+    form = law.power_form()
+    root = (_sonic_density(state, *form) if form is not None
+            else _sonic_density_search(state, law))
+    return root if root > 1e-9 * state.rho else 0.0
+
+
+def _sonic_density(state: GasState, alpha: float, delta: float) -> float:
+    """Density where the 1-rarefaction from ``state`` turns sonic, 0 if none.
+
+    With ``c = a * rho**h`` (``a = sqrt(alpha)``, ``h = delta / 2``) the
+    Riemann invariant ``u + c / h`` (``u + a ln rho`` for ``h = 0``) is
+    constant along the rarefaction; setting ``u = c`` in it gives the root.
+    For ``h + 1 <= 0`` the curve's slope never changes sign.
+    """
+    a, h = math.sqrt(alpha), 0.5 * delta
+    if h == 0.0:
+        return state.rho * math.exp(state.u / a - 1.0)
+    if h + 1.0 <= 0.0:
+        return 0.0
+    power = (h * state.u / a + state.rho**h) / (h + 1.0)
+    return power ** (1.0 / h) if power > 0.0 else 0.0
+
+
+def _sonic_density_search(state: GasState, law: PressureLaw) -> float:
+    """:func:`_sonic_density` of any law by a bracketed root search."""
     lo = 1e-9 * state.rho
     g_lo = lax_left_deriv(lo, state, law)
     if not math.isfinite(g_lo) or g_lo <= 0.0:
         return 0.0
     # Sub-sonic datum: derivative at the datum density is u - c < 0.
-    hi = state.rho
     root = brentq(
-        lambda r: lax_left_deriv(r, state, law), lo, hi,
+        lambda r: lax_left_deriv(r, state, law), lo, state.rho,
         xtol=1e-15 * max(1.0, state.rho), rtol=1e-15,
     )
     return float(root)

@@ -1,21 +1,23 @@
 """Pipe network state shared by the explicit and implicit schemes.
 
-A :class:`GasSimulation` owns per-pipe state arrays (cell averages for the
-explicit scheme, node values for the box scheme), junction topology with
-optional compressors and extractions, and boundary conditions. Boundary
-values are completed through wave-curve compatibility with the adjacent
-interior state: a prescribed pressure fixes the boundary density and the
-momentum follows from the wave curve through the neighbouring state; a
-prescribed momentum is matched on that curve, which fixes the boundary
-density. A left boundary is the mirror image of a right one (see the mirror
-convention in :mod:`gaspower.laxcurves`).
+A :class:`GasSimulation` owns one state array of the network (cell averages
+for the explicit scheme, node values for the box scheme, pipe after pipe;
+the pipe grids are views of it), junction topology with optional compressors
+and extractions, and boundary conditions. Boundary values are completed
+through wave-curve compatibility with the adjacent interior state: a
+prescribed pressure fixes the boundary density and the momentum follows from
+the wave curve through the neighbouring state; a prescribed momentum is
+matched on that curve, which fixes the boundary density. A left boundary is
+the mirror image of a right one (see the mirror convention in
+:mod:`gaspower.laxcurves`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -54,13 +56,24 @@ class Pipe:
         return math.pi * self.diameter**2 / 4.0
 
 
+def _row(k: int) -> property:
+    """Row ``k`` of a grid's state; assigning an array writes into it."""
+    def assign(self, value):
+        self._u[k] = value
+    return property(lambda self: self._u[k], assign)
+
+
 class PipeGrid:
     """Discrete state of one pipe.
 
     ``staggering='cells'`` stores N cell averages at cell centers (explicit
     scheme); ``staggering='nodes'`` stores N+1 point values at the nodes
-    (box scheme).
+    (box scheme). In a :class:`GasSimulation`, ``rho`` and ``q`` are views
+    of the network state, and assigning an array writes through to it.
     """
+
+    rho = _row(0)
+    q = _row(1)
 
     def __init__(self, pipe: Pipe, n: int, law: PressureLaw,
                  staggering: str = "cells"):
@@ -71,14 +84,8 @@ class PipeGrid:
         self.law = law
         self.staggering = staggering
         self.dx = pipe.length / n
-        if staggering == "cells":
-            self.x = (np.arange(n) + 0.5) * self.dx
-        elif staggering == "nodes":
-            self.x = np.arange(n + 1) * self.dx
-        else:
-            raise DomainError(f"unknown staggering {staggering!r}")
-        self.rho = np.empty_like(self.x)
-        self.q = np.empty_like(self.x)
+        self.x = _positions(self.n, self.dx, staggering)
+        self._u = np.empty((2, self.x.size))
 
     def fill(self, rho: float, q: float) -> "PipeGrid":
         self.rho[:] = rho
@@ -90,11 +97,9 @@ class PipeGrid:
         self.q[:] = q_of_x(self.x)
         return self
 
-    def state_at(self, index: int) -> GasState:
-        return GasState(float(self.rho[index]), float(self.q[index]))
-
     def end_state(self, end: str) -> GasState:
-        return self.state_at(0 if end == "start" else -1)
+        rho, q = self._u[:, 0 if end == "start" else -1]
+        return GasState(float(rho), float(q))
 
     def check_subsonic(self) -> None:
         """Raise unless every state is finite, of positive density and sub-sonic.
@@ -102,21 +107,83 @@ class PipeGrid:
         Non-finite states, non-positive densities and NaN sound speeds are
         ``NumericsError``; super-sonic states are ``DomainError``.
         """
-        self._reject(~(np.isfinite(self.rho) & np.isfinite(self.q)),
-                     NumericsError, "non-finite state")
-        self._reject(~(self.rho > 0.0), NumericsError, "non-positive density")
-        c = np.asarray(self.law.c(self.rho))
-        self._reject(np.isnan(c), NumericsError, "NaN sound speed")
-        self._reject(np.abs(self.q / self.rho) >= c, DomainError, "super-sonic state")
+        _check_states(self._u, self.law, self._describe)
 
-    def _reject(self, bad, error, what: str) -> None:
-        """Raise ``error`` naming the pipe and the first position in ``bad``."""
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise error(
-                f"pipe {self.pipe.id}: {what} at x={self.x[i]:g} "
-                f"(rho={self.rho[i]:g}, q={self.q[i]:g})"
-            )
+    def _describe(self, what: str, i: int) -> str:
+        return (f"pipe {self.pipe.id}: {what} at x={self.x[i]:g} "
+                f"(rho={self.rho[i]:g}, q={self.q[i]:g})")
+
+
+def _positions(n: int, dx: float, staggering: str) -> np.ndarray:
+    """Cell centers or nodes of a pipe of ``n`` intervals of length ``dx``."""
+    if staggering == "cells":
+        return (np.arange(n) + 0.5) * dx
+    if staggering == "nodes":
+        return np.arange(n + 1) * dx
+    raise DomainError(f"unknown staggering {staggering!r}")
+
+
+def _check_states(u: np.ndarray, law: PressureLaw, describe) -> None:
+    """:meth:`PipeGrid.check_subsonic` of the states ``u = (rho, q)``.
+
+    Each category is checked over all states before the next one;
+    ``describe(what, i)`` words the error of the first bad state ``i``.
+    """
+    rho, q = u
+
+    def reject(bad, error, what: str) -> None:
+        if bad.any():
+            raise error(describe(what, int(np.argmax(bad))))
+
+    reject(~(np.isfinite(rho) & np.isfinite(q)), NumericsError, "non-finite state")
+    reject(~(rho > 0.0), NumericsError, "non-positive density")
+    c = np.asarray(law.c(rho))
+    reject(np.isnan(c), NumericsError, "NaN sound speed")
+    reject(np.abs(q / rho) >= c, DomainError, "super-sonic state")
+
+
+class _Layout(NamedTuple):
+    """Entries of a network state stacked pipe after pipe."""
+
+    staggering: str | None  # the pipes' common staggering, None if mixed
+    counts: tuple           # entries of every pipe
+    offsets: np.ndarray     # first entry of every pipe, then the entry count
+    pipe_dx: np.ndarray     # grid spacing and cross-section of every pipe
+    pipe_area: np.ndarray
+    pipe: np.ndarray        # per entry: its pipe, its position in the pipe,
+    x: np.ndarray
+    dx: np.ndarray          # the pipe's geometry
+    diameter: np.ndarray
+    roughness: np.ndarray
+    weight: np.ndarray      # and its mass per unit density
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(grids: tuple) -> _Layout:
+    """Layout of ``(pipe, intervals, staggering)`` grids stacked in order;
+    cells weigh ``area * dx``, nodes follow the trapezoidal rule."""
+    pipes, n, staggering = zip(*grids)
+    pipe_dx = np.array([pipe.length / m for pipe, m in zip(pipes, n)])
+    pipe_area = np.array([pipe.area for pipe in pipes])
+    xs = [_positions(m, h, s) for m, h, s in zip(n, pipe_dx, staggering)]
+    counts = tuple(x.size for x in xs)
+    offsets = np.cumsum((0,) + counts)
+
+    def per_entry(values):
+        return np.repeat(values, counts)
+
+    weight = per_entry(pipe_area * pipe_dx)
+    for k in (k for k, s in enumerate(staggering) if s == "nodes"):
+        weight[[offsets[k], offsets[k + 1] - 1]] *= 0.5
+    layout = _Layout(
+        staggering=staggering[0] if len(set(staggering)) == 1 else None,
+        counts=counts, offsets=offsets, pipe_dx=pipe_dx, pipe_area=pipe_area,
+        pipe=per_entry(np.arange(len(grids))), x=np.concatenate(xs),
+        dx=per_entry(pipe_dx), diameter=per_entry([p.diameter for p in pipes]),
+        roughness=per_entry([p.roughness for p in pipes]), weight=weight)
+    for array in layout[2:]:
+        array.flags.writeable = False
+    return layout
 
 
 @dataclass(frozen=True)
@@ -303,40 +370,75 @@ class GasSimulation:
                             f"pipe {self.grids[i].pipe.id}: no boundary or "
                             f"junction at its {end}"
                         )
+        self._stack()
+
+    def _stack(self) -> None:
+        """Gather the grids' values into one network state; each grid then
+        holds a view of its slice."""
+        self._stacked = list(self.grids)
+        self._layout = _layout(tuple((g.pipe, g.n, g.staggering)
+                                     for g in self.grids))
+        offsets = self._layout.offsets
+        self._state = np.empty((2, int(offsets[-1])))
+        for g, i, j in zip(self.grids, offsets, offsets[1:]):
+            self._state[0, i:j], self._state[1, i:j] = g.rho, g.q
+            g._u = self._state[:, i:j]
+
+    @property
+    def state(self) -> np.ndarray:
+        """The ``(2, N)`` network state, row 0 density and row 1 momentum,
+        pipe after pipe; a grid replaced in ``grids`` is gathered anew."""
+        if self.grids != self._stacked:
+            self._stack()
+        return self._state
+
+    @property
+    def layout(self) -> _Layout:
+        """Pipe, position and geometry of every entry of :attr:`state`."""
+        if self.grids != self._stacked:
+            self._stack()
+        return self._layout
 
     def max_wavespeed(self) -> float:
         """Largest |u| + c over all pipes; NaN if any state is NaN."""
-        return float(np.max(
-            [np.max(np.abs(g.q / g.rho) + np.asarray(self.law.c(g.rho)))
-             for g in self.grids], initial=0.0))
+        rho, q = self.state
+        return float(np.max(np.abs(q / rho) + np.asarray(self.law.c(rho)),
+                            initial=0.0))
 
     def min_wavespeed(self) -> float:
         """Smallest characteristic speed |u -+ c|; NaN if any state is NaN."""
-        lam = []
-        for g in self.grids:
-            c = np.asarray(self.law.c(g.rho))
-            u = g.q / g.rho
-            lam.append(np.min(np.minimum(np.abs(u - c), np.abs(u + c))))
-        return float(np.min(lam, initial=math.inf))
+        rho, q = self.state
+        c = np.asarray(self.law.c(rho))
+        u = q / rho
+        return float(np.min(np.minimum(np.abs(u - c), np.abs(u + c)),
+                            initial=math.inf))
 
     def total_mass(self) -> float:
         """Mass in the network; node staggering uses the trapezoidal rule."""
-        total = 0.0
-        for g in self.grids:
-            if g.staggering == "cells":
-                cell_sum = float(np.sum(g.rho))
-            else:
-                cell_sum = float(np.sum(g.rho)) - 0.5 * float(g.rho[0] + g.rho[-1])
-            total += g.pipe.area * g.dx * cell_sum
-        return total
+        return float(np.dot(self.layout.weight, self.state[0]))
 
     def state_vector(self) -> np.ndarray:
-        return np.concatenate([np.stack([g.rho, g.q]).ravel() for g in self.grids])
+        """Copy of the network state: all densities, then all momenta."""
+        return self.state.flatten()
+
+    def require_staggering(self, staggering: str, scheme: str) -> None:
+        """``DomainError`` naming the first pipe whose grid is not staggered
+        as ``scheme`` needs, and the time."""
+        if self.layout.staggering != staggering:
+            grid = next(g for g in self.grids if g.staggering != staggering)
+            raise DomainError(
+                f"pipe {grid.pipe.id}: {scheme} needs staggering="
+                f"{staggering!r}, got staggering={grid.staggering!r} "
+                f"at t={self.t:g}"
+            )
 
     def check_subsonic(self) -> None:
-        """:meth:`PipeGrid.check_subsonic` on every pipe, naming the time."""
-        for g in self.grids:
-            try:
-                g.check_subsonic()
-            except (NumericsError, DomainError) as err:
-                raise type(err)(f"{err} at t={self.t:g}") from None
+        """:meth:`PipeGrid.check_subsonic` on the network, naming the time."""
+        layout = self.layout
+
+        def describe(what: str, i: int) -> str:
+            k = int(layout.pipe[i])
+            place = self.grids[k]._describe(what, i - layout.offsets[k])
+            return f"{place} at t={self.t:g}"
+
+        _check_states(self.state, self.law, describe)

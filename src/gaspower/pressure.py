@@ -439,8 +439,8 @@ def inverse_law() -> GammaLaw:
 
 
 def sound_speed(law: PressureLaw, rho: float) -> float:
-    """c(rho) = sqrt(p'(rho)); densities must be strictly positive."""
-    if np.any(np.asarray(rho) <= 0.0):
+    """c(rho) = sqrt(p'(rho)); densities must be strictly positive (not NaN)."""
+    if not np.all(np.asarray(rho) > 0.0):
         raise DomainError(f"density must be positive, got {rho!r}")
     return law.c(rho)
 

@@ -163,9 +163,9 @@ def test_one_friction_solve_per_assembly(monkeypatch, unit_isothermal):
 
     monkeypatch.setattr(gaspower.friction, "colebrook_friction_factor", counted)
     asm = _Assembler(sim, 1.0, 1.0)
-    asm.jacobian(asm.pack())
+    asm.jacobian(asm.x_old)
     assert calls == [27]
-    asm.residual(asm.pack())
+    asm.residual(asm.x_old)
     assert calls == [27, 27]
 
 
@@ -214,7 +214,7 @@ def _periodic_pipe(law):
 def test_jacobian_matches_central_differences_of_the_residual(build, benchmark_law):
     """Every entry of the fixed pattern, and no other, carries the slope."""
     asm = _Assembler(build(benchmark_law), 0.5, 0.5)
-    x = asm.pack() * (1.0 + 1e-3 * np.sin(np.arange(asm.size)))
+    x = asm.x_old * (1.0 + 1e-3 * np.sin(np.arange(asm.size)))
     jac = asm.jacobian(x).toarray()
     fd = np.empty_like(jac)
     for j in range(x.size):
@@ -352,7 +352,7 @@ def test_banded_solve_matches_scipy(network, benchmark_law):
                           network["junctions"], network.get("ends", {}),
                           network.get("periodic", False))
     asm = _Assembler(sim, 0.5, 0.5)
-    x = asm.pack() * rng.uniform(0.99, 1.01, asm.size)
+    x = asm.x_old * rng.uniform(0.99, 1.01, asm.size)
     jac, rhs = asm.jacobian(x), asm.residual(x)[0]
     assert jac.shape == (asm.size, asm.size)
     reference = scipy.sparse.linalg.spsolve(
@@ -411,7 +411,7 @@ def test_singular_jacobian_is_a_convergence_error(benchmark_law):
     asm = _Assembler(sim, 0.5, 0.5)
     asm.junctions = [(row, bases, [0.0] * len(ratios), signs, eps)
                      for row, bases, ratios, signs, eps in asm.junctions]
-    x = asm.pack()
+    x = asm.x_old
     with pytest.raises(ConvergenceError,
                        match=r"singular .* t=0, pipe P[01] node \d+ \((rho|q)\)"):
         spsolve(asm.jacobian(x), -asm.residual(x)[0])
@@ -429,7 +429,7 @@ def test_jacobian_reuses_the_friction_factor_of_the_same_iterate(
     solve and is bit for bit the one built from scratch; after a residual
     elsewhere it solves again."""
     asm = _Assembler(_three_pipe_network(benchmark_law), 0.5, 0.5)
-    x = asm.pack()
+    x = asm.x_old
     y = x * (1.0 + 1e-3 * np.cos(np.arange(asm.size)))
     fresh = asm.jacobian(y).toarray()
     calls = []

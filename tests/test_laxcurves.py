@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaspower.errors import DomainError, InadmissibleError
 from gaspower.laxcurves import (
@@ -14,6 +16,7 @@ from gaspower.laxcurves import (
     f_shock,
     lambda1,
     _quad_log_integral,
+    _sonic_density_search,
     _sound_speed_antiderivative,
     lax_left,
     lax_left_deriv,
@@ -25,7 +28,7 @@ from gaspower.laxcurves import (
     rho_max,
     rho_min,
 )
-from gaspower.pressure import GammaLaw, IsothermalLaw, LogLaw, SumGammaLaw
+from gaspower.pressure import GammaLaw, IsothermalLaw, LogLaw, SumGammaLaw, parse_law
 
 
 def random_subsonic(rng, law, rho_range=(0.2, 5.0), margin=0.95) -> GasState:
@@ -179,6 +182,54 @@ def test_rho_min_zero_when_curve_slope_never_vanishes():
     law = GammaLaw(-1.0, -1.0)
     state = GasState(1.0, 0.3)  # c(1) = 1, sub-sonic
     assert rho_min(state, Side.IN, law) == 0.0
+
+
+# Power-form laws of every kind parse_law knows, combinations included.
+POWER_FORM_LAWS = {spec: parse_law(spec) for spec in (
+    "gamma(0.7142857142857143,1.4)", "gamma(2.0,3.0)", "gamma(0.5,1.1)",
+    "isothermal(1.0)", "isothermal(340.0)", "log", "generalized(1.0,-1.0)",
+    "generalized(2.0,0.5)", "generalized(0.5,-1.5)", "generalized(1.0,2.0)",
+    "linear_combination(2.0*gamma(1.0,1.4),0.5*gamma(3.0,1.4))",
+    "linear_combination(1.0*isothermal(2.0),3.0*isothermal(1.0))",
+)}
+
+
+def _searched_rho_min(state, side, law):
+    """The bracketed search that laws without a power form take."""
+    root = _sonic_density_search(state if side is Side.IN else state.mirrored(), law)
+    return root if root > 1e-9 * state.rho else 0.0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spec=st.sampled_from(sorted(POWER_FORM_LAWS)), log_rho=st.floats(0.0, 3.0),
+       mach=st.floats(-0.99, 0.99), side=st.sampled_from(Side))
+def test_rho_min_closed_form_matches_the_search(spec, log_rho, mach, side):
+    """The Riemann-invariant closed form equals the root search to 1e-13.
+
+    Densities start at 1: below, the search's absolute tolerance of
+    1e-15 is coarser than 1e-13 of the root."""
+    law = POWER_FORM_LAWS[spec]
+    rho = 10.0**log_rho
+    state = GasState(rho, mach * rho * float(law.c(rho)))
+    expected = _searched_rho_min(state, side, law)
+    assert expected > 0.0
+    assert rho_min(state, side, law) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("spec, mach", [
+    ("inverse", 0.3),                # h + 1 = 0: the slope is u - c throughout
+    ("generalized(1.0,-3.0)", 0.3),  # h + 1 < 0: the slope rises towards vacuum
+    ("gamma(1.0,4.0)", -0.8),        # no root: u + c/h < 0
+    ("gamma(1.0,3.0)", -(1.0 - 1e-10)),  # the root lies below 1e-9 rho
+])
+@pytest.mark.parametrize("side", list(Side))
+def test_rho_min_zero_branch_matches_the_search(spec, mach, side):
+    law = parse_law(spec)
+    for rho in (0.5, 2.0, 30.0):
+        c = float(law.c(rho))
+        state = GasState(rho, (mach if side is Side.IN else -mach) * rho * c)
+        assert _searched_rho_min(state, side, law) == 0.0
+        assert rho_min(state, side, law) == 0.0
 
 
 def test_rho_max_isothermal_scan_value(unit_isothermal):

@@ -1,6 +1,7 @@
 """Network plumbing: grids, boundary completion, topology validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,98 @@ def test_simulation_subsonic_check_names_the_time(unit_isothermal):
     with pytest.raises(NumericsError,
                        match=r"pipe B: non-finite state at x=0\.625 .* at t=0\.25$"):
         sim.check_subsonic()
+
+
+class _NanSoundSpeedAboveTwo(IsothermalLaw):
+    def c(self, rho):
+        return np.where(np.asarray(rho) > 2.0, math.nan, 1.0)
+
+
+# Isolated pipes of unequal length, diameter and interval count.
+_UNEQUAL_PIPES = (("A", 1.0, 0.5, 4), ("B", 2.5, 0.8, 7), ("C", 0.6, 0.3, 5))
+
+
+def _unequal_network(staggering):
+    law = _NanSoundSpeedAboveTwo(1.0)
+    grids = [PipeGrid(Pipe(name, f"{name}0", f"{name}1", length, diameter=d), n,
+                      law, staggering=staggering).fill(1.0, 0.1)
+             for name, length, d, n in _UNEQUAL_PIPES]
+    far_field = BoundaryCondition("state", constant((1.0, 0.1)))
+    return GasSimulation(grids=grids, boundaries={
+        (i, end): far_field for i in range(len(grids)) for end in ("start", "end")})
+
+
+_FAULTS = [
+    pytest.param("q", math.inf, NumericsError, "non-finite state", id="non-finite"),
+    pytest.param("rho", -1.0, NumericsError, "non-positive density", id="non-positive"),
+    pytest.param("rho", 3.0, NumericsError, "NaN sound speed", id="nan-sound-speed"),
+    pytest.param("q", 2.0, DomainError, "super-sonic state", id="super-sonic"),
+]
+
+
+@pytest.mark.parametrize("staggering", ["cells", "nodes"])
+@pytest.mark.parametrize("field, value, error, what", _FAULTS)
+def test_network_check_names_the_pipe_position_and_time(staggering, field, value,
+                                                        error, what):
+    """The network-wide check reports the category, pipe, position and time
+    of a bad state in any pipe of an unequal network."""
+    for k in range(len(_UNEQUAL_PIPES)):
+        sim = _unequal_network(staggering)
+        sim.t = 1.5
+        grid = sim.grids[k]
+        i = k + 1
+        getattr(grid, field)[i] = value
+        with pytest.raises(error) as info:
+            sim.check_subsonic()
+        assert type(info.value) is error
+        place = re.escape(f"pipe {grid.pipe.id}: {what} at x={grid.x[i]:g} ")
+        assert re.fullmatch(place + r"\(.*\) at t=1\.5", str(info.value))
+
+
+@pytest.mark.parametrize("staggering", ["cells", "nodes"])
+@pytest.mark.parametrize("field", ["rho", "q"])
+def test_network_wavespeeds_propagate_nan_in_every_pipe(staggering, field):
+    for k in range(len(_UNEQUAL_PIPES)):
+        sim = _unequal_network(staggering)
+        getattr(sim.grids[k], field)[k] = math.nan
+        assert math.isnan(sim.max_wavespeed())
+        assert math.isnan(sim.min_wavespeed())
+
+
+@pytest.mark.parametrize("staggering", ["cells", "nodes"])
+def test_grids_are_views_of_the_network_state(staggering):
+    """Every way of writing a grid after the build reaches the network state
+    and the total mass; a replaced grid is gathered into a new state."""
+    sim = _unequal_network(staggering)
+    for grid in sim.grids:
+        assert np.shares_memory(grid.rho, sim.state)
+        assert np.shares_memory(grid.q, sim.state)
+    a, b, c = sim.grids
+    a.rho[:] = 2.0
+    b.rho = np.full(b.x.size, 1.5)
+    b.q = np.linspace(0.0, 0.2, b.x.size)
+    c.set_profile(lambda x: 1.0 + 0.5 * x / c.pipe.length, lambda x: 0.0 * x)
+    np.testing.assert_array_equal(sim.state[0], np.concatenate([g.rho for g in sim.grids]))
+    np.testing.assert_array_equal(sim.state[1], np.concatenate([g.q for g in sim.grids]))
+    assert sim.state[1, a.x.size + b.x.size - 1] == 0.2
+    # Both quadratures integrate the constant and linear profiles exactly.
+    mass = (a.pipe.area * a.pipe.length * 2.0 + b.pipe.area * b.pipe.length * 1.5
+            + c.pipe.area * c.pipe.length * 1.25)
+    assert sim.total_mass() == pytest.approx(mass, rel=1e-14)
+    a.fill(1.0, 0.3)
+    assert np.all(sim.state[1, :a.x.size] == 0.3)
+    assert sim.total_mass() == pytest.approx(mass - a.pipe.area * a.pipe.length,
+                                             rel=1e-14)
+
+    name, length, d, n = _UNEQUAL_PIPES[1]
+    new = PipeGrid(Pipe(name, f"{name}0", f"{name}1", length, diameter=d), n + 3,
+                   a.law, staggering=staggering).fill(1.25, 0.05)
+    sim.grids[1] = new
+    assert sim.state.shape == (2, a.x.size + new.x.size + c.x.size)
+    assert np.shares_memory(new.rho, sim.state)
+    assert np.all(sim.state[:, a.x.size:][:, :new.x.size] == [[1.25], [0.05]])
+    new.q[0] = 0.5
+    assert sim.state[1, a.x.size] == 0.5
 
 
 @pytest.mark.parametrize("law", [GammaLaw(1.0, 1.4), IsothermalLaw(1.0), SumGammaLaw()],

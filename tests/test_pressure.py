@@ -63,6 +63,14 @@ def test_sound_speed_rejects_nonpositive_density():
                 sound_speed(law, rho)
 
 
+@pytest.mark.parametrize("rho", [math.nan, np.array([1.0, math.nan, 2.0])],
+                         ids=["float", "array"])
+def test_sound_speed_rejects_nan_density(rho):
+    for law in PARSED_LAWS:
+        with pytest.raises(DomainError):
+            sound_speed(law, rho)
+
+
 @pytest.mark.parametrize("law", FOUR_BENCHMARK_LAWS + [GammaIntegralLaw()],
                          ids=lambda l: l.label)
 def test_first_derivative_consistent_with_finite_differences(law):
