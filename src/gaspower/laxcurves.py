@@ -280,7 +280,7 @@ def _sonic_density_search(state: GasState, law: PressureLaw) -> float:
     # Sub-sonic datum: derivative at the datum density is u - c < 0.
     root = brentq(
         lambda r: lax_left_deriv(r, state, law), lo, state.rho,
-        xtol=1e-15 * max(1.0, state.rho), rtol=1e-15,
+        xtol=1e-15 * state.rho, rtol=1e-15,
     )
     return float(root)
 
@@ -311,7 +311,7 @@ def rho_max(state: GasState, side: Side, law: PressureLaw) -> float:
     if k == 0:
         return float(grid[0])
     root = brentq(fast_eig, grid[k - 1], grid[k],
-                  xtol=1e-15 * max(1.0, state.rho), rtol=1e-15)
+                  xtol=1e-15 * state.rho, rtol=1e-15)
     return float(root)
 
 

@@ -59,11 +59,20 @@ def _pow(rho, exponent):
 
 
 def _horner(coefficients, r):
-    """``sum_i a_i r**i`` for i = n..1, with ``coefficients`` = (a_n, ..., a_1)."""
-    total = coefficients[0]
+    """``sum_i a_i r**i`` for i = n..1, with ``coefficients`` = (a_n, ..., a_1);
+    in place on one array when ``r`` is an array."""
+    total = coefficients[0] * r
     for a in coefficients[1:]:
-        total = total * r + a
-    return total * r
+        total += a
+        total *= r
+    return total
+
+
+def _sqrt(x):
+    """Square root of a float (NaN below zero, as on arrays) or an array."""
+    if isinstance(x, float):
+        return math.sqrt(x) if x >= 0.0 else math.nan
+    return np.sqrt(x)
 
 
 class PressureLaw:
@@ -93,10 +102,11 @@ class PressureLaw:
 
     def c(self, rho):
         """Sound speed sqrt(p'(rho))."""
-        dp = self.dp(rho)
-        if isinstance(dp, float):
-            return math.sqrt(dp) if dp >= 0.0 else math.nan
-        return np.sqrt(dp)
+        return _sqrt(self.dp(rho))
+
+    def p_and_c(self, rho):
+        """``(p(rho), c(rho))`` bit for bit; a law may share work between them."""
+        return self.p(rho), self.c(rho)
 
     def power_form(self):
         """Return (alpha, delta) if ``p'(rho) = alpha * rho**delta``, else None.
@@ -332,6 +342,10 @@ class SumGammaLaw(PressureLaw):
 
     def dp(self, rho):
         return 0.1 * _horner(self._DP, self._root(rho)[1])
+
+    def p_and_c(self, rho):
+        rho, r = self._root(rho)
+        return 0.1 * rho * _horner(self._P, r), _sqrt(0.1 * _horner(self._DP, r))
 
     def d2p(self, rho):
         rho, r = self._root(rho)

@@ -18,7 +18,7 @@ from gaspower.network import (
     PipeGrid,
     constant,
 )
-from gaspower.pressure import IsothermalLaw
+from gaspower.pressure import IsothermalLaw, parse_law
 
 
 def _junction_sim(law, eps, n=60, length=0.25, left=(4.0, 1.0), right=(3.0, -1.0)):
@@ -224,3 +224,83 @@ def test_cell_layout_is_built_once_per_network_layout(benchmark_law):
             cweno3_step(sim, 2e-3)
     info = gaspower.cweno._layout.cache_info()
     assert (info.misses, info.hits) == (1, 5)
+
+
+def _reconstruct_oracle(v, eps, layout):
+    """The CWENO3 edges as weighted sums of the three candidates' edges."""
+    vm = np.take(v, layout.left, axis=1)
+    vp = np.take(v, layout.right, axis=1)
+    slope_l = v - vm
+    slope_r = vp - v
+    p1 = 0.5 * (vp - vm)
+    p2 = 0.5 * (vp - 2.0 * v + vm)
+
+    is_l = slope_l**2
+    is_r = slope_r**2
+    is_c = p1 * p1 + (13.0 / 3.0) * p2 * p2
+    a_l = 0.25 / (eps + is_l) ** 2
+    a_r = 0.25 / (eps + is_r) ** 2
+    a_c = 0.50 / (eps + is_c) ** 2
+    total = a_l + a_c + a_r
+    w_l, w_c, w_r = a_l / total, a_c / total, a_r / total
+
+    h_l, h_r, h_c, p3 = 0.5 * slope_l, 0.5 * slope_r, 0.5 * p1, p2 / 3.0
+    right = w_l * (v + h_l) + w_r * (v + h_r) + w_c * (v + h_c + p3)
+    left = w_l * (v - h_l) + w_r * (v - h_r) + w_c * (v - h_c + p3)
+    left[:, layout.ends] = right[:, layout.ends] = v[:, layout.ends]
+    return left, right
+
+
+def _llf_flux_oracle(u_m, u_p, law):
+    """(f_m + f_p) / 2 - alpha (u_p - u_m) / 2 with f = (q, p + q^2 / rho)."""
+    lam_m = np.abs(u_m[1] / u_m[0]) + law.c(u_m[0])
+    lam_p = np.abs(u_p[1] / u_p[0]) + law.c(u_p[0])
+    alpha = np.maximum(lam_m, lam_p)
+    f_m = np.array([u_m[1], law.p(u_m[0]) + u_m[1] ** 2 / u_m[0]])
+    f_p = np.array([u_p[1], law.p(u_p[0]) + u_p[1] ** 2 / u_p[0]])
+    return 0.5 * (f_m + f_p) - 0.5 * alpha * (u_p - u_m)
+
+
+def _jumpy_rows(rng, n):
+    """Stacked rows, piecewise smooth with jumps of up to 1e3 between cells."""
+    jumps = np.where(rng.random((2, n)) < 0.15,
+                     rng.uniform(-1e3, 1e3, (2, n)), 0.0).cumsum(axis=1)
+    return jumps + rng.uniform(0.5, 5.0, (2, n)) + np.sin(np.arange(n) / 3.0)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_reconstruction_matches_the_weighted_candidate_sums(seed, periodic):
+    """v + e +- s is the weighted sum of the candidates' edges up to
+    rounding: within 1e-14 of max|v| on random jumpy data."""
+    rng = np.random.default_rng(seed)
+    counts = (53,) if periodic else (17, 23, 1, 11)
+    layout = gaspower.cweno._layout(counts, periodic)
+    v = _jumpy_rows(rng, sum(counts))
+    eps = np.repeat(rng.uniform(1e-3, 1e-1, len(counts)) ** 2, counts)
+    scale = np.max(np.abs(v))
+    assert scale > 100.0
+    for got, expected in zip(gaspower.cweno._reconstruct(v, eps, layout),
+                             _reconstruct_oracle(v, eps, layout)):
+        assert np.max(np.abs(got - expected)) <= 1e-14 * scale
+
+
+def test_reconstruction_of_constant_rows_is_exact():
+    layout = gaspower.cweno._layout((17, 23, 11), False)
+    v = np.empty((2, 51))
+    v[0], v[1] = 2.0 / 3.0, -0.1
+    eps = np.full(51, 1e-4)
+    for edge in gaspower.cweno._reconstruct(v, eps, layout):
+        assert edge.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["gamma(1.0,1.4)", "sum_gamma", "isothermal(1.0)"])
+def test_llf_flux_matches_the_flux_average_form(spec):
+    law = parse_law(spec)
+    rng = np.random.default_rng(7)
+    rho = rng.uniform(0.5, 5.0, (2, 200))
+    u_m = np.array([rho[0], rng.uniform(-0.5, 0.5, 200) * rho[0]])
+    u_p = np.array([rho[1], rng.uniform(-0.5, 0.5, 200) * rho[1]])
+    got = gaspower.cweno._llf_flux(u_m, u_p, law)
+    expected = _llf_flux_oracle(u_m, u_p, law)
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14)

@@ -14,6 +14,7 @@ from gaspower.pressure import (
     LinearCombinationLaw,
     LogLaw,
     SumGammaLaw,
+    _horner,
     check_sufficient_conditions,
     classify_generalized_gamma,
     combine,
@@ -340,6 +341,36 @@ def test_sum_gamma_edge_values():
         for method in ("p", "dp", "c"):
             assert getattr(law, method)(math.inf) == math.inf
             assert getattr(law, method)(0.0) == 0.0
+
+
+P_AND_C_DENSITIES = (0.3, 1.0, 7.5, 1e6, np.float64(2.5), math.nan, 0.0, -2.0,
+                     -math.inf, math.inf)
+
+
+def _bits(value):
+    return type(value), np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("law", PARSED_LAWS, ids=lambda l: l.spec())
+def test_p_and_c_is_p_and_c_bit_for_bit(law):
+    arrays = (np.array(P_AND_C_DENSITIES, dtype=float), np.geomspace(1e-6, 1e6, 301),
+              np.array([[0.5, -1.0], [math.nan, 2.0]]))
+    with np.errstate(all="ignore"):
+        for rho in P_AND_C_DENSITIES + arrays:
+            p, c = law.p_and_c(rho)
+            assert _bits(p) == _bits(law.p(rho)), ("p", rho)
+            assert _bits(c) == _bits(law.c(rho)), ("c", rho)
+
+
+def test_horner_on_arrays_is_the_out_of_place_recurrence_bit_for_bit():
+    r = np.concatenate([np.geomspace(1e-3, 1e3, 501), [0.0, math.inf, math.nan]])
+    with np.errstate(all="ignore"):
+        for coefficients in (SumGammaLaw._P, SumGammaLaw._DP, SumGammaLaw._D2P,
+                             SumGammaLaw._D3P):
+            total = coefficients[0]
+            for a in coefficients[1:]:
+                total = total * r + a
+            assert _horner(coefficients, r).tobytes() == (total * r).tobytes()
 
 
 def test_sum_gamma_matches_a_high_precision_oracle():
