@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .driver import run_cosim, run_gas_simulation, run_powerflow
-from .errors import GasPowerError
+from .errors import DomainError, GasPowerError
 from .laxcurves import GasState
 from .output import write_timeseries
 from .pressure import check_sufficient_conditions, parse_law
@@ -28,11 +28,12 @@ from .riemann import solve_gas_power_junction, solve_interface, wave_thresholds
 from .scenario import load_scenario
 
 
-def _parse_state(text: str) -> GasState:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise GasPowerError(f"expected 'rho,q', got {text!r}")
-    return GasState(float(parts[0]), float(parts[1]))
+def _parse_state(text: str, option: str) -> GasState:
+    try:
+        rho, q = (float(part) for part in text.split(","))
+    except ValueError:
+        raise DomainError(f"{option}: expected 'rho,q', got {text!r}") from None
+    return GasState(rho, q)
 
 
 def _outdir(args, scenario_name: str) -> Path:
@@ -53,8 +54,8 @@ def _cmd_pressure_check(args) -> int:
 
 def _cmd_riemann(args) -> int:
     law = parse_law(args.law)
-    left = _parse_state(args.left)
-    right = _parse_state(args.right)
+    left = _parse_state(args.left, "--left")
+    right = _parse_state(args.right, "--right")
     if args.epsilon:
         sol = solve_gas_power_junction(left, right, args.epsilon, law)
     else:

@@ -42,11 +42,9 @@ def _series_function(value: tuple):
     return lambda t: v
 
 
-def build_gas_simulation(scenario: Scenario, scheme: str | None = None,
-                         ) -> GasSimulation:
+def build_gas_simulation(scenario: Scenario) -> GasSimulation:
     """Instantiate grids, junction topology and boundaries for a scenario."""
-    scheme = scheme or scenario.numerics.scheme
-    staggering = "cells" if scheme == "cweno3" else "nodes"
+    staggering = "cells" if scenario.numerics.scheme == "cweno3" else "nodes"
 
     grids = []
     for spec in scenario.pipes:
@@ -67,10 +65,11 @@ def build_gas_simulation(scenario: Scenario, scheme: str | None = None,
         rho_seed = 1.0
         for bc in scenario.boundaries:
             if bc.kind == "pressure":
-                rho_seed = scenario.law.rho_from_pressure(float(bc.value[0]))
+                rho_seed = scenario.law.rho_from_pressure(
+                    _series_function(bc.value)(0.0))
                 break
             if bc.kind == "density":
-                rho_seed = float(bc.value[0])
+                rho_seed = _series_function(bc.value)(0.0)
                 break
         for grid in grids:
             if scenario.initial and any(i.pipe == grid.pipe.id

@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
+# Newton power flow: mismatch infinity norm declared converged [p.u.] and
+# iteration budget.
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 30
+
 
 @dataclass
 class Bus:
@@ -176,14 +181,14 @@ def _jacobian(y, vmag, phi, pvpq, pq):
     return np.block([[j11, j12], [j21, j22]])
 
 
-def solve_newton(grid: PowerGrid, initial="flat", tol: float = 1e-8,
-                 max_iter: int = 30) -> PowerFlowSolution:
+def solve_newton(grid: PowerGrid, initial="flat") -> PowerFlowSolution:
     """Newton power flow on the (phi, |V|) unknowns.
 
     ``initial`` is 'flat' (|V| = 1, phi = 0 at unknowns) or a previous
     :class:`PowerFlowSolution` used as a warm start. Converges when the
-    infinity norm of the mismatch falls below ``tol`` [p.u.]; slack P/Q and
-    PV-bus Q are recovered from the injection equations afterwards.
+    infinity norm of the mismatch falls below ``NEWTON_TOL`` [p.u.] within
+    ``NEWTON_MAX_ITER`` iterations; slack P/Q and PV-bus Q are recovered from
+    the injection equations afterwards.
     """
     n = len(grid.buses)
     y = build_admittance(grid.buses, grid.lines)
@@ -205,8 +210,8 @@ def solve_newton(grid: PowerGrid, initial="flat", tol: float = 1e-8,
     residual = mismatch((vmag, phi), grid, y)
     norm = float(np.max(np.abs(residual))) if residual.size else 0.0
     iterations = 0
-    while norm > tol:
-        if iterations >= max_iter:
+    while norm > NEWTON_TOL:
+        if iterations >= NEWTON_MAX_ITER:
             raise ConvergenceError(
                 f"power flow diverged: |mismatch| = {norm:.3e} "
                 f"after {iterations} iterations"

@@ -49,8 +49,11 @@ def _pow(rho, exponent):
 
     ``math.pow`` calls the C library's ``pow`` as Python's ``**`` does; a
     float power that overflows is inf, as on arrays, not an ``OverflowError``.
+    Exponent -1 is a division, as in NumPy's array ``power``.
     """
     if isinstance(rho, float) and rho > 0.0:
+        if exponent == -1.0:
+            return 1.0 / float(rho)
         try:
             return math.pow(rho, exponent)
         except OverflowError:
@@ -148,7 +151,74 @@ class PressureLaw:
         return hash(self.spec())
 
 
-class GammaLaw(PressureLaw):
+class GeneralizedGammaLaw(PressureLaw):
+    """Law defined through its derivative ``p'(rho) = alpha * rho**delta``.
+
+    Integrating gives ``p = alpha rho^(delta+1)/(delta+1)`` for delta != -1
+    and ``p = alpha ln(rho)`` for delta == -1. ``valid`` is the closed
+    admissibility characterization :func:`classify_generalized_gamma`.
+
+    This class evaluates the whole power family. It holds each derivative as
+    ``p^(k)(rho) = a_k * rho**e_k``; the gamma, isothermal and log laws are
+    members that take ``a_k`` and ``e_k`` from their own formula, so they keep
+    its arithmetic. The exponent ``e_0 = 0`` of p stands for the logarithm.
+    """
+
+    def __init__(self, alpha: float, delta: float):
+        if alpha == 0.0:
+            raise DomainError("alpha must be nonzero")
+        self.label = f"generalized(alpha={alpha:g}, delta={delta:g})"
+        alpha, delta = float(alpha), float(delta)
+        g = delta + 1.0
+        self._set_terms((alpha / g if g else alpha, g), (alpha, delta),
+                        (alpha * delta, delta - 1.0),
+                        (alpha * delta * (delta - 1.0), delta - 2.0))
+
+    def _set_terms(self, p, dp, d2p, d3p):
+        """Store the ``(a_k, e_k)`` pairs of p, p', p'' and p'''."""
+        self._p_coef, self._p_exp = p
+        self.alpha, self.delta = dp
+        self._d2p_coef, self._d2p_exp = d2p
+        self._d3p_coef, self._d3p_exp = d3p
+
+    @property
+    def valid(self) -> bool:
+        return classify_generalized_gamma(self.alpha, self.delta)
+
+    def p(self, rho):
+        if self._p_exp == 0.0:
+            return self._p_coef * np.log(rho)
+        return self._p_coef * _pow(rho, self._p_exp)
+
+    def dp(self, rho):
+        return self.alpha * _pow(rho, self.delta)
+
+    def d2p(self, rho):
+        return self._d2p_coef * _pow(rho, self._d2p_exp)
+
+    def d3p(self, rho):
+        return self._d3p_coef * _pow(rho, self._d3p_exp)
+
+    def c(self, rho):
+        """``_sqrt(self.dp(rho))`` bit for bit, without the call."""
+        return _sqrt(self.alpha * _pow(rho, self.delta))
+
+    def power_form(self):
+        return (self.alpha, self.delta)
+
+    def rho_from_pressure(self, pressure):
+        if self._p_exp == 0.0:
+            return math.exp(pressure / self._p_coef)
+        ratio = pressure / self._p_coef
+        if ratio <= 0.0:
+            raise DomainError(f"pressure {pressure!r} outside range of {self.label}")
+        return ratio ** (1.0 / self._p_exp)
+
+    def spec(self):
+        return f"generalized({self.alpha!r},{self.delta!r})"
+
+
+class GammaLaw(GeneralizedGammaLaw):
     """p(rho) = kappa * rho**gamma.
 
     Requires kappa * gamma > 0 so that p' > 0 (this admits the inverse-type
@@ -160,38 +230,17 @@ class GammaLaw(PressureLaw):
             raise DomainError(
                 f"gamma law needs kappa*gamma > 0, got kappa={kappa}, gamma={gamma}"
             )
-        self.kappa = float(kappa)
-        self.gamma = float(gamma)
+        self.kappa = k = float(kappa)
+        self.gamma = g = float(gamma)
         self.label = label or f"gamma(kappa={kappa:g}, gamma={gamma:g})"
-
-    def p(self, rho):
-        return self.kappa * _pow(rho, self.gamma)
-
-    def dp(self, rho):
-        return self.kappa * self.gamma * _pow(rho, self.gamma - 1.0)
-
-    def d2p(self, rho):
-        g = self.gamma
-        return self.kappa * g * (g - 1.0) * _pow(rho, g - 2.0)
-
-    def d3p(self, rho):
-        g = self.gamma
-        return self.kappa * g * (g - 1.0) * (g - 2.0) * _pow(rho, g - 3.0)
-
-    def power_form(self):
-        return (self.kappa * self.gamma, self.gamma - 1.0)
-
-    def rho_from_pressure(self, pressure):
-        ratio = pressure / self.kappa
-        if ratio <= 0.0:
-            raise DomainError(f"pressure {pressure!r} outside range of {self.label}")
-        return ratio ** (1.0 / self.gamma)
+        self._set_terms((k, g), (k * g, g - 1.0), (k * g * (g - 1.0), g - 2.0),
+                        (k * g * (g - 1.0) * (g - 2.0), g - 3.0))
 
     def spec(self):
         return f"gamma({self.kappa!r},{self.gamma!r})"
 
 
-class IsothermalLaw(PressureLaw):
+class IsothermalLaw(GeneralizedGammaLaw):
     """p(rho) = c^2 * rho with constant acoustic speed c."""
 
     def __init__(self, c: float):
@@ -199,116 +248,23 @@ class IsothermalLaw(PressureLaw):
             raise DomainError(f"acoustic speed must be positive, got {c}")
         self.c0 = float(c)
         self.label = f"isothermal(c={c:g})"
-
-    def p(self, rho):
-        return self.c0 * self.c0 * _float_or_array(rho)
-
-    def dp(self, rho):
-        rho = _float_or_array(rho)
-        if isinstance(rho, float):
-            return self.c0 * self.c0
-        return self.c0 * self.c0 * np.ones_like(rho)
-
-    def d2p(self, rho):
-        return np.zeros_like(np.asarray(rho, dtype=float))
-
-    def d3p(self, rho):
-        return np.zeros_like(np.asarray(rho, dtype=float))
-
-    def c(self, rho):
-        rho = _float_or_array(rho)
-        if isinstance(rho, float):
-            return self.c0
-        return self.c0 * np.ones_like(rho)
-
-    def power_form(self):
-        return (self.c0 * self.c0, 0.0)
-
-    def rho_from_pressure(self, pressure):
-        if pressure <= 0.0:
-            raise DomainError(f"pressure {pressure!r} outside range of {self.label}")
-        return pressure / (self.c0 * self.c0)
+        c2 = self.c0 * self.c0
+        self._set_terms((c2, 1.0), (c2, 0.0), (0.0, 0.0), (0.0, 0.0))
 
     def spec(self):
         return f"isothermal({self.c0!r})"
 
 
-class LogLaw(PressureLaw):
+class LogLaw(GeneralizedGammaLaw):
     """p(rho) = ln(rho); the gamma->0 member of the generalized family."""
 
     label = "log"
 
-    def p(self, rho):
-        return np.log(rho)
-
-    def dp(self, rho):
-        return 1.0 / _float_or_array(rho)
-
-    def d2p(self, rho):
-        return -1.0 / np.asarray(rho, dtype=float) ** 2
-
-    def d3p(self, rho):
-        return 2.0 / np.asarray(rho, dtype=float) ** 3
-
-    def power_form(self):
-        return (1.0, -1.0)
-
-    def rho_from_pressure(self, pressure):
-        return math.exp(pressure)
+    def __init__(self):
+        self._set_terms((1.0, 0.0), (1.0, -1.0), (-1.0, -2.0), (2.0, -3.0))
 
     def spec(self):
         return "log"
-
-
-class GeneralizedGammaLaw(PressureLaw):
-    """Law defined through its derivative ``p'(rho) = alpha * rho**delta``.
-
-    Integrating gives ``p = alpha rho^(delta+1)/(delta+1)`` for delta != -1
-    and ``p = alpha ln(rho)`` for delta == -1. ``valid`` is the closed
-    admissibility characterization :func:`classify_generalized_gamma`.
-    """
-
-    def __init__(self, alpha: float, delta: float):
-        if alpha == 0.0:
-            raise DomainError("alpha must be nonzero")
-        self.alpha = float(alpha)
-        self.delta = float(delta)
-        self.label = f"generalized(alpha={alpha:g}, delta={delta:g})"
-
-    @property
-    def valid(self) -> bool:
-        return classify_generalized_gamma(self.alpha, self.delta)
-
-    def p(self, rho):
-        if self.delta == -1.0:
-            return self.alpha * np.log(rho)
-        g = self.delta + 1.0
-        return self.alpha / g * _pow(rho, g)
-
-    def dp(self, rho):
-        return self.alpha * _pow(rho, self.delta)
-
-    def d2p(self, rho):
-        return self.alpha * self.delta * _pow(rho, self.delta - 1.0)
-
-    def d3p(self, rho):
-        d = self.delta
-        return self.alpha * d * (d - 1.0) * _pow(rho, d - 2.0)
-
-    def power_form(self):
-        return (self.alpha, self.delta)
-
-    def rho_from_pressure(self, pressure):
-        if self.delta == -1.0:
-            return math.exp(pressure / self.alpha)
-        g = self.delta + 1.0
-        ratio = pressure * g / self.alpha
-        if ratio <= 0.0:
-            raise DomainError(f"pressure {pressure!r} outside range of {self.label}")
-        return ratio ** (1.0 / g)
-
-    def spec(self):
-        return f"generalized({self.alpha!r},{self.delta!r})"
 
 
 class SumGammaLaw(PressureLaw):

@@ -208,7 +208,7 @@ class _JunctionProblem:
         outgoing = tuple(outgoing)
         if not incoming and not outgoing:
             raise DomainError("junction needs at least one pipe")
-        if epsilon < 0.0:
+        if not epsilon >= 0.0:
             raise DomainError(f"extraction must be non-negative, got {epsilon}")
         for k, state in enumerate(incoming):
             require_subsonic(state, law, f"incoming state {k}")

@@ -445,6 +445,14 @@ def _validate(s: Scenario, origin: str) -> None:
             raise SchemaError(f"{origin}.boundary[{k}]: unknown node {b.node!r}")
         if b.kind not in ("pressure", "density", "flow", "state"):
             raise SchemaError(f"{origin}.boundary[{k}]: unknown kind {b.kind!r}")
+        # The stationary start marches far past t_end and would relax to the
+        # last value of a varying series.
+        if (s.stationary_init and isinstance(b.value[0], tuple)
+                and len({v for _, v in b.value}) > 1):
+            raise SchemaError(
+                f"{origin}.boundary[{k}]: node {b.node!r}: stationary_init "
+                f"needs a constant boundary value, got a varying series"
+            )
     for k, e in enumerate(s.extractions):
         if e.node not in nodes:
             raise SchemaError(f"{origin}.extraction[{k}]: unknown node {e.node!r}")

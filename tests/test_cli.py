@@ -70,3 +70,30 @@ def test_schema_error_exit_path(capsys, tmp_path):
     bad.write_text("")
     assert main(["simulate-gas", str(bad)]) == 1
     assert "[schema-error]" in capsys.readouterr().err
+
+
+def test_riemann_malformed_states_name_the_option(capsys):
+    for left, right, option in (("x,0", "3,-1", "--left"), ("4,1", "3", "--right"),
+                                ("4,1,2", "3,-1", "--left")):
+        code = main(["riemann", "--law", "gamma(1,1.4)", "--left", left,
+                     "--right", right])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[domain-error]" in err and option in err, err
+
+
+def test_riemann_nan_extraction_is_a_domain_error(capsys):
+    code = main(["riemann", "--law", "gamma(1,1.4)", "--left", "4,1",
+                 "--right", "3,-1", "--epsilon", "nan"])
+    assert code == 1
+    assert "[domain-error]" in capsys.readouterr().err
+
+
+def test_cosim_varying_boundary_series_is_a_schema_error(capsys, tmp_path):
+    local = tmp_path / "gaslib9.scn"
+    text = (BUNDLED / "gaslib9.scn").read_text()
+    varying = "value: [[0, 60 bar], [100, 61 bar]]"
+    local.write_text(text.replace("value: 60 bar", varying))
+    assert main(["cosim", str(local), "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "[schema-error]" in err and "'S5'" in err, err

@@ -5,6 +5,7 @@ from importlib.resources import files
 
 import pytest
 
+from gaspower.coupling import find_stationary_state
 from gaspower.driver import (
     build_gas_simulation,
     build_link,
@@ -110,3 +111,24 @@ def test_stationary_start_rejects_cell_grids():
         scn, numerics=dataclasses.replace(scn.numerics, scheme="cweno3"))
     with pytest.raises(DomainError, match=r"pipe P10: .*staggering='nodes'"):
         run_cosim(scn)
+
+
+def _gaslib9_with_s5_pressure(value, tmp_path):
+    path = tmp_path / "gaslib9.scn"
+    text = (BUNDLED / "gaslib9.scn").read_text()
+    path.write_text(text.replace("value: 60 bar", f"value: {value}"))
+    return load_scenario(path)
+
+
+def test_stationary_start_from_a_constant_boundary_series(tmp_path):
+    states = []
+    for value in ("60 bar", "[[0, 60 bar], [100, 60 bar]]"):
+        sim = build_gas_simulation(_gaslib9_with_s5_pressure(value, tmp_path))
+        find_stationary_state(sim)
+        states.append(sim.state_vector())
+    assert states[0].tobytes() == states[1].tobytes()
+
+
+def test_stationary_start_rejects_a_varying_boundary_series(tmp_path):
+    with pytest.raises(SchemaError, match=r"boundary\[0\]: node 'S5'"):
+        _gaslib9_with_s5_pressure("[[0, 60 bar], [100, 61 bar]]", tmp_path)

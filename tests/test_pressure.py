@@ -13,6 +13,7 @@ from gaspower.pressure import (
     IsothermalLaw,
     LinearCombinationLaw,
     LogLaw,
+    PressureLaw,
     SumGammaLaw,
     _horner,
     check_sufficient_conditions,
@@ -86,7 +87,7 @@ def test_higher_derivative_fallbacks_match_analytic():
     # GammaLaw has analytic d2p/d3p; the base-class differences must agree.
     law = GammaLaw(2.0, 1.7)
 
-    class Bare(type(law).__mro__[1]):  # PressureLaw with only p, dp
+    class Bare(PressureLaw):  # PressureLaw with only p, dp
         label = "bare"
 
         def p(self, rho):
@@ -398,3 +399,87 @@ def test_sum_gamma_matches_a_high_precision_oracle():
                 for got in (f(float(x)), on_array[k]):
                     assert abs(float(got - exact)) <= 1e-14 * magnitude, (
                         method, x, got)
+
+
+# -- the power family ---------------------------------------------------------
+
+KAPPA, GAMMA, C0 = 0.7142857142857143, 1.4, 340.0
+
+# Each member against its own closed formula, written once for Python floats
+# and NumPy arrays: exponent -1 is a division on both.
+MEMBER_FORMULAS = [
+    (GammaLaw(KAPPA, GAMMA), {
+        "p": lambda r: KAPPA * r**GAMMA,
+        "dp": lambda r: KAPPA * GAMMA * r**(GAMMA - 1.0),
+        "c": lambda r: np.sqrt(KAPPA * GAMMA * r**(GAMMA - 1.0)),
+        "d2p": lambda r: KAPPA * GAMMA * (GAMMA - 1.0) * r**(GAMMA - 2.0),
+        "d3p": lambda r: (KAPPA * GAMMA * (GAMMA - 1.0) * (GAMMA - 2.0)
+                          * r**(GAMMA - 3.0)),
+    }),
+    (inverse_law(), {
+        "p": lambda r: -1.0 / r,
+        "dp": lambda r: r**-2.0,
+        "c": lambda r: np.sqrt(r**-2.0),
+    }),
+    (IsothermalLaw(C0), {
+        "p": lambda r: C0 * C0 * r,
+        "dp": lambda r: C0 * C0 + 0.0 * r,
+        "c": lambda r: C0 + 0.0 * r,
+        "d2p": lambda r: 0.0 * r,
+        "d3p": lambda r: 0.0 * r,
+    }),
+    (LogLaw(), {
+        "p": np.log,
+        "dp": lambda r: 1.0 / r,
+        "c": lambda r: np.sqrt(1.0 / r),
+        "d2p": lambda r: -1.0 * r**-2.0,
+        "d3p": lambda r: 2.0 * r**-3.0,
+    }),
+    (GeneralizedGammaLaw(1.0, -1.0), {
+        "p": np.log,
+        "dp": lambda r: 1.0 / r,
+        "c": lambda r: np.sqrt(1.0 / r),
+    }),
+    (GeneralizedGammaLaw(2.0, 0.5), {
+        "p": lambda r: 2.0 / 1.5 * r**1.5,
+        "dp": lambda r: 2.0 * r**0.5,
+        "d2p": lambda r: 2.0 * 0.5 * r**-0.5,
+    }),
+]
+
+
+@pytest.mark.parametrize("law, formulas", MEMBER_FORMULAS,
+                         ids=[law.spec() for law, _ in MEMBER_FORMULAS])
+def test_power_family_members_follow_their_own_formula_bit_for_bit(law, formulas):
+    rho = np.geomspace(1e-6, 1e6, 4001)
+    for method, formula in formulas.items():
+        f = getattr(law, method)
+        on_float = np.array([f(float(v)) for v in rho])
+        by_formula = np.array([float(formula(float(v))) for v in rho])
+        assert on_float.tobytes() == by_formula.tobytes(), (method, "float")
+        on_array = np.asarray(f(rho), dtype=float)
+        assert on_array.tobytes() == formula(rho).tobytes(), (method, "array")
+
+
+def test_power_family_members_define_no_evaluation_method():
+    """The members hold parameters; the family base evaluates them all."""
+    methods = {"p", "dp", "d2p", "d3p", "c", "power_form", "rho_from_pressure"}
+    for member in (GammaLaw, IsothermalLaw, LogLaw):
+        assert issubclass(member, GeneralizedGammaLaw)
+        assert not methods & vars(member).keys(), member.__name__
+
+
+@pytest.mark.parametrize("text, methods", [
+    ("inverse", ("p",)), ("generalized(2.0,-2.0)", ("p",)),
+    ("generalized(1.0,-1.0)", ("dp", "c")), ("generalized(3.0,-1.0)", ("dp", "c")),
+])
+def test_float_and_array_paths_agree_at_exponent_minus_one(text, methods):
+    law = parse_law(text)
+    rho = np.geomspace(1e-6, 1e6, 4001)
+    for method in methods:
+        f = getattr(law, method)
+        on_float = np.array([f(float(v)) for v in rho])
+        on_float64 = np.array([f(np.float64(v)) for v in rho])
+        on_array = np.asarray(f(rho), dtype=float)
+        assert on_float.tobytes() == on_array.tobytes(), method
+        assert on_float64.tobytes() == on_array.tobytes(), method

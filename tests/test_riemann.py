@@ -122,6 +122,14 @@ def test_benchmark_wave_structures(benchmark_law, benchmark_states, eps, waves):
     assert abs(sol.flux_residual()) < 1e-10
 
 
+def test_nan_extraction_is_a_domain_error(benchmark_law, benchmark_states):
+    left, right = benchmark_states
+    with pytest.raises(DomainError, match="extraction must be non-negative"):
+        solve_multi_junction([left], [right], math.nan, benchmark_law)
+    with pytest.raises(InvalidDemandError):
+        solve_multi_junction([left], [right], math.inf, benchmark_law)
+
+
 def test_excessive_demand_carries_the_supremum(benchmark_law, benchmark_states):
     left, right = benchmark_states
     with pytest.raises(InvalidDemandError) as info:
