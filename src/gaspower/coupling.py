@@ -172,13 +172,18 @@ def find_stationary_state(sim: GasSimulation) -> None:
     for _ in range(STATIONARY_MAX_STEPS):
         ibox_step(sim, dt)
         current = sim.state_vector()
-        rate = float(np.max(np.abs(current - previous))) / dt
+        change = np.abs(current - previous)
+        rate = float(np.max(change)) / dt
         previous = current
         if rate < STATIONARY_TOL:
             sim.t = 0.0
             return
         dt = min(dt * STATIONARY_GROWTH, STATIONARY_DT_MAX)
+    # The state vector holds all densities, then all momenta.
+    variable, entry = divmod(int(np.argmax(change)), sim.state.shape[1])
+    pipe, node = sim.locate(entry)
     raise ConvergenceError(
         f"no stationary state within {STATIONARY_MAX_STEPS} steps "
-        f"(last rate {rate:.3e}, tol {STATIONARY_TOL:g})"
+        f"(last rate {rate:.3e}, tol {STATIONARY_TOL:g}); largest change at "
+        f"pipe {pipe} node {node} ({'q' if variable else 'rho'})"
     )

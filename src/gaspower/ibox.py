@@ -21,9 +21,19 @@ and junction ports. Its band layout is built once per network layout and
 cached: reverse Cuthill-McKee orders the columns and the rows follow their
 first column, which leaves a narrow band for any topology (2/2 sub/super-
 diagonals for a chain of pipes, 5/7 for the bundled gaslib9 network with
-its loop). Each Jacobian writes its values straight into LAPACK band
-storage, and the linear solver is LAPACK's banded LU with partial pivoting;
+its loop). The linear solver is LAPACK's banded LU with partial pivoting;
 a zero pivot raises ``ConvergenceError`` naming the time, pipe and node.
+
+Assembly works on node arrays. Each iterate forms every node quantity once
+(flux, sources and their magnitudes) and takes the pair sums and
+differences of consecutive nodes by slices; on a periodic pipe the first
+node is appended after the last, so the wrap-around pair is consecutive
+too. One selection then drops the pairs that straddle two pipes. The terms
+that only the step fixes (the old-level half sums and magnitudes, dt/dx,
+the boundary targets and extractions) are computed once per step. A step's
+first Jacobian allocates one band buffer; every Jacobian of the step writes
+its pattern entries into it in place, and the LU factors a copy, so the
+entries off the pattern stay zero without being cleared again.
 
 Newton evaluates the residual first and builds a Jacobian only before a
 Newton step, so line-search trials and the converged iterate cost one
@@ -56,20 +66,29 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """Jacobian pattern of one network layout and its place in band storage."""
+    """Rows and columns of one network layout and their place in band storage.
+
+    The pair rows are assembled on consecutive nodes: entry ``2 j + k`` of a
+    pair array belongs to nodes ``j`` and ``j + 1`` and variable ``k``. Pairs
+    across two pipes are not box rows; their values go to the spare last
+    entry of the band storage.
+    """
 
     size: int
-    a: np.ndarray          # neighbour pairs (a, b) as stacked node indices
-    b: np.ndarray
+    box: np.ndarray        # pair-array entry of every mass/momentum row
+    bc_cols: np.ndarray    # column of every boundary row
+    bc_rows: slice
+    junctions: tuple       # per junction: first row, port columns, port signs
     kl: int                # sub- and super-diagonals of the ordered matrix
     ku: int
     row_order: np.ndarray  # band row i holds Jacobian row row_order[i]
     col_order: np.ndarray  # band column j holds unknown col_order[j]
-    pos: np.ndarray        # flat index of every pattern entry in band storage
+    pos: np.ndarray        # flat band-storage index of every Jacobian value
 
     def __post_init__(self):
         # One cached layout serves every step of its networks.
-        for array in (self.a, self.b, self.row_order, self.col_order, self.pos):
+        for array in (self.box, self.bc_cols, self.row_order, self.col_order,
+                      self.pos):
             array.flags.writeable = False
 
     @property
@@ -79,37 +98,51 @@ class _Layout:
 
 
 @functools.lru_cache(maxsize=32)
-def _layout(counts: tuple, periodic: bool, bc_cols: tuple,
-            junction_cols: tuple) -> _Layout:
-    """Band layout of the Jacobian for the active node counts of the pipes,
-    the boundary columns and the port columns of every junction.
+def _layout(counts: tuple, periodic: bool, boundaries: tuple,
+            junctions: tuple) -> _Layout:
+    """Layout of the box system for the node counts of the pipes, the
+    ``(pipe, end, kind)`` of every boundary and the ``(pipe, end)`` of every
+    port of every junction.
 
-    The pattern holds, in the order ``_Assembler.jacobian`` fills it, 8 box
-    entries per neighbour pair, one entry per boundary row, then per
-    junction its pressure rows (port and reference) and its mass row.
-    Columns are ordered by reverse Cuthill-McKee on the graph that links
-    columns sharing a row, rows by their first, then their last, column in
-    that order.
+    The Jacobian values come, in the order ``_Assembler.jacobian`` fills
+    them, as 8 box entries per consecutive node pair (row kind, node, then
+    variable), one entry per boundary row, then per junction its pressure
+    rows (port and reference) and its mass row. Columns are ordered by
+    reverse Cuthill-McKee on the graph that links columns sharing a row,
+    rows by their first, then their last, column in that order.
     """
     # Only the one-off ordering needs the graph code; CWENO runs never load it.
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    # A periodic network is one pipe whose last node neighbours its first.
-    nodes = np.arange(sum(counts))
-    a = nodes if periodic else np.delete(nodes, np.cumsum(counts) - 1)
-    b = np.roll(a, -1) if periodic else a + 1
-    size = 2 * nodes.size
+    # A periodic network is one pipe whose last node is an alias of its
+    # first, so that its last pair closes the loop.
+    offsets = np.cumsum((0,) + counts)
+    active = int(offsets[-1]) - periodic
+    size = 2 * active
+    pairs = np.arange(offsets[-1] - 1)
+    a = pairs if periodic else np.delete(pairs, offsets[1:-1] - 1)
+    end_cols = {"start": 2 * offsets[:-1],
+                "end": 2 * (np.minimum(offsets[1:], active) - 1)}
+    # A boundary row fixes the momentum of its end node for a flow and at
+    # the right end of a far-field state, else the density.
+    bc_cols = np.array(
+        [end_cols[end][i] + (kind == "flow" or (kind == "state" and end == "end"))
+         for i, end, kind in boundaries], dtype=np.intp)
+
     rr = 2 * np.arange(a.size)
-    ra, rb = 2 * a, 2 * b
-    bc_cols = np.array(bc_cols, dtype=np.intp)
+    ra, rb = 2 * a, 2 * ((a + 1) % active)
     rows = [rr] * 4 + [rr + 1] * 4 + [2 * a.size + np.arange(bc_cols.size)]
     cols = [ra, ra + 1, rb, rb + 1] * 2 + [bc_cols]
     row = 2 * a.size + bc_cols.size
-    for bases in map(np.array, junction_cols):
+    ports = []
+    for ends in junctions:
+        bases = np.array([end_cols[end][i] for i, end in ends])
         n = bases.size
         rows += [row + np.arange(n - 1)] * 2 + [np.full(n, row + n - 1)]
         cols += [bases[1:], np.full(n - 1, bases[0]), bases + 1]
+        ports.append((row, tuple(bases.tolist()),
+                      tuple(1.0 if end == "end" else -1.0 for _, end in ends)))
         row += n
     if row != size:
         raise AssertionError(f"system is not square: {row} rows, {size} unknowns")
@@ -132,21 +165,29 @@ def _layout(counts: tuple, periodic: bool, bc_cols: tuple,
     kl, ku = max(0, int(np.max(pr - pc))), max(0, int(np.max(pc - pr)))
     # Band storage is kept transposed, (size, ldab) in C order, which is
     # LAPACK's column-major (ldab, size): A[i, j] sits at [j, kl + ku + i - j].
-    pos = pc * (2 * kl + ku + 1) + kl + ku + pr - pc
-    return _Layout(size, a, b, kl, ku, row_order, col_order, pos)
+    ldab = 2 * kl + ku + 1
+    pos = pc * ldab + kl + ku + pr - pc
+    box_pos = np.full((8, pairs.size), size * ldab)
+    box_pos[:, a] = pos[:8 * a.size].reshape(8, a.size)
+    return _Layout(
+        size=size, box=(2 * a[:, None] + np.arange(2)).ravel(), bc_cols=bc_cols,
+        bc_rows=slice(2 * a.size, 2 * a.size + bc_cols.size),
+        junctions=tuple(ports), kl=kl, ku=ku, row_order=row_order,
+        col_order=col_order,
+        pos=np.concatenate((box_pos.ravel(), pos[8 * a.size:])))
 
 
 class BandedJacobian:
     """Newton matrix of one iterate in LAPACK band storage of its layout.
 
-    ``unknown(column)`` names the pipe, node and variable of a column.
+    ``band`` is the storage of the assembler that built it, so the matrix
+    holds until that assembler's next ``jacobian`` call. ``unknown(column)``
+    names the pipe, node and variable of a column.
     """
 
-    def __init__(self, layout: _Layout, values: np.ndarray, unknown):
+    def __init__(self, layout: _Layout, band: np.ndarray, unknown):
         self.layout = layout
-        storage = np.zeros((layout.size, layout.ldab))
-        storage.ravel()[layout.pos] = values
-        self.band = storage.T
+        self.band = band
         self.unknown = unknown
 
     @property
@@ -156,21 +197,23 @@ class BandedJacobian:
     def toarray(self) -> np.ndarray:
         """Dense matrix in the residual's row and the unknowns' column order."""
         lay = self.layout
-        pc, k = np.divmod(lay.pos, lay.ldab)
+        pos = lay.pos[lay.pos < self.band.size]
+        pc, k = np.divmod(pos, lay.ldab)
         dense = np.zeros(self.shape)
         dense[lay.row_order[k - lay.kl - lay.ku + pc], lay.col_order[pc]] = (
-            self.band.T.ravel()[lay.pos])
+            self.band.T.ravel()[pos])
         return dense
 
 
 def spsolve(jacobian: BandedJacobian, rhs: np.ndarray) -> np.ndarray:
     """Solve ``jacobian @ x = rhs`` by LAPACK's banded LU (partial pivoting).
 
-    A zero pivot raises ``ConvergenceError`` naming the unknown of its column.
+    The LU works on a copy, so ``jacobian`` is left as it was. A zero pivot
+    raises ``ConvergenceError`` naming the unknown of its column.
     """
     lay = jacobian.layout
     _, _, y, info = dgbsv(lay.kl, lay.ku, jacobian.band, rhs[lay.row_order],
-                          overwrite_b=True)
+                          overwrite_ab=False, overwrite_b=True)
     if info > 0:
         raise ConvergenceError(
             f"singular box-scheme Jacobian: zero pivot at "
@@ -189,70 +232,88 @@ class _Assembler:
         self.sim = sim
         self.dt = dt
         self.t_new = t_new
-        nodes = sim.layout
-        # Periodic pipes treat the last node as an alias of the first.
-        self.active = int(nodes.offsets[-1]) - (1 if sim.periodic else 0)
-        self.size = 2 * self.active
-        self.x_old = sim.state[:, :self.active].T.ravel()
-        # Per-node geometry of the stacked network, for one friction call.
-        self.x_nodes = nodes.x[:self.active]
-        self.diameter = nodes.diameter[:self.active]
-        self.roughness = nodes.roughness[:self.active]
-        # Density columns of the first and last active node of every pipe.
-        self.end_cols = {
-            "start": (2 * nodes.offsets[:-1]).tolist(),
-            "end": (2 * (np.minimum(nodes.offsets[1:], self.active) - 1)).tolist(),
-        }
-        # The last residual's q and friction factor, for the Jacobian there.
-        self._friction_at = (None, None)
-
         # Boundary rows fix the density or the momentum of the end node.
         law = sim.law
-        bc_cols, targets = [], []
+        boundaries, targets = [], []
         for (idx, end), bc in sim.boundaries.items():
-            base = self.end_cols[end][idx]
             value = bc.value(t_new)
             if bc.kind == "pressure":
-                column, target = base, law.rho_from_pressure(value)
-            elif bc.kind == "density":
-                column, target = base, value
-            elif bc.kind == "flow":
-                column, target = base + 1, value
-            elif end == "start":  # far-field state: density at a left end
-                column, target = base, value[0]
-            else:  # and momentum at a right end
-                column, target = base + 1, value[1]
-            bc_cols.append(column)
-            targets.append(float(target))
+                value = law.rho_from_pressure(value)
+            elif bc.kind == "state":  # density at a left end, momentum at a right end
+                value = value[0 if end == "start" else 1]
+            boundaries.append((idx, end, bc.kind))
+            targets.append(float(value))
+        nodes = sim.layout
+        self.layout = lay = _layout(
+            nodes.counts, sim.periodic, tuple(boundaries),
+            tuple(tuple((p.pipe_index, p.end) for p in j.ports)
+                  for j in sim.junctions))
+        self.size = lay.size
+        self.active = lay.size // 2
+        self.x_old = np.empty(self.size)
+        self.x_old[0::2], self.x_old[1::2] = sim.state[:, :self.active]
         self.bc_targets = np.array(targets)
-        self.bc_cols = np.array(bc_cols, dtype=np.intp)
-        pairs = self.active - (0 if sim.periodic else len(nodes.counts))
-        self.bc_rows = 2 * pairs + np.arange(self.bc_cols.size)
+        self._bc_scale = np.abs(self.bc_targets)
+        # Junctions: first row, port columns, ratios, signs and extraction.
+        self.junctions = [
+            (row, bases, [p.pressure_ratio for p in junction.ports], signs,
+             junction.extraction_at(t_new))
+            for (row, bases, signs), junction in zip(lay.junctions, sim.junctions)
+        ]
+        # Per-node geometry of the stacked network, for one friction call.
+        self.x_nodes = self._closed(nodes.x[:self.active], 1)
+        self.diameter = nodes.diameter
+        self.roughness = nodes.roughness
+        self._sourced = sim.friction.enabled or sim.extra_source is not None
+        # The last residual's q and friction factor, for the Jacobian there.
+        self._friction_at = (None, None)
+        # Terms of the pair rows that the step fixes.
+        u_old = self._closed(self.x_old, 2)
+        self._old_half = 0.5 * (u_old[:-2] + u_old[2:])
+        self._old_abs = np.abs(u_old)
+        self.r = dt / nodes.dx[:-1]
+        self._r2 = np.empty(2 * self.r.size)
+        self._r2[0::2] = self._r2[1::2] = self.r
 
-        # Junctions: pressure rows (port and reference), then the mass row.
-        self.junctions = []
-        row = self.bc_rows.size + 2 * pairs
-        for junction in sim.junctions:
-            ports = junction.ports
-            bases = tuple(self.end_cols[p.end][p.pipe_index] for p in ports)
-            self.junctions.append((
-                row, bases, [p.pressure_ratio for p in ports],
-                np.array([1.0 if p.end == "end" else -1.0 for p in ports]),
-                junction.extraction_at(t_new),
-            ))
-            row += len(ports)
-        counts = (self.active,) if sim.periodic else nodes.counts
-        self.layout = _layout(counts, sim.periodic, tuple(bc_cols),
-                              tuple(bases for _, bases, *_ in self.junctions))
-        self.r = dt / nodes.dx[self.layout.a]
+    def _closed(self, values: np.ndarray, width: int) -> np.ndarray:
+        """Node values, ``width`` entries per node, with the first node
+        appended on a periodic network, where it follows the last."""
+        return np.concatenate((values, values[:width])) if self.sim.periodic else values
+
+    @functools.cached_property
+    def _buffers(self):
+        """This step's band storage, with a spare last entry, and Jacobian
+        values; entries off the pattern stay zero, boundary rows one."""
+        lay = self.layout
+        values = np.empty(lay.pos.size)
+        start = 8 * self.r.size
+        values[start:start + lay.bc_cols.size] = 1.0
+        return np.zeros(lay.size * lay.ldab + 1), values
 
     def unknown(self, column: int) -> str:
         """Time, pipe, node and variable of unknown ``column``."""
-        nodes = self.sim.layout
-        node, k = divmod(int(column), 2)
-        i = int(nodes.pipe[node])
-        return (f"t={self.sim.t:g}, pipe {self.sim.grids[i].pipe.id} node "
-                f"{node - nodes.offsets[i]} ({'q' if k else 'rho'})")
+        entry, k = divmod(int(column), 2)
+        pipe, node = self.sim.locate(entry)
+        return f"t={self.sim.t:g}, pipe {pipe} node {node} ({'q' if k else 'rho'})"
+
+    def place(self, row: int) -> str:
+        """Pipe and nodes, pipe end or junction of residual row ``row``."""
+        lay = self.layout
+        if row < lay.box.size:
+            entry = int(lay.box[row])
+            pipe, node = self.sim.locate(entry // 2)
+            kind = "momentum" if entry % 2 else "mass"
+            return f"pipe {pipe} node {node}-{node + 1} ({kind})"
+        if row < lay.bc_rows.stop:
+            k = row - lay.bc_rows.start
+            (idx, end), column = list(self.sim.boundaries)[k], int(lay.bc_cols[k])
+            return (f"pipe {self.sim.grids[idx].pipe.id} {end} "
+                    f"({'q' if column % 2 else 'rho'} boundary)")
+        for (first, bases, *_), junction in zip(self.junctions, self.sim.junctions):
+            if row < first + len(bases):
+                kind = "mass" if row == first + len(bases) - 1 else "pressure"
+                return f"junction {junction.node} ({kind})"
+        raise IndexError(f"row {row} is not a row of the box system")
 
     def _extra(self, rho, q):
         g = self.sim.extra_source(self.x_nodes, self.t_new, rho, q)
@@ -292,61 +353,83 @@ class _Assembler:
 
     def residual(self, x: np.ndarray):
         """Residual and row scale (sum of the terms' magnitudes) at ``x``."""
-        law, r, h = self.sim.law, self.r, 0.5 * self.dt
-        a, b = self.layout.a, self.layout.b
-        rho, q = x[0::2], x[1::2]
-        fq = np.asarray(law.p(rho), dtype=float) + q * (q / rho)
-        g_r, g_q = self._sources(rho, q)
+        law, r, h = self.sim.law, self._r2, 0.5 * self.dt
+        lay = self.layout
+        # Node values (rho, q), fluxes and sources, then their pair sums.
+        u = self._closed(x, 2)
+        rho, q = u[0::2], u[1::2]
+        f = np.empty_like(u)
+        f[0::2] = q
+        f[1::2] = np.asarray(law.p(rho), dtype=float) + q * (q / rho)
+        au, af, ao = np.abs(u), np.abs(f), self._old_abs
+        pair_res = 0.5 * (u[:-2] + u[2:]) - self._old_half + r * (f[2:] - f[:-2])
+        pair_scale = (0.5 * (au[:-2] + au[2:] + ao[:-2] + ao[2:])
+                      + r * (af[:-2] + af[2:]))
+        if self._sourced:
+            g = np.empty_like(u)
+            g[0::2], g[1::2] = self._sources(rho, q)
+            ag = np.abs(g)
+            pair_res -= h * (g[:-2] + g[2:])
+            pair_scale += h * (ag[:-2] + ag[2:])
         residual = np.empty(self.size)
         scale = np.empty(self.size)
-        # Mass rows (even) and momentum rows (odd) of all pairs at once.
-        for k, (u, f, g) in enumerate(((rho, q, g_r), (q, fq, g_q))):
-            u_old = self.x_old[k::2]
-            box = slice(k, 2 * a.size, 2)
-            residual[box] = (0.5 * (u[a] + u[b]) - 0.5 * (u_old[a] + u_old[b])
-                             + r * (f[b] - f[a]) - h * (g[a] + g[b]))
-            scale[box] = (0.5 * (np.abs(u[a]) + np.abs(u[b])
-                                 + np.abs(u_old[a]) + np.abs(u_old[b]))
-                          + r * (np.abs(f[a]) + np.abs(f[b]))
-                          + h * (np.abs(g[a]) + np.abs(g[b])))
-        x_bc = x[self.bc_cols]
-        residual[self.bc_rows] = x_bc - self.bc_targets
-        scale[self.bc_rows] = np.abs(x_bc) + np.abs(self.bc_targets)
+        # The pairs within pipes, in row order.
+        np.take(pair_res, lay.box, out=residual[:lay.box.size])
+        np.take(pair_scale, lay.box, out=scale[:lay.box.size])
+        x_bc = x[lay.bc_cols]
+        residual[lay.bc_rows] = x_bc - self.bc_targets
+        scale[lay.bc_rows] = np.abs(x_bc) + self._bc_scale
         # Junctions: pressure equality (with compressor ratios), then mass.
         for row, bases, ratios, signs, eps in self.junctions:
-            p = np.array([float(law.p(x[c])) * k for c, k in zip(bases, ratios)])
-            mass = row + p.size - 1
-            residual[row:mass] = p[1:] - p[0]
-            scale[row:mass] = np.abs(p[1:]) + abs(p[0])
+            p = [float(law.p(x[c])) * k for c, k in zip(bases, ratios)]
             total, s = -eps, abs(eps)
             for c, sign in zip(bases, signs):
                 total += sign * x[c + 1]
                 s += abs(x[c + 1])
-            residual[mass], scale[mass] = total, s
+            end = row + len(p)
+            residual[row:end] = [pk - p[0] for pk in p[1:]] + [total]
+            scale[row:end] = [abs(pk) + abs(p[0]) for pk in p[1:]] + [s]
         return residual, scale
 
     def jacobian(self, x: np.ndarray) -> BandedJacobian:
-        """Analytic Jacobian at ``x``, filled into the layout's band storage."""
+        """Analytic Jacobian at ``x``, written into this step's band storage."""
         law, r, h = self.sim.law, self.r, 0.5 * self.dt
-        a, b = self.layout.a, self.layout.b
-        rho, q = x[0::2], x[1::2]
+        storage, values = self._buffers
+        u = self._closed(x, 2)
+        rho, q = u[0::2], u[1::2]
         a21, a22 = flux_jacobian(rho, q, law)
-        (dgr_r, dgr_q), (dgq_r, dgq_q) = self._source_derivatives(rho, q)
-        vals = [0.5 - h * dgr_r[a], -r - h * dgr_q[a],
-                0.5 - h * dgr_r[b], r - h * dgr_q[b],
-                -r * a21[a] - h * dgq_r[a], 0.5 - r * a22[a] - h * dgq_q[a],
-                r * a21[b] - h * dgq_r[b], 0.5 + r * a22[b] - h * dgq_q[b],
-                np.ones(self.bc_cols.size)]
+        # Box entries by row kind (mass, momentum), node (a, b) and variable.
+        box = values[:8 * r.size].reshape(2, 2, 2, r.size)
+        (mass_a, mass_b), (mom_a, mom_b) = box
+        mass_a[0] = mass_b[0] = 0.5
+        np.negative(r, out=mass_a[1])
+        mass_b[1] = r
+        np.multiply(-r, a21[:-1], out=mom_a[0])
+        np.subtract(0.5, r * a22[:-1], out=mom_a[1])
+        np.multiply(r, a21[1:], out=mom_b[0])
+        np.add(0.5, r * a22[1:], out=mom_b[1])
+        if self._sourced:
+            dg = np.array(self._source_derivatives(rho, q))
+            box[:, 0] -= h * dg[..., :-1]
+            box[:, 1] -= h * dg[..., 1:]
+        entries = []
         for _, bases, ratios, signs, _ in self.junctions:
-            dp = np.array([float(law.dp(x[c])) * k for c, k in zip(bases, ratios)])
-            vals += [dp[1:], np.full(dp.size - 1, -dp[0]), signs]
-        return BandedJacobian(self.layout, np.concatenate(vals), self.unknown)
+            dp = [float(law.dp(x[c])) * k for c, k in zip(bases, ratios)]
+            entries += dp[1:] + [-dp[0]] * (len(dp) - 1) + list(signs)
+        values[values.size - len(entries):] = entries
+        storage[self.layout.pos] = values
+        return BandedJacobian(self.layout, storage[:-1].reshape(self.size, -1).T,
+                              self.unknown)
+
+
+def _scaled(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    # Absolute tolerance, relaxed to the float-noise floor of huge rows.
+    denom = np.maximum(1.0, 50.0 * _EPS * scale / NEWTON_TOL)
+    return np.abs(residual) / denom
 
 
 def _scaled_norm(residual: np.ndarray, scale: np.ndarray) -> float:
-    # Absolute tolerance, relaxed to the float-noise floor of huge rows.
-    denom = np.maximum(1.0, 50.0 * _EPS * scale / NEWTON_TOL)
-    return float(np.max(np.abs(residual) / denom))
+    return float(np.max(_scaled(residual, scale)))
 
 
 def ibox_step(sim: GasSimulation, dt: float) -> None:
@@ -367,6 +450,13 @@ def ibox_step(sim: GasSimulation, dt: float) -> None:
     x = asm.x_old
     residual, scale = asm.residual(x)
     norm = _scaled_norm(residual, scale)
+
+    def failure(what: str) -> ConvergenceError:
+        worst = asm.place(int(np.argmax(_scaled(residual, scale))))
+        return ConvergenceError(
+            f"box-scheme Newton {what} at t={sim.t:g} (scaled residual "
+            f"{norm:.3e}); largest residual at {worst}")
+
     for _ in range(NEWTON_MAXITER):
         if norm <= NEWTON_TOL:
             break
@@ -375,22 +465,16 @@ def ibox_step(sim: GasSimulation, dt: float) -> None:
         for _ in range(12):
             x_try = x + factor * step
             if np.all(x_try[0::2] > 0.0):
-                residual, scale = asm.residual(x_try)
-                norm_try = _scaled_norm(residual, scale)
+                trial = asm.residual(x_try)
+                norm_try = _scaled_norm(*trial)
                 if norm_try <= norm * (1.0 - 1e-4) or norm_try <= NEWTON_TOL:
                     break
             factor *= 0.5
         else:
-            raise ConvergenceError(
-                f"box-scheme Newton stalled at t={sim.t:g} "
-                f"(scaled residual {norm:.3e})"
-            )
-        x, norm = x_try, norm_try
+            raise failure("stalled")
+        x, norm, (residual, scale) = x_try, norm_try, trial
     else:
-        raise ConvergenceError(
-            f"box-scheme Newton did not converge within {NEWTON_MAXITER} "
-            f"iterations at t={sim.t:g} (scaled residual {norm:.3e})"
-        )
+        raise failure(f"did not converge within {NEWTON_MAXITER} iterations")
 
     state = sim.state
     state[:, :asm.active] = x.reshape(-1, 2).T

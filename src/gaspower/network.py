@@ -417,6 +417,12 @@ class GasSimulation:
         """Mass in the network; node staggering uses the trapezoidal rule."""
         return float(np.dot(self.layout.weight, self.state[0]))
 
+    def locate(self, entry: int) -> tuple[str, int]:
+        """Pipe id and position in its pipe of entry ``entry`` of :attr:`state`."""
+        layout = self.layout
+        k = int(layout.pipe[entry])
+        return self.grids[k].pipe.id, entry - int(layout.offsets[k])
+
     def state_vector(self) -> np.ndarray:
         """Copy of the network state: all densities, then all momenta."""
         return self.state.flatten()

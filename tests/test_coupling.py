@@ -189,3 +189,13 @@ def test_infeasible_demand_aborts_with_diagnostic():
             warnings.simplefilter("ignore")
             cosim_step(sim, grid, hopeless, [], 0.0, 60.0)
     assert info.value.epsilon_max == pytest.approx(cap, rel=1e-12)
+
+
+def test_stationary_march_names_the_largest_change(monkeypatch):
+    monkeypatch.setattr(coupling, "STATIONARY_MAX_STEPS", 1)
+    sim = _small_network(IsothermalLaw(340.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError,
+                           match=r"; largest change at pipe [AB] node \d+ \((rho|q)\)$"):
+            find_stationary_state(sim)

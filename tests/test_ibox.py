@@ -445,3 +445,195 @@ def test_jacobian_reuses_the_friction_factor_of_the_same_iterate(
     asm.residual(y)
     np.testing.assert_array_equal(asm.jacobian(y).toarray(), fresh)
     assert len(calls) == 3
+
+
+def _reference_assembly(sim, dt, x):
+    """Residual, scale and dense Jacobian of one box step at ``x`` by
+    gathering both nodes of every neighbour pair, row kind by row kind."""
+    law, h = sim.law, 0.5 * dt
+    nodes = sim.layout
+    active = int(nodes.offsets[-1]) - sim.periodic
+    a = np.arange(active)
+    if sim.periodic:
+        b = np.roll(a, -1)
+    else:
+        a = np.delete(a, nodes.offsets[1:] - 1)
+        b = a + 1
+    r = dt / nodes.dx[a]
+    x_old = sim.state[:, :active].T.ravel()
+    xs, d, k = nodes.x[:active], nodes.diameter[:active], nodes.roughness[:active]
+    rho, q = x[0::2], x[1::2]
+
+    def extra(rho, q):
+        return [np.asarray(v, dtype=float)
+                for v in sim.extra_source(xs, sim.t + dt, rho, q)]
+
+    s = sim.friction.source(rho, q, d, k)
+    g_r, g_q = np.zeros_like(rho), s
+    if sim.extra_source is not None:
+        e_r, e_q = extra(rho, q)
+        g_r, g_q = e_r, s + e_q
+    _, ds_drho, ds_dq = sim.friction.source_with_derivatives(rho, q, d, k)
+    dgr_r = dgr_q = np.zeros_like(rho)
+    dgq_r, dgq_q = ds_drho, ds_dq
+    if sim.extra_source is not None:
+        hr = 1e-7 * np.maximum(1.0, np.abs(rho))
+        hq = 1e-7 * np.maximum(1.0, np.abs(q))
+        (er2, eq2), (er3, eq3) = extra(rho + hr, q), extra(rho, q + hq)
+        dgr_r, dgr_q = (er2 - e_r) / hr, (er3 - e_r) / hq
+        dgq_r, dgq_q = ds_drho + (eq2 - e_q) / hr, ds_dq + (eq3 - e_q) / hq
+
+    residual, scale = np.empty(x.size), np.empty(x.size)
+    fq = np.asarray(law.p(rho), dtype=float) + q * (q / rho)
+    for kind, (u, f, g) in enumerate(((rho, q, g_r), (q, fq, g_q))):
+        u_old = x_old[kind::2]
+        box = slice(kind, 2 * a.size, 2)
+        residual[box] = (0.5 * (u[a] + u[b]) - 0.5 * (u_old[a] + u_old[b])
+                         + r * (f[b] - f[a]) - h * (g[a] + g[b]))
+        scale[box] = (0.5 * (np.abs(u[a]) + np.abs(u[b])
+                             + np.abs(u_old[a]) + np.abs(u_old[b]))
+                      + r * (np.abs(f[a]) + np.abs(f[b]))
+                      + h * (np.abs(g[a]) + np.abs(g[b])))
+    a21, a22 = law.dp(rho) - (q / rho) ** 2, 2.0 * (q / rho)
+    jac = np.zeros((x.size, x.size))
+    for kind, vals in enumerate((
+            (0.5 - h * dgr_r[a], -r - h * dgr_q[a],
+             0.5 - h * dgr_r[b], r - h * dgr_q[b]),
+            (-r * a21[a] - h * dgq_r[a], 0.5 - r * a22[a] - h * dgq_q[a],
+             r * a21[b] - h * dgq_r[b], 0.5 + r * a22[b] - h * dgq_q[b]))):
+        rows = 2 * np.arange(a.size) + kind
+        for col, val in zip((2 * a, 2 * a + 1, 2 * b, 2 * b + 1), vals):
+            jac[rows, col] = val
+
+    def column(pipe, end):
+        return 2 * (nodes.offsets[pipe] if end == "start"
+                    else min(nodes.offsets[pipe + 1], active) - 1)
+
+    row = 2 * a.size
+    for (pipe, end), bc in sim.boundaries.items():
+        value, col = bc.value(sim.t + dt), column(pipe, end)
+        if bc.kind == "pressure":
+            value = law.rho_from_pressure(value)
+        elif bc.kind == "flow" or (bc.kind == "state" and end == "end"):
+            col += 1
+        if bc.kind == "state":
+            value = value[col % 2]
+        residual[row] = x[col] - float(value)
+        scale[row] = abs(x[col]) + abs(float(value))
+        jac[row, col] = 1.0
+        row += 1
+    for junction in sim.junctions:
+        cols = [column(p.pipe_index, p.end) for p in junction.ports]
+        p = np.array([float(law.p(x[c])) * port.pressure_ratio
+                      for c, port in zip(cols, junction.ports)])
+        dp = np.array([float(law.dp(x[c])) * port.pressure_ratio
+                       for c, port in zip(cols, junction.ports)])
+        for i in range(1, p.size):
+            residual[row], scale[row] = p[i] - p[0], abs(p[i]) + abs(p[0])
+            jac[row, cols[i]], jac[row, cols[0]] = dp[i], -dp[0]
+            row += 1
+        eps = junction.extraction_at(sim.t + dt)
+        total, s = -eps, abs(eps)
+        for c, port in zip(cols, junction.ports):
+            sign = 1.0 if port.end == "end" else -1.0
+            total += sign * x[c + 1]
+            s += abs(x[c + 1])
+            jac[row, c + 1] = sign
+        residual[row], scale[row] = total, s
+        row += 1
+    return residual, scale, jac
+
+
+def _assert_assembly_matches_the_reference(sim):
+    asm = _Assembler(sim, 0.5, 0.5)
+    for x in (asm.x_old, asm.x_old * (1.0 + 1e-3 * np.sin(np.arange(asm.size)))):
+        residual, scale, jac = _reference_assembly(sim, 0.5, x)
+        got = asm.residual(x)
+        np.testing.assert_array_equal(got[0], residual)
+        np.testing.assert_array_equal(got[1], scale)
+        np.testing.assert_array_equal(asm.jacobian(x).toarray(), jac)
+
+
+@pytest.mark.parametrize("build", [_three_pipe_network, _periodic_pipe,
+                                   _uniform_frictionless_flow])
+def test_assembly_matches_the_pairwise_gather_bit_for_bit(build, benchmark_law):
+    """Residual, scale and Jacobian assembled on consecutive node pairs equal
+    the neighbour-pair gathers exactly, friction and extra sources included."""
+    _assert_assembly_matches_the_reference(build(benchmark_law))
+
+
+@pytest.mark.parametrize("network", _NETWORKS)
+def test_assembly_of_random_networks_matches_the_pairwise_gather(network,
+                                                                 benchmark_law):
+    rng = np.random.default_rng(network["seed"])
+    _assert_assembly_matches_the_reference(_random_network(
+        rng, benchmark_law, network["pipes"], network["junctions"],
+        network.get("ends", {}), network.get("periodic", False)))
+
+
+def test_one_band_buffer_per_step_is_rewritten_and_kept_by_the_solve(
+        benchmark_law):
+    """Jacobians built in turn on one assembler share its band storage; each
+    holds exactly, and solves exactly as, a fresh assembler's Jacobian, and
+    the LU leaves the storage as it was."""
+    sim = _three_pipe_network(benchmark_law)
+    asm = _Assembler(sim, 0.5, 0.5)
+    x = asm.x_old
+    y = x * (1.0 + 1e-3 * np.cos(np.arange(asm.size)))
+    rhs = -asm.residual(x)[0]
+    bands = []
+    for point in (x, y, x):
+        jac = asm.jacobian(point)
+        kept = jac.band.copy()
+        solution = spsolve(jac, rhs)
+        np.testing.assert_array_equal(jac.band, kept)
+        fresh = _Assembler(sim, 0.5, 0.5).jacobian(point)
+        np.testing.assert_array_equal(jac.band, fresh.band)
+        np.testing.assert_array_equal(solution, spsolve(fresh, rhs))
+        bands.append(jac.band)
+    assert all(np.shares_memory(bands[0], band) for band in bands[1:])
+
+
+def test_every_row_names_its_place(benchmark_law):
+    """Pair rows name their pipe and nodes, boundary rows the pipe end and
+    variable, junction rows the junction."""
+    asm = _Assembler(_three_pipe_network(benchmark_law), 0.5, 0.5)
+    places = [asm.place(row) for row in range(asm.size)]
+    assert places[:2] == ["pipe P0 node 0-1 (mass)", "pipe P0 node 0-1 (momentum)"]
+    assert places[12] == "pipe P1 node 0-1 (mass)"
+    assert places[35] == "pipe P2 node 5-6 (momentum)"
+    assert places[36:] == ["pipe P0 start (rho boundary)", "pipe P1 end (q boundary)",
+                           "pipe P2 start (rho boundary)", "pipe P2 end (q boundary)",
+                           "junction j (pressure)", "junction j (mass)"]
+    periodic = _Assembler(_periodic_pipe(benchmark_law), 0.5, 0.5)
+    assert periodic.place(periodic.size - 1) == "pipe P node 6-7 (momentum)"
+
+
+def test_newton_failures_name_the_row_of_the_largest_residual(
+        monkeypatch, benchmark_law, unit_isothermal):
+    """A step cut off after one iteration, and a line search that stalls,
+    name the time and the place of the worst row: junction, pipe end or
+    pipe nodes."""
+    def outflow(law, q):
+        grid = PipeGrid(Pipe("P", "a", "b", 1.0), 10, law,
+                        staggering="nodes").fill(1.0, 0.0)
+        return GasSimulation(
+            grids=[grid],
+            boundaries={(0, "start"): BoundaryCondition("density", constant(1.0)),
+                        (0, "end"): BoundaryCondition("flow", constant(q))})
+
+    for sim, message in (
+            (outflow(benchmark_law, 5.0), r"pipe P end \(q boundary\)"),
+            (outflow(unit_isothermal, 0.99), r"pipe P node 9-10 \(momentum\)")):
+        with pytest.raises(ConvergenceError,
+                           match=r"stalled at t=\S+ \(scaled residual .*\); "
+                                 rf"largest residual at {message}$"):
+            for _ in range(5):
+                _quiet_step(sim, 0.5)
+
+    monkeypatch.setattr(gaspower.ibox, "NEWTON_MAXITER", 1)
+    with pytest.raises(ConvergenceError,
+                       match=r"did not converge within 1 iterations at t=0 "
+                             r"\(scaled residual .*\); largest residual at "
+                             r"junction j \(pressure\)$"):
+        _quiet_step(_three_pipe_network(benchmark_law), 0.5)
