@@ -5,8 +5,9 @@ reconstruction (linear/linear/parabolic candidates with ideal weights
 1/4, 1/2, 1/4 and regularization epsilon = dx^2, which preserves full order
 at smooth critical points), formed in one pass as v + e +- s from the
 even and odd parts of the weighted candidates; the numerical flux is local
-Lax-Friedrichs with one ``p_and_c`` call per interface side, and time
-integration is the optimal three-stage SSP Runge-Kutta method.
+Lax-Friedrichs with one ``p_and_c`` call on the states of both interface
+sides, and time integration is the optimal three-stage SSP Runge-Kutta
+method.
 
 A step advances the simulation's network state in place: one ``(2, N)``
 array (row 0 density, row 1 momentum, pipe after pipe) of which the pipe
@@ -104,8 +105,9 @@ def _reconstruct(v: np.ndarray, eps: np.ndarray, layout: _Layout):
 def _llf_flux(u_m, u_p, law):
     """Local Lax-Friedrichs flux between stacked minus/plus interface states,
     (f_m + f_p - alpha (u_p - u_m)) / 2 with f = (q, p + q u)."""
-    p_m, c_m = law.p_and_c(u_m[0])
-    p_p, c_p = law.p_and_c(u_p[0])
+    n = u_m.shape[1]
+    p, c = law.p_and_c(np.concatenate((u_m[0], u_p[0])))
+    p_m, p_p, c_m, c_p = p[:n], p[n:], c[:n], c[n:]
     v_m, v_p = u_m[1] / u_m[0], u_p[1] / u_p[0]
     out = u_m - u_p
     out *= np.maximum(np.abs(v_m) + c_m, np.abs(v_p) + c_p)

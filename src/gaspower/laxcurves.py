@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,8 @@ def f_shock(rho: float, rho_l: float, law: PressureLaw) -> float:
 
 
 def _f_shock_deriv(rho: float, rho_l: float, law: PressureLaw) -> float:
+    """d/drho of :func:`f_shock`, which :func:`lax_left_with_deriv` forms
+    with the factors it shares with f_shock."""
     dp = float(law.p(rho)) - float(law.p(rho_l))
     return (2.0 * rho - rho_l) / rho_l * dp + (rho / rho_l) * (rho - rho_l) * float(
         law.dp(rho)
@@ -117,8 +120,12 @@ def _f_shock_deriv(rho: float, rho_l: float, law: PressureLaw) -> float:
 def rarefaction_integral(law: PressureLaw, rho: float, rho_ref: float) -> float:
     """Integral of c(s)/s over [rho, rho_ref] (signed).
 
-    Closed form when p' is a pure power of density; adaptive quadrature with
-    absolute tolerance 1e-12 otherwise.
+    Closed form when p' is a pure power of density. Other laws take the
+    difference of a spline antiderivative of c(e^u) in u = ln s (see
+    :func:`_sound_speed_antiderivative`), which is checked against adaptive
+    quadrature once per law; quadrature with absolute tolerance 1e-12 is the
+    fallback for laws failing that check and for densities outside
+    [1e-12, 1e12].
     """
     if rho <= 0.0 or rho_ref <= 0.0:
         raise DomainError("rarefaction integral needs positive densities")
@@ -135,7 +142,7 @@ def rarefaction_integral(law: PressureLaw, rho: float, rho_ref: float) -> float:
     lo, hi = math.log(rho), math.log(rho_ref)
     anti = _sound_speed_antiderivative(law)
     if anti is not None and _ANTI_LO <= min(lo, hi) and max(lo, hi) <= _ANTI_HI:
-        return float(anti(hi) - anti(lo))
+        return anti(hi) - anti(lo)
     return _quad_log_integral(law, lo, hi)
 
 
@@ -159,9 +166,33 @@ _ANTI_LO = math.log(1e-12)
 _ANTI_HI = math.log(1e12)
 
 
+def _float_ppoly(ppoly):
+    """Float evaluator of a 1-d SciPy ``PPoly``, equal to ``float(ppoly(u))``.
+
+    It takes SciPy's interval, ``x[i] <= u < x[i+1]`` clamped to the first
+    and last interval, and SciPy's order of operations, from the constant
+    term up, without SciPy's per-call array dispatch.
+    """
+    breaks = ppoly.x.tolist()
+    coefficients = [tuple(column[::-1]) for column in ppoly.c.T.tolist()]
+    last = len(breaks) - 2
+
+    def evaluate(u: float) -> float:
+        i = min(max(bisect_right(breaks, u) - 1, 0), last)
+        s = u - breaks[i]
+        res, z = 0.0, 1.0
+        for c in coefficients[i]:
+            res = res + c * z
+            z *= s
+        return res
+
+    return evaluate
+
+
 @functools.lru_cache(maxsize=16)
 def _sound_speed_antiderivative(law: PressureLaw):
-    """Spline antiderivative of c(e^u), validated against quadrature.
+    """Spline antiderivative of c(e^u) as a float function of u, validated
+    against quadrature.
 
     Cached per law (laws compare and hash by their ``spec()``). Laws whose
     sound speed is too wild for the spline (verification fails) get None
@@ -174,10 +205,10 @@ def _sound_speed_antiderivative(law: PressureLaw):
         values = np.asarray(law.c(np.exp(u)), dtype=float)
         if not np.all(np.isfinite(values)):
             return None
-        anti = CubicSpline(u, values).antiderivative()
+        anti = _float_ppoly(CubicSpline(u, values).antiderivative())
         for a, b in ((0.3, 1.7), (-7.0, -1.0), (1.0, 9.0), (-13.0, 0.5)):
             exact = _quad_log_integral(law, a, b)
-            if abs(float(anti(b) - anti(a)) - exact) > 1e-9 * max(1.0, abs(exact)):
+            if abs(anti(b) - anti(a) - exact) > 1e-9 * max(1.0, abs(exact)):
                 return None
     except (ValueError, ArithmeticError, GasPowerError):
         return None
@@ -211,12 +242,16 @@ def lax_left_with_deriv(rho: float, left: GasState,
     if rho <= left.rho:
         velocity = left.u + rarefaction_integral(law, rho, left.rho)
         return rho * velocity, velocity - float(law.c(rho))
-    f = f_shock(rho, left.rho, law)
+    # f_shock and _f_shock_deriv with their common factors formed once.
+    rho_l = left.rho
+    dp = float(law.p(rho)) - float(law.p(rho_l))
+    weight = (rho / rho_l) * (rho - rho_l)
+    f = max(0.0, weight * dp)
     if f == 0.0:
-        return rho * left.u, left.u - float(law.c(left.rho))
+        return rho * left.u, left.u - float(law.c(rho_l))
     root = math.sqrt(f)
-    return (rho * left.u - root,
-            left.u - _f_shock_deriv(rho, left.rho, law) / (2.0 * root))
+    slope = (2.0 * rho - rho_l) / rho_l * dp + weight * float(law.dp(rho))
+    return rho * left.u - root, left.u - slope / (2.0 * root)
 
 
 def lax_right_with_deriv(rho: float, right: GasState,

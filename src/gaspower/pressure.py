@@ -178,6 +178,7 @@ class GeneralizedGammaLaw(PressureLaw):
         """Store the ``(a_k, e_k)`` pairs of p, p', p'' and p'''."""
         self._p_coef, self._p_exp = p
         self.alpha, self.delta = dp
+        self._c_const = _sqrt(self.alpha)  # c when delta == 0
         self._d2p_coef, self._d2p_exp = d2p
         self._d3p_coef, self._d3p_exp = d3p
 
@@ -200,7 +201,17 @@ class GeneralizedGammaLaw(PressureLaw):
         return self._d3p_coef * _pow(rho, self._d3p_exp)
 
     def c(self, rho):
-        """``_sqrt(self.dp(rho))`` bit for bit, without the call."""
+        """``_sqrt(self.dp(rho))`` bit for bit, without the call.
+
+        A zero exponent takes no power: ``rho**0.0`` is 1.0 for every float,
+        NaN included, so c is the constant ``sqrt(alpha)``, returned in the
+        type ``_pow`` would give (a float for a scalar, else an array).
+        """
+        if self.delta == 0.0:
+            if isinstance(rho, float):
+                return self._c_const
+            shape = np.shape(rho)
+            return np.full(shape, self._c_const) if shape else self._c_const
         return _sqrt(self.alpha * _pow(rho, self.delta))
 
     def power_form(self):

@@ -199,7 +199,8 @@ class _JunctionProblem:
 
     ``data`` holds the incoming data, then the mirrored outgoing data, and
     ``maps`` the density maps of the same ports, so every loop over the
-    ports treats them alike.
+    ports treats them alike. When every pressure ratio is 1 the maps are
+    identities, and ``maps`` is None: trace and junction densities coincide.
     """
 
     def __init__(self, incoming, outgoing, epsilon, law,
@@ -222,7 +223,8 @@ class _JunctionProblem:
         self.out_ratios = tuple(out_ratios) if out_ratios else (1.0,) * len(outgoing)
         self.data = _port_data(incoming, outgoing)
         self.ratios = self.in_ratios + self.out_ratios
-        self.maps = [_port_density_maps(law, r) for r in self.ratios]
+        self.maps = (None if all(r == 1.0 for r in self.ratios)
+                     else [_port_density_maps(law, r) for r in self.ratios])
         self.scale = max(s.rho for s in self.data)
 
     @cached_property
@@ -235,9 +237,14 @@ class _JunctionProblem:
         Momenta and slopes are those of the mirrored data for outgoing ports.
         """
         momenta, slopes, total, slope = [], [], 0.0, 0.0
-        for state, (h, dh) in zip(self.data, self.maps):
-            q, dq = lax_left_with_deriv(h(rho), state, self.law)
-            dq *= dh(rho)
+        law = self.law
+        for k, state in enumerate(self.data):
+            if self.maps is None:
+                q, dq = lax_left_with_deriv(rho, state, law)
+            else:
+                h, dh = self.maps[k]
+                q, dq = lax_left_with_deriv(h(rho), state, law)
+                dq *= dh(rho)
             momenta.append(q)
             slopes.append(dq)
             total += q
@@ -341,13 +348,16 @@ class _JunctionProblem:
         return rho_star, self._sweep(rho_star)[0], admissible
 
     def solve(self, strict_admissibility: bool) -> JunctionSolution:
-        found = self._newton() if all(r == 1.0 for r in self.ratios) else None
+        found = self._newton() if self.maps is None else None
         if found is None:
             rho_star, momenta, admissible = self._bracketed(strict_admissibility)
         else:
             (rho_star, momenta), admissible = found, True
         n_in = len(self.incoming)
-        traces = [GasState(h(rho_star), q) for (h, _), q in zip(self.maps, momenta)]
+        if self.maps is None:
+            traces = [GasState(rho_star, q) for q in momenta]
+        else:
+            traces = [GasState(h(rho_star), q) for (h, _), q in zip(self.maps, momenta)]
         traces[n_in:] = [v.mirrored() for v in traces[n_in:]]
         waves = tuple(WaveType.RAREFACTION if v.rho <= s.rho else WaveType.SHOCK
                       for v, s in zip(traces, self.data))

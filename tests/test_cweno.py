@@ -294,6 +294,24 @@ def test_reconstruction_of_constant_rows_is_exact():
         assert edge.tobytes() == v.tobytes()
 
 
+def test_llf_flux_is_the_two_call_form_bit_for_bit():
+    """One ``p_and_c`` call on both sides gives the per-side calls' flux."""
+    law = parse_law("sum_gamma")
+    rng = np.random.default_rng(8)
+    rho = rng.uniform(0.5, 5.0, (2, 200))
+    u_m = np.array([rho[0], rng.uniform(-0.5, 0.5, 200) * rho[0]])
+    u_p = np.array([rho[1], rng.uniform(-0.5, 0.5, 200) * rho[1]])
+    p_m, c_m = law.p_and_c(u_m[0])
+    p_p, c_p = law.p_and_c(u_p[0])
+    v_m, v_p = u_m[1] / u_m[0], u_p[1] / u_p[0]
+    expected = u_m - u_p
+    expected *= np.maximum(np.abs(v_m) + c_m, np.abs(v_p) + c_p)
+    expected[0] += u_m[1] + u_p[1]
+    expected[1] += p_m + u_m[1] * v_m + p_p + u_p[1] * v_p
+    expected *= 0.5
+    assert gaspower.cweno._llf_flux(u_m, u_p, law).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("spec", ["gamma(1.0,1.4)", "sum_gamma", "isothermal(1.0)"])
 def test_llf_flux_matches_the_flux_average_form(spec):
     law = parse_law(spec)

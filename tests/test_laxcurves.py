@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from gaspower.errors import DomainError, InadmissibleError
 from gaspower.laxcurves import (
+    _ANTI_HI,
+    _ANTI_LO,
     GasState,
     Side,
     WaveType,
     classify_wave,
     f_shock,
     lambda1,
+    _f_shock_deriv,
     _quad_log_integral,
     _sonic_density_search,
     _sound_speed_antiderivative,
@@ -298,6 +301,40 @@ def test_curve_with_deriv_equals_the_separate_evaluations(law):
                 lax_left(rho, state, law), lax_left_deriv(rho, state, law))
             assert lax_right_with_deriv(rho, state, law) == (
                 lax_right(rho, state, law), lax_right_deriv(rho, state, law))
+
+
+@pytest.mark.parametrize("law", [GammaLaw(1.0, 1.4), SumGammaLaw()], ids=["gamma", "sum_gamma"])
+def test_shock_branch_slope_is_the_auxiliary_quotient(law):
+    """Bit for bit: u_l - f'(rho) / (2 sqrt(f(rho))) with f = f_shock."""
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        state = random_subsonic(rng, law)
+        for rho in state.rho * rng.uniform(1.0 + 1e-6, 8.0, 4):
+            root = math.sqrt(f_shock(rho, state.rho, law))
+            assert lax_left_with_deriv(rho, state, law) == (
+                rho * state.u - root,
+                state.u - _f_shock_deriv(rho, state.rho, law) / (2.0 * root))
+
+
+def test_spline_antiderivative_evaluates_as_scipy_ppoly():
+    """Bit for bit against ``PPoly.__call__`` on the spline that
+    ``_sound_speed_antiderivative`` builds (5600 knots on [_ANTI_LO, _ANTI_HI]),
+    at random points, every 100th breakpoint and both ends, and through
+    ``rarefaction_integral``."""
+    from scipy.interpolate import CubicSpline, PPoly
+
+    law = SumGammaLaw()
+    knots = np.linspace(_ANTI_LO, _ANTI_HI, 5600)
+    ppoly = CubicSpline(knots, law.c(np.exp(knots))).antiderivative()
+    assert isinstance(ppoly, PPoly)
+    anti = _sound_speed_antiderivative(law)
+    rng = np.random.default_rng(12)
+    u = np.concatenate([rng.uniform(_ANTI_LO, _ANTI_HI, 20_000), knots[::100],
+                        [_ANTI_LO, _ANTI_HI]])
+    assert [anti(float(v)) for v in u] == ppoly(u).tolist()
+    densities = np.exp(rng.uniform(-25.0, 25.0, (2000, 2)))
+    assert ([rarefaction_integral(law, a, b) for a, b in densities]
+            == [float(ppoly(math.log(b)) - ppoly(math.log(a))) for a, b in densities])
 
 
 def test_rarefaction_spline_is_cached_per_law_not_stored_on_it():

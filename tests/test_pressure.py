@@ -16,6 +16,8 @@ from gaspower.pressure import (
     PressureLaw,
     SumGammaLaw,
     _horner,
+    _pow,
+    _sqrt,
     check_sufficient_conditions,
     classify_generalized_gamma,
     combine,
@@ -459,6 +461,20 @@ def test_power_family_members_follow_their_own_formula_bit_for_bit(law, formulas
         assert on_float.tobytes() == by_formula.tobytes(), (method, "float")
         on_array = np.asarray(f(rho), dtype=float)
         assert on_array.tobytes() == formula(rho).tobytes(), (method, "array")
+
+
+@pytest.mark.parametrize("law", [IsothermalLaw(340.0), IsothermalLaw(0.3),
+                                 GeneralizedGammaLaw(2.5, 0.0)], ids=lambda l: l.spec())
+def test_zero_exponent_sound_speed_is_the_power_form(law):
+    """``sqrt(alpha * rho**0.0)`` in value and type, with no power taken."""
+    with np.errstate(all="ignore"):
+        for rho in (1.7, 0.0, -2.0, math.nan, math.inf, np.float64(3.0), 3,
+                    np.array(2.0), np.array([1.0, math.nan, -1.0, 0.0]),
+                    [1.0, 2.0], np.ones((2, 3)), np.array([])):
+            value, expected = law.c(rho), _sqrt(law.alpha * _pow(rho, 0.0))
+            assert type(value) is type(expected), rho
+            assert np.shape(value) == np.shape(expected), rho
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes(), rho
 
 
 def test_power_family_members_define_no_evaluation_method():
