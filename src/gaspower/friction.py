@@ -103,17 +103,11 @@ class FrictionModel:
         return colebrook_friction_factor(
             self._reynolds(np.asarray(q, dtype=float), diameter), diameter, roughness)
 
-    def _drag(self, q, diameter, roughness, lam):
-        """lambda(Re) * q * max(|q|, q_floor), with Re clamped at the floor.
-
-        Returns (drag, lambda, Re, q_floor); Colebrook is solved unless
-        ``lam`` is given.
-        """
+    def _drag(self, q, diameter, lam):
+        """lambda * q * max(|q|, q_floor) and q_floor, the momentum at the
+        Reynolds floor."""
         q_floor = self.re_floor * self.eta / diameter
-        re = self._reynolds(q, diameter)
-        if lam is None:
-            lam = colebrook_friction_factor(re, diameter, roughness)
-        return lam * q * np.maximum(np.abs(q), q_floor), lam, re, q_floor
+        return lam * q * np.maximum(np.abs(q), q_floor), q_floor
 
     def source(self, rho, q, diameter, roughness, lam=None):
         """S(rho, q); zero when friction is disabled.
@@ -124,7 +118,10 @@ class FrictionModel:
         rho = np.asarray(rho, dtype=float)
         if not self.enabled:
             return np.zeros_like(rho)
-        drag = self._drag(np.asarray(q, dtype=float), diameter, roughness, lam)[0]
+        q = np.asarray(q, dtype=float)
+        if lam is None:
+            lam = self.factor(q, diameter, roughness)
+        drag = self._drag(q, diameter, lam)[0]
         return -drag / (2.0 * diameter * rho)
 
     def source_with_derivatives(self, rho, q, diameter, roughness, lam=None):
@@ -135,7 +132,10 @@ class FrictionModel:
         if not self.enabled:
             z = np.zeros_like(rho)
             return z, z.copy(), z.copy()
-        drag, lam, re, q_floor = self._drag(q, diameter, roughness, lam)
+        re = self._reynolds(q, diameter)
+        if lam is None:
+            lam = colebrook_friction_factor(re, diameter, roughness)
+        drag, q_floor = self._drag(q, diameter, lam)
         s = -drag / (2.0 * diameter * rho)
         ds_drho = -s / rho
 

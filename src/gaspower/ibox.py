@@ -54,7 +54,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .errors import ConvergenceError
 from .network import GasSimulation, flux_jacobian
@@ -211,6 +210,9 @@ def spsolve(jacobian: BandedJacobian, rhs: np.ndarray) -> np.ndarray:
     The LU works on a copy, so ``jacobian`` is left as it was. A zero pivot
     raises ``ConvergenceError`` naming the unknown of its column.
     """
+    # LAPACK is loaded on the first solve; CWENO runs never load it.
+    from scipy.linalg.lapack import dgbsv
+
     lay = jacobian.layout
     _, _, y, info = dgbsv(lay.kl, lay.ku, jacobian.band, rhs[lay.row_order],
                           overwrite_ab=False, overwrite_b=True)

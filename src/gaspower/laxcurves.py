@@ -29,11 +29,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, GasPowerError, InadmissibleError, NumericsError
 from .pressure import PressureLaw
+from .roots import brentq
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,8 @@ def _quad_log_integral(law: PressureLaw, lo: float, hi: float) -> float:
     # Substituting s = e^u turns the possibly singular c(s)/s into the
     # smooth integrand c(e^u), which adaptive quadrature handles well even
     # for intervals reaching far towards vacuum.
+    from scipy.integrate import quad
+
     value, abserr = quad(
         lambda u: float(law.c(math.exp(u))), lo, hi,
         epsabs=1e-12, epsrel=1e-12, limit=200,

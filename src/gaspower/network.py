@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoSolutionError, NumericsError
 from .friction import FrictionModel
 from .laxcurves import GasState, Side, lax_left, rho_min
 from .pressure import PressureLaw
+from .roots import brentq
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
+from .roots import brentq
 
 # Inequality slack, relative to the magnitude of the terms being compared.
 # Exact-boundary laws (e.g. p'(rho) ~ rho^2) evaluate to zero up to float
@@ -64,8 +64,9 @@ def _pow(rho, exponent):
 def _horner(coefficients, r):
     """``sum_i a_i r**i`` for i = n..1, with ``coefficients`` = (a_n, ..., a_1);
     in place on one array when ``r`` is an array."""
-    total = coefficients[0] * r
-    for a in coefficients[1:]:
+    rest = iter(coefficients)
+    total = next(rest) * r
+    for a in rest:
         total += a
         total *= r
     return total
@@ -218,10 +219,12 @@ class GeneralizedGammaLaw(PressureLaw):
         return (self.alpha, self.delta)
 
     def rho_from_pressure(self, pressure):
+        if not math.isfinite(pressure):
+            raise DomainError(f"pressure {pressure!r} outside range of {self.label}")
         if self._p_exp == 0.0:
             return math.exp(pressure / self._p_coef)
         ratio = pressure / self._p_coef
-        if ratio <= 0.0:
+        if not ratio > 0.0:
             raise DomainError(f"pressure {pressure!r} outside range of {self.label}")
         return ratio ** (1.0 / self._p_exp)
 

@@ -50,8 +50,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from scipy.optimize import brentq
-
 from .errors import (
     DomainError,
     InadmissibleError,
@@ -72,6 +70,7 @@ from .laxcurves import (
     rho_min,
 )
 from .pressure import PressureLaw
+from .roots import brentq
 
 _BRACKET_CAP = 1e12  # bracket expansion bound, relative to the density scale
 _NEWTON_MAX_ITER = 50  # Newton iterations before the fallback takes over

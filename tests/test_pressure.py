@@ -499,3 +499,20 @@ def test_float_and_array_paths_agree_at_exponent_minus_one(text, methods):
         on_array = np.asarray(f(rho), dtype=float)
         assert on_float.tobytes() == on_array.tobytes(), method
         assert on_float64.tobytes() == on_array.tobytes(), method
+
+
+@pytest.mark.parametrize("text", [
+    "gamma(1.0,1.4)", "isothermal(340.0)", "log", "inverse", "generalized(2.0,0.5)"])
+@pytest.mark.parametrize("pressure", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_power_family_inverts_only_pressures_in_its_range(text, pressure):
+    """The closed-form inverse raises where the generic inversion does, and
+    names the pressure and the law; elsewhere the two agree."""
+    law = parse_law(text)
+    try:
+        generic = PressureLaw.rho_from_pressure(law, pressure)
+    except DomainError:
+        with pytest.raises(DomainError) as info:
+            law.rho_from_pressure(pressure)
+        assert repr(pressure) in str(info.value) and law.label in str(info.value)
+    else:
+        assert law.rho_from_pressure(pressure) == pytest.approx(generic, rel=1e-12)
