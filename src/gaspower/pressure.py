@@ -221,12 +221,20 @@ class GeneralizedGammaLaw(PressureLaw):
     def rho_from_pressure(self, pressure):
         if not math.isfinite(pressure):
             raise DomainError(f"pressure {pressure!r} outside range of {self.label}")
-        if self._p_exp == 0.0:
-            return math.exp(pressure / self._p_coef)
         ratio = pressure / self._p_coef
-        if not ratio > 0.0:
-            raise DomainError(f"pressure {pressure!r} outside range of {self.label}")
-        return ratio ** (1.0 / self._p_exp)
+        try:
+            if self._p_exp == 0.0:
+                rho = math.exp(ratio)
+            elif ratio > 0.0:
+                rho = ratio ** (1.0 / self._p_exp)
+            else:
+                raise DomainError(f"pressure {pressure!r} outside range of {self.label}")
+        except OverflowError:
+            rho = math.inf
+        if 0.0 < rho < math.inf:
+            return rho
+        side = "above" if rho else "below"
+        raise DomainError(f"pressure {pressure!r} {side} range of {self.label}")
 
     def spec(self):
         return f"generalized({self.alpha!r},{self.delta!r})"

@@ -28,19 +28,18 @@ Each iterate evaluates every curve and its slope from one rarefaction
 integral; the iteration stops once the step is at most 1e-15 rho.
 
 The bracketed search (``rho_min``, the maximum of D, brentq) runs only as
-the fallback. It takes over when an iterate leaves the admissible decreasing
-branch (a port slope that is not negative by a relative ``_SLOPE_TOL``),
-when the iterates stop decreasing or do not converge, and for ports with a
-pressure ratio != 1, where D need not be concave. It therefore decides every
+the fallback: when an iterate leaves the admissible decreasing branch (a
+port slope that is not negative by a relative ``_SLOPE_TOL``), when the
+iterates stop decreasing or do not converge, and for ports with a pressure
+ratio r != 1 (an ideal compressor boosting its pipe's trace pressure into
+the node by the factor r), where D need not be concave. It decides every
 inadmissible or unsolvable junction: ``InvalidDemandError`` (with the
 supremum attached), ``NoSolutionError``, ``InadmissibleError`` and the
-inadmissible solutions of the non-strict solvers. The junction limits
-``rho_min_junction`` and ``rho_max_junction`` are not needed on the Newton
-path; they are computed on demand.
+inadmissible solutions of the non-strict solvers.
 
-Ports may carry a pressure ratio r != 1 (an ideal compressor boosting that
-pipe's trace pressure into the node by the factor r); the trace density of
-such a port is p^{-1}(p(rho)/r).
+``_JunctionProblem`` alone knows the ports, their ratios and density maps.
+A ``JunctionSolution`` holds the traces and refers to its problem; its wave
+types and junction limits, unused on the Newton path, are derived on access.
 """
 
 from __future__ import annotations
@@ -50,12 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .errors import (
-    DomainError,
-    InadmissibleError,
-    InvalidDemandError,
-    NoSolutionError,
-)
+from .errors import DomainError, InadmissibleError, InvalidDemandError, NoSolutionError
 from .laxcurves import (
     GasState,
     Side,
@@ -84,38 +78,15 @@ _ROUNDING_STEP = 1e-14  # backward Newton step, relative to rho, taken as roundi
 _SLOPE_TOL = 1e-6
 
 
-def _port_data(incoming, outgoing) -> tuple[GasState, ...]:
-    """Data of all ports as incoming ones: outgoing data are mirrored."""
-    return tuple(incoming) + tuple(s.mirrored() for s in outgoing)
-
-
-def _pullback(law: PressureLaw, ratio: float, value: float) -> float:
-    """Junction density whose port trace density equals ``value``."""
-    if ratio == 1.0 or value == 0.0 or value == math.inf:
-        return value
-    return law.rho_from_pressure(ratio * float(law.p(value)))
-
-
-def _port_limits(bound, data, ratios, law):
-    """Per-pipe ``bound`` (``rho_min`` or ``rho_max``) at junction density.
-
-    ``data`` are the port data as incoming ones (see :func:`_port_data`).
-    The port map is increasing, so pulling each bound back through it keeps
-    the order of the densities.
-    """
-    for state, ratio in zip(data, ratios):
-        yield _pullback(law, ratio, bound(state, Side.IN, law))
-
-
 @dataclass(frozen=True)
 class JunctionSolution:
     """Traces and diagnostics of one junction Riemann solve.
 
     All traces of unit-ratio ports share the density ``rho_star`` (hence a
     common pressure); incoming and outgoing momenta balance the extraction.
-    ``rho_min_junction`` and ``rho_max_junction`` (and the derived
-    ``subsonic_traces`` flag) are evaluated from the stored data on first
-    access; the time-stepping hot path never needs them.
+    The wave types, ``rho_min_junction`` and ``rho_max_junction`` (and the
+    ``subsonic_traces`` flag) are derived from the traces and the solved
+    problem on first access; the time-stepping hot path never needs them.
     """
 
     rho_star: float
@@ -124,24 +95,32 @@ class JunctionSolution:
     outgoing: tuple[GasState, ...]
     incoming_traces: tuple[GasState, ...]
     outgoing_traces: tuple[GasState, ...]
-    incoming_waves: tuple[WaveType, ...]
-    outgoing_waves: tuple[WaveType, ...]
     admissible: bool
     law: PressureLaw = field(repr=False)
-    in_ratios: tuple[float, ...] = field(repr=False)
-    out_ratios: tuple[float, ...] = field(repr=False)
-
-    def _limits(self, bound):
-        return _port_limits(bound, _port_data(self.incoming, self.outgoing),
-                            self.in_ratios + self.out_ratios, self.law)
+    _problem: _JunctionProblem = field(repr=False, compare=False)
 
     @cached_property
+    def _waves(self) -> tuple[WaveType, ...]:
+        """A rarefaction where the trace is no denser than its datum."""
+        return tuple(WaveType.RAREFACTION if v.rho <= s.rho else WaveType.SHOCK
+                     for v, s in zip(self.incoming_traces + self.outgoing_traces,
+                                     self.incoming + self.outgoing))
+
+    @property
+    def incoming_waves(self) -> tuple[WaveType, ...]:
+        return self._waves[:len(self.incoming)]
+
+    @property
+    def outgoing_waves(self) -> tuple[WaveType, ...]:
+        return self._waves[len(self.incoming):]
+
+    @property
     def rho_min_junction(self) -> float:
-        return max(self._limits(rho_min))
+        return self._problem.rho_min_junction
 
-    @cached_property
+    @property
     def rho_max_junction(self) -> float:
-        return min(self._limits(rho_max))
+        return self._problem.rho_max_junction
 
     @property
     def subsonic_traces(self) -> bool:
@@ -174,32 +153,38 @@ class JunctionSolution:
         return q_in - q_out - self.epsilon
 
 
-def _port_density_maps(law: PressureLaw, ratio: float):
-    """Map junction density -> trace density for a port of pressure ratio r.
+def _port_maps(law: PressureLaw, ratio: float):
+    """Maps (h, h', h^-1) of a port of pressure ratio r; identities for r = 1.
 
-    Returns (h, h'): h(rho) = p^{-1}(p(rho)/r) with derivative by implicit
-    differentiation. Unit ratios short-circuit to the identity.
+    h(rho) = p^{-1}(p(rho)/r) takes junction to trace density; h' follows by
+    implicit differentiation, and h^-1(v) = p^{-1}(r p(v)) keeps 0 and inf.
     """
     if ratio == 1.0:
-        return (lambda r: r), (lambda r: 1.0)
+        return (lambda r: r), (lambda r: 1.0), (lambda r: r)
 
     def h(rho: float) -> float:
         return law.rho_from_pressure(float(law.p(rho)) / ratio)
 
     def dh(rho: float) -> float:
-        y = h(rho)
-        return float(law.dp(rho)) / (ratio * float(law.dp(y)))
+        return float(law.dp(rho)) / (ratio * float(law.dp(h(rho))))
 
-    return h, dh
+    def pullback(value: float) -> float:
+        if value == 0.0 or value == math.inf:
+            return value
+        return law.rho_from_pressure(ratio * float(law.p(value)))
+
+    return h, dh, pullback
 
 
 class _JunctionProblem:
-    """Scalar formulation of one junction solve.
+    """Scalar formulation of one junction solve; the one place that knows
+    the ports.
 
     ``data`` holds the incoming data, then the mirrored outgoing data, and
     ``maps`` the density maps of the same ports, so every loop over the
-    ports treats them alike. When every pressure ratio is 1 the maps are
-    identities, and ``maps`` is None: trace and junction densities coincide.
+    ports treats them alike. Ratios are None (all ones) or one positive,
+    finite number per port. When every ratio is 1 the maps are identities,
+    and ``maps`` is None: trace and junction densities coincide.
     """
 
     def __init__(self, incoming, outgoing, epsilon, law,
@@ -210,25 +195,41 @@ class _JunctionProblem:
             raise DomainError("junction needs at least one pipe")
         if not epsilon >= 0.0:
             raise DomainError(f"extraction must be non-negative, got {epsilon}")
-        for k, state in enumerate(incoming):
-            require_subsonic(state, law, f"incoming state {k}")
-        for k, state in enumerate(outgoing):
-            require_subsonic(state, law, f"outgoing state {k}")
+        ratios = ()
+        for side, ports, given in (("incoming", incoming, in_ratios),
+                                   ("outgoing", outgoing, out_ratios)):
+            given = (1.0,) * len(ports) if given is None else tuple(given)
+            if len(given) != len(ports) or not all(0.0 < r < math.inf for r in given):
+                raise DomainError(
+                    f"{side} pressure ratios must be {len(ports)} positive finite "
+                    f"numbers, one per port, got {list(given)}")
+            ratios += given
+            for k, state in enumerate(ports):
+                require_subsonic(state, law, f"{side} state {k}")
         self.incoming = incoming
         self.outgoing = outgoing
         self.epsilon = float(epsilon)
         self.law = law
-        self.in_ratios = tuple(in_ratios) if in_ratios else (1.0,) * len(incoming)
-        self.out_ratios = tuple(out_ratios) if out_ratios else (1.0,) * len(outgoing)
-        self.data = _port_data(incoming, outgoing)
-        self.ratios = self.in_ratios + self.out_ratios
-        self.maps = (None if all(r == 1.0 for r in self.ratios)
-                     else [_port_density_maps(law, r) for r in self.ratios])
+        self.data = incoming + tuple(s.mirrored() for s in outgoing)
+        self.maps = (None if all(r == 1.0 for r in ratios)
+                     else [_port_maps(law, r) for r in ratios])
         self.scale = max(s.rho for s in self.data)
+
+    def _limits(self, bound):
+        """Per-pipe ``bound`` (``rho_min`` or ``rho_max``) pulled back to the
+        junction density; the maps increase, so the order is kept."""
+        limits = [bound(state, Side.IN, self.law) for state in self.data]
+        if self.maps is None:
+            return limits
+        return [pullback(v) for v, (_, _, pullback) in zip(limits, self.maps)]
 
     @cached_property
     def rho_min_junction(self) -> float:
-        return max(_port_limits(rho_min, self.data, self.ratios, self.law))
+        return max(self._limits(rho_min))
+
+    @cached_property
+    def rho_max_junction(self) -> float:
+        return min(self._limits(rho_max))
 
     def _sweep(self, rho: float):
         """Port momenta and slopes, D(rho) and D'(rho) at junction density rho.
@@ -241,7 +242,7 @@ class _JunctionProblem:
             if self.maps is None:
                 q, dq = lax_left_with_deriv(rho, state, law)
             else:
-                h, dh = self.maps[k]
+                h, dh, _ = self.maps[k]
                 q, dq = lax_left_with_deriv(h(rho), state, law)
                 dq *= dh(rho)
             momenta.append(q)
@@ -356,10 +357,8 @@ class _JunctionProblem:
         if self.maps is None:
             traces = [GasState(rho_star, q) for q in momenta]
         else:
-            traces = [GasState(h(rho_star), q) for (h, _), q in zip(self.maps, momenta)]
+            traces = [GasState(h(rho_star), q) for (h, _, _), q in zip(self.maps, momenta)]
         traces[n_in:] = [v.mirrored() for v in traces[n_in:]]
-        waves = tuple(WaveType.RAREFACTION if v.rho <= s.rho else WaveType.SHOCK
-                      for v, s in zip(traces, self.data))
         return JunctionSolution(
             rho_star=float(rho_star),
             epsilon=self.epsilon,
@@ -367,12 +366,9 @@ class _JunctionProblem:
             outgoing=self.outgoing,
             incoming_traces=tuple(traces[:n_in]),
             outgoing_traces=tuple(traces[n_in:]),
-            incoming_waves=waves[:n_in],
-            outgoing_waves=waves[n_in:],
             admissible=admissible,
             law=self.law,
-            in_ratios=self.in_ratios,
-            out_ratios=self.out_ratios,
+            _problem=self,
         )
 
 

@@ -154,3 +154,32 @@ def test_the_reflected_junction_has_the_mirrored_solution(spec, incoming, outgoi
         for v, w in zip(mine, theirs):
             assert v.rho == pytest.approx(w.rho, rel=1e-13)
             assert v.q == pytest.approx(-w.q, abs=1e-13 * scale)
+
+
+@PROPERTY
+@given(spec=laws, incoming=ports, outgoing=ports, eps=st.floats(0.0, 1.0))
+def test_compressor_ports_keep_their_pressure_ratio(spec, incoming, outgoing, eps):
+    """Every port trace v_k satisfies r_k p(v_k) = p(rho*), and the flux
+    balances. Power-form laws invert p in closed form, so the pressures agree
+    to rounding; other laws invert by a root search whose absolute density
+    tolerance (2e-12, taken twice) bounds the error through p'(v_k)."""
+    law = LAWS[spec]
+    data_in = _states(law, [(rho, m) for rho, m, _ in incoming])
+    data_out = _states(law, [(rho, m) for rho, m, _ in outgoing])
+    ratios = [r for _, _, r in incoming] + [r for _, _, r in outgoing]
+    try:
+        sol = solve_multi_junction(data_in, data_out, eps, law,
+                                   in_pressure_ratios=ratios[:len(incoming)],
+                                   out_pressure_ratios=ratios[len(incoming):])
+    except GasPowerError:
+        assume(False)
+    traces = sol.incoming_traces + sol.outgoing_traces
+    p_star = float(law.p(sol.rho_star))
+    for v, r in zip(traces, ratios):
+        if law.power_form() is None:
+            tol = 4e-12 * float(law.dp(v.rho))
+        else:
+            tol = 1e-14 * max(abs(p_star), sol.rho_star * float(law.dp(sol.rho_star)))
+        assert abs(r * float(law.p(v.rho)) - p_star) <= tol
+    scale = _momentum_scale(law, data_in + data_out + list(traces))
+    assert abs(sol.flux_residual()) <= 1e-13 * scale

@@ -501,9 +501,14 @@ def test_float_and_array_paths_agree_at_exponent_minus_one(text, methods):
         assert on_float64.tobytes() == on_array.tobytes(), method
 
 
-@pytest.mark.parametrize("text", [
-    "gamma(1.0,1.4)", "isothermal(340.0)", "log", "inverse", "generalized(2.0,0.5)"])
-@pytest.mark.parametrize("pressure", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("pressure, text", [
+    *((pressure, text) for pressure in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+      for text in ("gamma(1.0,1.4)", "isothermal(340.0)", "log", "inverse",
+                   "generalized(2.0,0.5)")),
+    # Finite pressures whose closed-form density overflows or underflows.
+    (1000.0, "log"), (-1000.0, "log"), (1e300, "gamma(1.0,0.5)"),
+    (1e300, "generalized(2.0,-0.5)"), (1e-300, "gamma(1.0,0.5)"),
+])
 def test_power_family_inverts_only_pressures_in_its_range(text, pressure):
     """The closed-form inverse raises where the generic inversion does, and
     names the pressure and the law; elsewhere the two agree."""

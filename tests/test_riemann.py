@@ -9,6 +9,7 @@ from gaspower.errors import DomainError, InvalidDemandError, NoSolutionError
 from gaspower.laxcurves import GasState, WaveType, lambda1, lambda2
 from gaspower.pressure import GeneralizedGammaLaw, IsothermalLaw
 from gaspower.riemann import (
+    junction_max_extraction,
     max_extraction,
     sample_solution,
     solve_gas_power_junction,
@@ -295,6 +296,22 @@ def test_compressor_ratio_port(unit_isothermal):
     p_junction = float(unit_isothermal.p(sol.rho_star))
     assert 1.05 * p_in == pytest.approx(p_junction, rel=1e-12)
     assert abs(sol.flux_residual()) < 1e-12
+
+
+@pytest.mark.parametrize("ratios", [
+    [0.0, 1.0], [-1.0, 1.0], [math.nan, 1.0], [1.0, math.inf],
+    [1.0], [1.2], [], [1.0, 1.0, 1.0],
+])
+@pytest.mark.parametrize("side", ["in", "out"])
+@pytest.mark.parametrize("entry", [solve_multi_junction, junction_max_extraction])
+def test_malformed_compressor_ratios_are_domain_errors(unit_isothermal, entry, side,
+                                                       ratios):
+    """Ratios are None (all ones) or one positive, finite number per port;
+    anything else is a DomainError that names the side and the port count."""
+    states = [GasState(1.0, 0.1), GasState(1.2, -0.05)]
+    args = (states, states, 0.0) if entry is solve_multi_junction else (states, states)
+    with pytest.raises(DomainError, match=rf"^{side}\w+ pressure ratios must be 2 "):
+        entry(*args, unit_isothermal, **{f"{side}_pressure_ratios": ratios})
 
 
 # -- non-existence --------------------------------------------------------------
