@@ -14,6 +14,7 @@ from .coupling import (
     cosim_step,
     find_stationary_state,
     link_junction,
+    update_extraction,
 )
 from .cweno import cweno3_step
 from .errors import SchemaError
@@ -61,7 +62,7 @@ def build_gas_simulation(scenario: Scenario) -> GasSimulation:
             if grid.pipe.id == init.pipe:
                 grid.fill(init.rho, init.q)
     if scenario.stationary_init:
-        # Seed the steady-state march from the first pressure-type boundary.
+        # Seed the steady-state steps from the first pressure-type boundary.
         rho_seed = 1.0
         for bc in scenario.boundaries:
             if bc.kind == "pressure":
@@ -283,13 +284,8 @@ def run_cosim(scenario: Scenario) -> RunResult:
                  for s in scenario.schedules]
 
     # Initial condition: power flow at t=0 fixes the extraction, then the gas
-    # network is relaxed to the matching steady state.
-    for schedule in schedules:
-        bus = grid.buses[grid.index(schedule.bus)]
-        bus.P, bus.Q = schedule.at(0.0)
-    pf = solve_newton(grid)
-    junction = link_junction(sim, link.gas_node)
-    junction.extraction.value = link.extraction(float(pf.P[grid.slack_index]))
+    # network is brought to the matching steady state.
+    pf = update_extraction(sim, grid, link, schedules, 0.0)
     if scenario.stationary_init:
         find_stationary_state(sim)
     power_step = partial(cosim_step, sim, grid, link, schedules)

@@ -210,14 +210,26 @@ def solve_newton(grid: PowerGrid, initial="flat") -> PowerFlowSolution:
     residual = mismatch((vmag, phi), grid, y)
     norm = float(np.max(np.abs(residual))) if residual.size else 0.0
     iterations = 0
-    while norm > NEWTON_TOL:
+    while not norm <= NEWTON_TOL:
+        if not np.isfinite(norm):
+            # Residual rows are the non-slack P equations, then the PQ Q ones.
+            bus = (pvpq + pq)[int(np.argmax(~np.isfinite(residual)))]
+            raise ConvergenceError(
+                f"power flow mismatch is not finite at bus "
+                f"{grid.buses[bus].id} after {iterations} iterations"
+            )
         if iterations >= NEWTON_MAX_ITER:
             raise ConvergenceError(
                 f"power flow diverged: |mismatch| = {norm:.3e} "
                 f"after {iterations} iterations"
             )
         jac = _jacobian(y, vmag, phi, pvpq, pq)
-        step = np.linalg.solve(jac, -residual)
+        try:
+            step = np.linalg.solve(jac, -residual)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                f"power flow Jacobian is singular in iteration {iterations + 1}"
+            ) from None
         phi[pvpq] += step[:len(pvpq)]
         vmag[pq] += step[len(pvpq):]
         residual = mismatch((vmag, phi), grid, y)

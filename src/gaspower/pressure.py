@@ -626,29 +626,35 @@ def check_sufficient_conditions(law: PressureLaw, rho_grid=None) -> ValidityRepo
         and abs(limit) >= 1e-3 * abs(transient)
     )
 
+    # Exponent s of c ~ rho^(-s) near vacuum, with a band of doubt of width
+    # ``band`` around its decisive values 0 and 1.
     c_h = float(law.c(head))
-    c_10h = float(law.c(10.0 * head))
-    c_100h = float(law.c(100.0 * head))
-    # Local power exponent of c ~ rho^(-s) over the first two decades.
-    s1 = math.log10(c_h / c_10h)
-    s2 = math.log10(c_10h / c_100h)
-    tame_vanish = finite_limit = integrable_blowup = False
-    if abs(s1 - s2) > 0.02:
-        vacuum_trend_gray = True
+    form = law.power_form()
+    if form is not None:
+        s, band = -0.5 * form[1], 0.0  # c = sqrt(alpha) rho^(delta/2) exactly
     else:
-        s = 0.5 * (s1 + s2)
-        if s <= -0.005:  # c decreasing towards 0 near vacuum
+        # Local exponent over the first two decades.
+        c_10h = float(law.c(10.0 * head))
+        c_100h = float(law.c(100.0 * head))
+        s1 = math.log10(c_h / c_10h)
+        s2 = math.log10(c_10h / c_100h)
+        s, band = 0.5 * (s1 + s2), 0.005
+        vacuum_trend_gray = abs(s1 - s2) > 0.02
+    tame_vanish = finite_limit = integrable_blowup = False
+    if not vacuum_trend_gray:
+        if s < -band:  # c decreasing towards 0 near vacuum
             expr3 = 2.0 * dp - grid * d2p
             scale3 = 2.0 * np.abs(dp) + np.abs(grid * d2p)
             tame_vanish, w = _nonneg(expr3, scale3)
             worst = max(worst, w)
-        elif abs(s) < 0.005:
+        elif s <= band:
             finite_limit = c_h > 0.0 and math.isfinite(c_h)
-        elif s < 0.985:
+        elif s < 1.0 - 3.0 * band:
             integrable_blowup = True
-        elif s <= 1.005:
-            vacuum_trend_gray = True
-        # s beyond ~1: blow-up too strong for an integrable exponent
+        else:
+            # s beyond 1: blow-up too strong for an integrable exponent,
+            # unless a fitted s is within the band of it
+            vacuum_trend_gray = s < 1.0 + band
 
     # A gray trend only matters when no definite condition already settles
     # the corresponding alternative.

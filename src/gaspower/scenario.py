@@ -445,7 +445,7 @@ def _validate(s: Scenario, origin: str) -> None:
             raise SchemaError(f"{origin}.boundary[{k}]: unknown node {b.node!r}")
         if b.kind not in ("pressure", "density", "flow", "state"):
             raise SchemaError(f"{origin}.boundary[{k}]: unknown kind {b.kind!r}")
-        # The stationary start marches far past t_end and would relax to the
+        # The stationary start steps far past t_end and would settle at the
         # last value of a varying series.
         if (s.stationary_init and isinstance(b.value[0], tuple)
                 and len({v for _, v in b.value}) > 1):

@@ -19,6 +19,11 @@ def test_pressure_check_invalid_law_exits_one(capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+def test_pressure_check_accepts_a_power_law_next_to_delta_minus_two(capsys):
+    assert main(["pressure-check", "generalized(1.0,-1.99)"]) == 0
+    assert "=> VALID" in capsys.readouterr().out
+
+
 def test_pressure_check_bad_selector_reports_category(capsys):
     assert main(["pressure-check", "nosuchlaw(1)"]) == 1
     assert "[domain-error]" in capsys.readouterr().err

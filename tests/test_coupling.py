@@ -3,6 +3,7 @@
 import inspect
 import math
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from gaspower.coupling import (
     find_stationary_state,
     heat_rate,
     link_max_extraction,
+    update_extraction,
 )
+from gaspower.driver import build_gas_simulation, build_link, build_power_grid
 from gaspower.errors import ConfigError, ConvergenceError, InvalidDemandError
 from gaspower.friction import FrictionModel
+from gaspower.ibox import ibox_step
 from gaspower.network import (
     BoundaryCondition,
     GasSimulation,
@@ -30,6 +34,7 @@ from gaspower.network import (
 )
 from gaspower.powerflow import Bus, PowerGrid, TransmissionLine
 from gaspower.pressure import IsothermalLaw
+from gaspower.scenario import load_scenario
 
 
 def _link(a0=2.0, a1=5.0, a2=10.0):
@@ -127,7 +132,7 @@ def test_stationary_march_reports_its_step_budget(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError,
-                           match=r"no stationary state within 1 steps \(last rate .*, tol 1e-10\)"):
+                           match=r"no stationary state within 1 steps \(last change .*\)"):
             find_stationary_state(sim)
 
 
@@ -198,4 +203,70 @@ def test_stationary_march_names_the_largest_change(monkeypatch):
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError,
                            match=r"; largest change at pipe [AB] node \d+ \((rho|q)\)$"):
+            find_stationary_state(sim)
+
+
+def _gaslib9_at_t0():
+    """gaslib9 holding the extraction of its t = 0 power flow, as a coupled
+    run starts it."""
+    scn = load_scenario(files("gaspower") / "scenarios" / "gaslib9.scn")
+    sim = build_gas_simulation(scn)
+    schedules = [DemandSchedule(s.bus, s.times, s.P, s.Q) for s in scn.schedules]
+    update_extraction(sim, build_power_grid(scn), build_link(scn, sim),
+                      schedules, 0.0)
+    return sim
+
+
+@pytest.mark.parametrize("dt", [1.0, 3600.0, 1e9])
+@pytest.mark.parametrize("network", ["small", "gaslib9"])
+def test_stationary_state_is_a_fixed_point_of_the_box_step(network, dt):
+    """The stationary start solves the steady box equations, so a box step
+    of any size leaves it bit for bit unchanged."""
+    if network == "small":
+        sim = _small_network(IsothermalLaw(340.0))
+    else:
+        sim = _gaslib9_at_t0()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        find_stationary_state(sim)
+        before = sim.state_vector()
+        ibox_step(sim, dt)
+    assert sim.state_vector().tobytes() == before.tobytes()
+
+
+def _flow_only_network(q_in, q_out):
+    """Two pipes through a plain junction, with flow boundaries at both ends."""
+    law = IsothermalLaw(340.0)
+    grids = [PipeGrid(Pipe(pid, a, b, 2000.0, diameter=0.6, roughness=5e-5),
+                      8, law, staggering="nodes").fill(60e5 / 340.0**2, 0.0)
+             for pid, a, b in (("A", "in", "J"), ("B", "J", "out"))]
+    return GasSimulation(
+        grids=grids,
+        junctions=[Junction("J", [JunctionPort(0, "end"), JunctionPort(1, "start")])],
+        boundaries={(0, "start"): BoundaryCondition("flow", constant(q_in)),
+                    (1, "end"): BoundaryCondition("flow", constant(q_out))},
+        friction=FrictionModel(),
+    )
+
+
+def test_balanced_flow_only_network_keeps_its_mass():
+    """Without a pressure or density boundary the steady state is the one
+    that holds the initial mass, which the box steps conserve."""
+    sim = _flow_only_network(100.0, 100.0)
+    mass = sim.total_mass()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        find_stationary_state(sim)
+    assert sim.t == 0.0
+    assert np.all(sim.state[1] == 100.0)
+    assert sim.total_mass() == pytest.approx(mass, rel=1e-14)
+
+
+def test_unbalanced_flow_only_network_has_no_stationary_state():
+    sim = _flow_only_network(100.0, 90.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError,
+                           match=rf"within {coupling.STATIONARY_MAX_STEPS} steps "
+                                 r".*; largest change at pipe [AB] node \d+"):
             find_stationary_state(sim)

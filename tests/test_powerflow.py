@@ -202,3 +202,20 @@ def test_divergence_is_reported():
     grid.buses[4].P = -80.0  # hopeless demand
     with pytest.raises(ConvergenceError):
         solve_newton(grid)
+
+
+def test_nan_demand_is_not_reported_as_converged():
+    grid = nine_bus_grid()
+    grid.buses[4].P = float("nan")
+    with pytest.raises(ConvergenceError,
+                       match=r"mismatch is not finite at bus N5 after 0 iterations"):
+        solve_newton(grid)
+
+
+def test_isolated_bus_is_a_convergence_error():
+    buses = [Bus("S", "slack", V=1.0, phi=0.0, G=0.0, B=-4.0),
+             Bus("A", "PQ", P=-0.5, Q=-0.1, G=0.0, B=-4.0),
+             Bus("I", "PQ", P=-0.5, Q=-0.1)]
+    grid = PowerGrid(buses, [TransmissionLine("S", "A", 0.0, 4.0)])
+    with pytest.raises(ConvergenceError, match=r"singular in iteration 1$"):
+        solve_newton(grid)

@@ -170,6 +170,23 @@ def test_checker_agrees_with_closed_form_invalid(delta):
     assert not classify_generalized_gamma(1.0, delta)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_checker_agrees_with_closed_form_near_the_bounds(alpha):
+    """Power-form laws take their exact vacuum exponent -delta/2, so the
+    checker has no band of doubt next to delta = -2."""
+    deltas = np.concatenate([
+        np.linspace(-2.0, -1.5, 501),
+        np.linspace(1.5, 2.0, 101),
+        [-3.5, -2.5, -2.03, -2.01, -2.001, 2.001, 2.01, 2.03, 2.5, 3.5],
+    ])
+    disagree = [
+        delta for delta in map(float, deltas)
+        if check_sufficient_conditions(GeneralizedGammaLaw(alpha, delta)).valid
+        != classify_generalized_gamma(alpha, delta)
+    ]
+    assert disagree == []
+
+
 def test_classification_examples():
     assert classify_generalized_gamma(1.0, 0.4)
     assert classify_generalized_gamma(1.0, 2.0)      # boundary included
