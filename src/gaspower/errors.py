@@ -52,7 +52,8 @@ class ConvergenceError(GasPowerError):
 
 
 class NumericsError(GasPowerError):
-    """Quadrature or root bracketing failed; message carries the interval."""
+    """Non-finite values or an unresolved rarefaction integral; the message
+    names the interval or the state."""
 
     category = "numeric-error"
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GasPowerError, InadmissibleError, NumericsError
+from .errors import DomainError, InadmissibleError, NumericsError
 from .pressure import PressureLaw
 from .roots import brentq
 
@@ -120,11 +119,9 @@ def rarefaction_integral(law: PressureLaw, rho: float, rho_ref: float) -> float:
     """Integral of c(s)/s over [rho, rho_ref] (signed).
 
     Closed form when p' is a pure power of density. Other laws take the
-    difference of a spline antiderivative of c(e^u) in u = ln s (see
-    :func:`_sound_speed_antiderivative`), which is checked against adaptive
-    quadrature once per law; quadrature with absolute tolerance 1e-12 is the
-    fallback for laws failing that check and for densities outside
-    [1e-12, 1e12].
+    difference of the antiderivative of c(e^u) in u = ln s that
+    :class:`_Panels` holds, exact to rounding, as Chebyshev series on the
+    unit panels [k, k+1] of u.
     """
     if rho <= 0.0 or rho_ref <= 0.0:
         raise DomainError("rarefaction integral needs positive densities")
@@ -138,82 +135,83 @@ def rarefaction_integral(law: PressureLaw, rho: float, rho_ref: float) -> float:
             return root_alpha * math.log(rho_ref / rho)
         half = 0.5 * delta
         return root_alpha * (rho_ref**half - rho**half) / half
-    lo, hi = math.log(rho), math.log(rho_ref)
-    anti = _sound_speed_antiderivative(law)
-    if anti is not None and _ANTI_LO <= min(lo, hi) and max(lo, hi) <= _ANTI_HI:
-        return anti(hi) - anti(lo)
-    return _quad_log_integral(law, lo, hi)
+    panels = _panels(law)
+    high, low = panels.antiderivative(rho)
+    high_ref, low_ref = panels.antiderivative(rho_ref)
+    return (high_ref - high) + (low_ref - low)
 
 
-def _quad_log_integral(law: PressureLaw, lo: float, hi: float) -> float:
-    # Substituting s = e^u turns the possibly singular c(s)/s into the
-    # smooth integrand c(e^u), which adaptive quadrature handles well even
-    # for intervals reaching far towards vacuum.
-    from scipy.integrate import quad
-
-    value, abserr = quad(
-        lambda u: float(law.c(math.exp(u))), lo, hi,
-        epsabs=1e-12, epsrel=1e-12, limit=200,
-    )
-    if abserr > 1e-8 * max(1.0, abs(value)):
-        raise NumericsError(
-            f"rarefaction integral on [{math.exp(lo):g}, {math.exp(hi):g}] "
-            f"for {law.label} reached error estimate {abserr:.2e}"
-        )
-    return value
+_PANEL_DEGREE = 32  # degree of a panel's Chebyshev fit of c(e^u)
+_PANEL_RESOLVED = 1e-10  # bound on its last 8 coefficients, relative to the largest
 
 
-_ANTI_LO = math.log(1e-12)
-_ANTI_HI = math.log(1e12)
+def _clenshaw(coefficients, y: float) -> float:
+    """Sum of a_j T_j(y) for ``coefficients`` = (a_n, ..., a_0)."""
+    y2 = y + y
+    b1 = b2 = 0.0
+    for a in coefficients:
+        b1, b2 = a + y2 * b1 - b2, b1
+    return b1 - y * b2
 
 
-def _float_ppoly(ppoly):
-    """Float evaluator of a 1-d SciPy ``PPoly``, equal to ``float(ppoly(u))``.
+class _Panels:
+    """Antiderivative of c(e^u), anchored at u = 0, on unit panels [k, k+1].
 
-    It takes SciPy's interval, ``x[i] <= u < x[i+1]`` clamped to the first
-    and last interval, and SciPy's order of operations, from the constant
-    term up, without SciPy's per-call array dispatch.
+    Panel k holds a Chebyshev series in y = 2 ln(s / e^k) - 1 (e^k is the
+    float ``exp(k)``): the integral of c(e^u) from the panel's edge nearer
+    u = 0, from an interpolant of degree ``_PANEL_DEGREE`` chopped at
+    rounding. It also holds the sum of the panels strictly between that edge
+    and u = 0 as ``math.fsum``'s sum and remainder, so that a difference of
+    two sums is as exact as the sum of the panels between them. Panels are
+    built on first use, with all those nearer u = 0.
     """
-    breaks = ppoly.x.tolist()
-    coefficients = [tuple(column[::-1]) for column in ppoly.c.T.tolist()]
-    last = len(breaks) - 2
 
-    def evaluate(u: float) -> float:
-        i = min(max(bisect_right(breaks, u) - 1, 0), last)
-        s = u - breaks[i]
-        res, z = 0.0, 1.0
-        for c in coefficients[i]:
-            res = res + c * z
-            z *= s
-        return res
+    def __init__(self, law: PressureLaw):
+        self._law = law
+        self._panels = {}  # k -> (e^k, sum, sum remainder, series)
+        self._terms = ([], [])  # signed integrals of the panels above and below u = 0
 
-    return evaluate
+    def antiderivative(self, rho: float) -> tuple[float, float]:
+        """The antiderivative at ``rho``: its panel sum, and the rest."""
+        try:
+            k = math.floor(math.log(rho))
+        except (ValueError, OverflowError):
+            raise DomainError(
+                f"rarefaction integral needs finite densities, got {rho!r}") from None
+        while k not in self._panels:
+            self._extend(below=k < 0)
+        start, high, low, series = self._panels[k]
+        return high, low + _clenshaw(series, 2.0 * math.log(rho / start) - 1.0)
+
+    def _extend(self, below: bool) -> None:
+        """Build the next panel outwards from u = 0, below it or above it."""
+        from numpy.polynomial import chebyshev
+
+        terms = self._terms[below]
+        k = -len(terms) - 1 if below else len(terms)
+        law, start = self._law, math.exp(k)
+        fit = chebyshev.chebinterpolate(
+            lambda y: law.c(start * np.exp(0.5 + 0.5 * y)), _PANEL_DEGREE)
+        largest = np.max(np.abs(fit))
+        where = f"for {law.label} on densities [{start:.6g}, {start * math.e:.6g}]"
+        if not np.isfinite(largest):
+            raise NumericsError(f"sound speed is not finite {where}")
+        if np.max(np.abs(fit[-8:])) > _PANEL_RESOLVED * largest:
+            raise NumericsError(f"degree-{_PANEL_DEGREE} Chebyshev fit of the "
+                                f"sound speed is not resolved {where}")
+        edge = 1.0 if below else -1.0  # the panel's edge nearer u = 0
+        integral = chebyshev.chebint(fit, lbnd=edge, scl=0.5)
+        kept = np.abs(integral) > np.finfo(float).eps * np.max(np.abs(integral))
+        series = tuple(integral[:np.flatnonzero(kept)[-1] + 1][::-1].tolist())
+        high = math.fsum(terms)
+        self._panels[k] = start, high, math.fsum(terms + [-high]), series
+        terms.append(_clenshaw(series, -edge))
 
 
 @functools.lru_cache(maxsize=16)
-def _sound_speed_antiderivative(law: PressureLaw):
-    """Spline antiderivative of c(e^u) as a float function of u, validated
-    against quadrature.
-
-    Cached per law (laws compare and hash by their ``spec()``). Laws whose
-    sound speed is too wild for the spline (verification fails) get None
-    and fall back to adaptive quadrature permanently.
-    """
-    from scipy.interpolate import CubicSpline
-
-    u = np.linspace(_ANTI_LO, _ANTI_HI, 5600)
-    try:
-        values = np.asarray(law.c(np.exp(u)), dtype=float)
-        if not np.all(np.isfinite(values)):
-            return None
-        anti = _float_ppoly(CubicSpline(u, values).antiderivative())
-        for a, b in ((0.3, 1.7), (-7.0, -1.0), (1.0, 9.0), (-13.0, 0.5)):
-            exact = _quad_log_integral(law, a, b)
-            if abs(anti(b) - anti(a) - exact) > 1e-9 * max(1.0, abs(exact)):
-                return None
-    except (ValueError, ArithmeticError, GasPowerError):
-        return None
-    return anti
+def _panels(law: PressureLaw) -> _Panels:
+    """The panels of ``law``, cached per law (laws hash by their ``spec()``)."""
+    return _Panels(law)
 
 
 def lax_left(rho: float, left: GasState, law: PressureLaw) -> float:

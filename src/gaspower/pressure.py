@@ -119,6 +119,15 @@ class PressureLaw:
         """
         return None
 
+    def power_terms(self):
+        """Pairs (alpha, delta) with ``p' = sum alpha * rho**delta`` and p the
+        sum of their integrals without a constant; None for other laws.
+
+        The well-posedness checker reads the exact vacuum behaviour off them.
+        """
+        form = self.power_form()
+        return None if form is None else (form,)
+
     def rho_from_pressure(self, pressure: float) -> float:
         """Invert the (monotone) pressure law; DomainError outside its range."""
         lo, hi = 1e-9, 1e9
@@ -136,7 +145,7 @@ class PressureLaw:
             raise DomainError(f"pressure {pressure!r} above range of {self.label}")
         if self.p(lo) == pressure:
             return lo
-        return brentq(lambda r: self.p(r) - pressure, lo, hi, rtol=1e-15)
+        return brentq(lambda r: self.p(r) - pressure, lo, hi, xtol=1e-15 * lo, rtol=1e-15)
 
     def spec(self) -> str:
         """Canonical parseable description, see :func:`parse_law`."""
@@ -333,6 +342,9 @@ class SumGammaLaw(PressureLaw):
         rho, r = self._root(rho)
         return 0.1 / rho / rho * _horner(self._D3P, r)
 
+    def power_terms(self):
+        return tuple((0.1, i / 5.0) for i in range(1, 11))
+
     def spec(self):
         return "sum_gamma"
 
@@ -419,6 +431,12 @@ class LinearCombinationLaw(PressureLaw):
             return None
         alpha = sum(w * f[0] for w, f in zip(self.weights, forms))
         return (alpha, forms[0][1])
+
+    def power_terms(self):
+        terms = [law.power_terms() for law in self.laws]
+        if None in terms:
+            return None
+        return tuple((w * a, d) for w, t in zip(self.weights, terms) for a, d in t)
 
     def spec(self):
         terms = ",".join(f"{w!r}*{law.spec()}" for w, law in zip(self.weights, self.laws))
@@ -604,34 +622,40 @@ def check_sufficient_conditions(law: PressureLaw, rho_grid=None) -> ValidityRepo
     decay_bound, w = _nonneg(expr_decay, scale_decay)
     worst = max(worst, w)
 
-    # Near-vacuum behaviour at the grid head: geometric extrapolation of
+    # Near-vacuum behaviour at the grid head. A law of power terms is led by
+    # its smallest exponent: rho * p(rho) tends to a negative limit exactly
+    # when that is -2. Other laws take a geometric extrapolation of
     # rho * p(rho) from three decades (exact for power-plus-constant tails,
     # which removes slowly decaying transients before the sign test).
     head = grid[0]
-    v1, v2, v3 = (s * head * float(law.p(s * head)) for s in (1.0, 10.0, 100.0))
-    g1, g2 = v1 - v2, v2 - v3
-    if abs(g1) <= 1e-12 * max(1.0, abs(v1)):
-        limit = v1
-        transient = 0.0
-    elif g2 != 0.0 and 0.0 < g1 / g2 <= 0.95:
-        r = g1 / g2
-        transient = -g1 * r / (1.0 - r)
-        limit = v1 - transient
+    terms = law.power_terms()
+    if terms is not None:
+        lowest = min(delta for _, delta in terms)
+        vacuum_negative = lowest == -2.0
     else:
-        limit = math.inf  # diverging or unclassifiable: not a finite limit
-        transient = 0.0
-    vacuum_negative = (
-        math.isfinite(limit)
-        and limit < 0.0
-        and abs(limit) >= 1e-3 * abs(transient)
-    )
+        v1, v2, v3 = (s * head * float(law.p(s * head)) for s in (1.0, 10.0, 100.0))
+        g1, g2 = v1 - v2, v2 - v3
+        if abs(g1) <= 1e-12 * max(1.0, abs(v1)):
+            limit = v1
+            transient = 0.0
+        elif g2 != 0.0 and 0.0 < g1 / g2 <= 0.95:
+            r = g1 / g2
+            transient = -g1 * r / (1.0 - r)
+            limit = v1 - transient
+        else:
+            limit = math.inf  # diverging or unclassifiable: not a finite limit
+            transient = 0.0
+        vacuum_negative = (
+            math.isfinite(limit)
+            and limit < 0.0
+            and abs(limit) >= 1e-3 * abs(transient)
+        )
 
     # Exponent s of c ~ rho^(-s) near vacuum, with a band of doubt of width
     # ``band`` around its decisive values 0 and 1.
     c_h = float(law.c(head))
-    form = law.power_form()
-    if form is not None:
-        s, band = -0.5 * form[1], 0.0  # c = sqrt(alpha) rho^(delta/2) exactly
+    if terms is not None:
+        s, band = -0.5 * lowest, 0.0  # c ~ rho^(lowest/2) near vacuum, exactly
     else:
         # Local exponent over the first two decades.
         c_10h = float(law.c(10.0 * head))

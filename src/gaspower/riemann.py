@@ -72,8 +72,8 @@ _ROUNDING_STEP = 1e-14  # backward Newton step, relative to rho, taken as roundi
 # Margin of the Newton path's admissibility test: a port slope must be
 # negative by more than this fraction of the port velocity |lax/rho| (c at
 # the pipe's rho_min), i.e. the density must exceed that rho_min by about
-# this fraction. Closer roots, where D - epsilon may have a double root or
-# spline rarefaction integrals carry ~1e-10 rounding, are left to the
+# this fraction. Closer roots, where D - epsilon may have a double root and
+# the sign of a slope near zero is decided by rounding, are left to the
 # fallback, which decides them exactly as ``junction_max_extraction`` does.
 _SLOPE_TOL = 1e-6
 

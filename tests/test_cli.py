@@ -24,6 +24,13 @@ def test_pressure_check_accepts_a_power_law_next_to_delta_minus_two(capsys):
     assert "=> VALID" in capsys.readouterr().out
 
 
+def test_pressure_check_accepts_a_mixed_combination_next_to_delta_minus_two(capsys):
+    law = "linear_combination(1.0*generalized(1.0,-1.99),1.0*gamma(1,1.4))"
+    assert main(["pressure-check", law]) == 0
+    out = capsys.readouterr().out
+    assert "=> VALID" in out and "inconclusive" not in out
+
+
 def test_pressure_check_bad_selector_reports_category(capsys):
     assert main(["pressure-check", "nosuchlaw(1)"]) == 1
     assert "[domain-error]" in capsys.readouterr().err

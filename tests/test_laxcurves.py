@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaspower.errors import DomainError, InadmissibleError
+from gaspower.errors import DomainError, InadmissibleError, NumericsError
 from gaspower.laxcurves import (
-    _ANTI_HI,
-    _ANTI_LO,
     GasState,
     Side,
     WaveType,
@@ -18,9 +16,8 @@ from gaspower.laxcurves import (
     f_shock,
     lambda1,
     _f_shock_deriv,
-    _quad_log_integral,
+    _panels,
     _sonic_density_search,
-    _sound_speed_antiderivative,
     lax_left,
     lax_left_deriv,
     lax_left_with_deriv,
@@ -316,35 +313,70 @@ def test_shock_branch_slope_is_the_auxiliary_quotient(law):
                 state.u - _f_shock_deriv(rho, state.rho, law) / (2.0 * root))
 
 
-def test_spline_antiderivative_evaluates_as_scipy_ppoly():
-    """Bit for bit against ``PPoly.__call__`` on the spline that
-    ``_sound_speed_antiderivative`` builds (5600 knots on [_ANTI_LO, _ANTI_HI]),
-    at random points, every 100th breakpoint and both ends, and through
-    ``rarefaction_integral``."""
-    from scipy.interpolate import CubicSpline, PPoly
+# 30-digit sound speeds c(e^u) of laws without a power form, with the float
+# exponents and coefficients that the laws evaluate.
+def _oracle_sound_speeds(mp):
+    def gamma_integral(u):
+        # p = (e^{3u} - e^u) / u; its derivative by rho, near u = 0 by series
+        if abs(u) < mp.mpf(10) ** -12:
+            return mp.sqrt(4 + mp.mpf(14) / 3 * u + mp.mpf(10) / 3 * u * u)
+        with mp.workdps(45):
+            return mp.sqrt(((3 * mp.exp(2 * u) - 1) * u - mp.expm1(2 * u)) / (u * u))
 
-    law = SumGammaLaw()
-    knots = np.linspace(_ANTI_LO, _ANTI_HI, 5600)
-    ppoly = CubicSpline(knots, law.c(np.exp(knots))).antiderivative()
-    assert isinstance(ppoly, PPoly)
-    anti = _sound_speed_antiderivative(law)
-    rng = np.random.default_rng(12)
-    u = np.concatenate([rng.uniform(_ANTI_LO, _ANTI_HI, 20_000), knots[::100],
-                        [_ANTI_LO, _ANTI_HI]])
-    assert [anti(float(v)) for v in u] == ppoly(u).tolist()
-    densities = np.exp(rng.uniform(-25.0, 25.0, (2000, 2)))
-    assert ([rarefaction_integral(law, a, b) for a, b in densities]
-            == [float(ppoly(math.log(b)) - ppoly(math.log(a))) for a, b in densities])
+    return {
+        "sum_gamma": lambda u: mp.sqrt(
+            mp.mpf(0.1) * mp.polyval([1] * 10 + [0], mp.exp(mp.mpf(0.2) * u))),
+        "linear_combination(1*gamma(1,3),2*log)":
+            lambda u: mp.sqrt(3 * mp.exp(2 * u) + 2 * mp.exp(-u)),
+        "linear_combination(1.0*generalized(1.0,-1.99),1.0*gamma(1,1.4))":
+            lambda u: mp.sqrt(mp.exp(mp.mpf(-1.99) * u)
+                              + mp.mpf(1.4) * mp.exp((mp.mpf(1.4) - 1) * u)),
+        "gamma_integral": gamma_integral,
+    }
 
 
-def test_rarefaction_spline_is_cached_per_law_not_stored_on_it():
+@pytest.mark.parametrize("spec, tol", [
+    ("sum_gamma", 2e-15),
+    ("linear_combination(1*gamma(1,3),2*log)", 2e-15),
+    ("linear_combination(1.0*generalized(1.0,-1.99),1.0*gamma(1,1.4))", 2e-15),
+    # its own sound speed carries ~1e-12 noise near rho = 1
+    ("gamma_integral", 1e-10),
+])
+def test_rarefaction_integral_matches_a_30_digit_oracle(spec, tol):
+    """Laws without a power form, on random and on short intervals of
+    [1e-8, 1e8].
+
+    The error is taken relative to the larger of |I| and the sound speeds at
+    both ends: callers add I to a sub-sonic velocity, and the difference of
+    an antiderivative (as the closed power form is one) cannot resolve an
+    interval much shorter than its panel better than that.
+    """
+    mp = pytest.importorskip("mpmath")
+    law = parse_law(spec)
+    c = _oracle_sound_speeds(mp)[spec]
+    rng = np.random.default_rng(22)
+    ends = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), (24, 2)))
+    short = ends[:8, :1] * np.exp(rng.uniform(-0.05, 0.05, (8, 1)))
+    ends = np.concatenate([ends, np.hstack([ends[:8, :1], short])])
+    with mp.workdps(30):
+        for rho, rho_ref in ends.tolist():
+            lo, hi = mp.log(rho), mp.log(rho_ref)
+            splits = range(math.ceil(min(lo, hi)), math.floor(max(lo, hi)) + 1, 3)
+            points = sorted([lo, hi, *map(mp.mpf, splits)], reverse=hi < lo)
+            exact = mp.quad(c, points)
+            scale = max(abs(exact), c(lo), c(hi))
+            error = abs(rarefaction_integral(law, rho, rho_ref) - exact)
+            assert error <= tol * scale, (rho, rho_ref, float(error / scale))
+
+
+def test_rarefaction_panels_are_cached_per_law_not_stored_on_it():
     law = SumGammaLaw()
     rarefaction_integral(law, 0.5, 2.0)
     assert vars(law) == {}
-    assert _sound_speed_antiderivative(SumGammaLaw()) is _sound_speed_antiderivative(law)
+    assert _panels(SumGammaLaw()) is _panels(law)
 
 
-def test_law_failing_spline_verification_keeps_quadrature():
+def test_non_finite_sound_speed_fails_only_the_intervals_that_reach_it():
     class NanAtHighDensity(SumGammaLaw):
         def c(self, rho):
             return np.where(np.asarray(rho) > 1e6, math.nan, super().c(rho))
@@ -352,12 +384,31 @@ def test_law_failing_spline_verification_keeps_quadrature():
         def spec(self):
             return "sum_gamma_nan_above_1e6"
 
-    law = NanAtHighDensity()
-    assert _sound_speed_antiderivative(law) is None
-    hits = _sound_speed_antiderivative.cache_info().hits
-    expected = _quad_log_integral(law, math.log(0.5), math.log(2.0))
-    assert rarefaction_integral(law, 0.5, 2.0) == expected
-    assert _sound_speed_antiderivative.cache_info().hits == hits + 1
+    law, clean = NanAtHighDensity(), SumGammaLaw()
+    # 1e6 lies on the panel [e^13, e^14] of ln(density), which is not needed
+    for rho, rho_ref in ((0.5, 2.0), (1e-8, 4e5), (4e5, 0.5)):
+        assert (rarefaction_integral(law, rho, rho_ref)
+                == rarefaction_integral(clean, rho, rho_ref))
+    with pytest.raises(NumericsError, match=r"sum_gamma on densities \[442413, 1.2026e\+06\]"):
+        rarefaction_integral(law, 0.5, 1e7)
+
+
+def test_unresolved_sound_speed_raises_for_its_panel():
+    class Kinked(SumGammaLaw):
+        def c(self, rho):  # a kink at u = ln(rho) = 0.5
+            return 1.0 + np.abs(np.log(rho) - 0.5)
+
+        def spec(self):
+            return "sum_gamma_kinked"
+
+    with pytest.raises(NumericsError, match=r"not resolved for sum_gamma on densities \[1, 2.71828\]"):
+        rarefaction_integral(Kinked(), 0.5, 2.0)
+
+
+def test_rarefaction_integral_rejects_non_finite_densities():
+    for rho in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            rarefaction_integral(SumGammaLaw(), rho, 1.0)
 
 
 def test_gas_state_requires_positive_density():

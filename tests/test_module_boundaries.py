@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaspower"
 
 
@@ -53,9 +55,10 @@ def test_no_module_uses_another_modules_private_names():
     assert hits == []
 
 
-# Runs a small two-pipe junction with a gamma law, solves and samples its
-# exact solution as the benchmark gate does (the fans are inverted by root
-# searches), then prints the SciPy modules the process has loaded.
+# Runs a small two-pipe junction with the scheme and the law given as
+# arguments, solves and samples its exact solution as the benchmark gate does
+# (the fans are inverted by root searches), then prints the SciPy modules the
+# process has loaded.
 JUNCTION_RUN = """
 import json, sys
 import gaspower, gaspower.cli
@@ -65,11 +68,12 @@ from gaspower.pressure import parse_law
 from gaspower.riemann import max_extraction, sample_solution, solve_gas_power_junction
 from gaspower.scenario import scenario_from_dict
 
-law = parse_law("gamma(1.0,1.4)")
+scheme, spec = sys.argv[1:]
+law = parse_law(spec)
 left, right = GasState(4.0, 1.0), GasState(3.0, -1.0)
 eps = 0.9 * max_extraction(left, right, law)
 result = run_gas_simulation(scenario_from_dict({
-    "pressure_law": "gamma(1.0,1.4)",
+    "pressure_law": spec,
     "friction": {"enabled": False},
     "gas_nodes": ["INLET", "JUNCTION", "OUTLET"],
     "pipes": [{"id": "LEFT", "from": "INLET", "to": "JUNCTION", "length": 0.25},
@@ -79,7 +83,7 @@ result = run_gas_simulation(scenario_from_dict({
     "boundary": [{"node": "INLET", "kind": "state", "rho": 4.0, "q": 1.0},
                  {"node": "OUTLET", "kind": "state", "rho": 3.0, "q": -1.0}],
     "extraction": [{"node": "JUNCTION", "epsilon": eps}],
-    "numerics": {"scheme": sys.argv[1], "dt": 0.002, "dx": 0.01, "t_end": 0.02},
+    "numerics": {"scheme": scheme, "dt": 0.001, "dx": 0.01, "t_end": 0.02},
     "outputs": {"profiles": [{"time": 0.02}]},
 }))
 assert result.profiles
@@ -90,21 +94,27 @@ print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy")
 """
 
 
-def scipy_modules_after_junction_run(scheme, tmp_path):
+def scipy_modules_after_junction_run(scheme, law, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", JUNCTION_RUN, scheme], cwd=tmp_path,
+    done = subprocess.run([sys.executable, "-c", JUNCTION_RUN, scheme, law], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_cweno_runs_load_no_scipy(tmp_path):
-    assert scipy_modules_after_junction_run("cweno3", tmp_path) == []
+# A power law, and one whose rarefaction integrals take the Chebyshev panels.
+LAWS = ("gamma(1.0,1.4)", "sum_gamma")
 
 
-def test_box_scheme_runs_load_only_linear_algebra_and_graphs(tmp_path):
-    loaded = scipy_modules_after_junction_run("ibox", tmp_path)
+@pytest.mark.parametrize("law", LAWS)
+def test_cweno_runs_load_no_scipy(law, tmp_path):
+    assert scipy_modules_after_junction_run("cweno3", law, tmp_path) == []
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_box_scheme_runs_load_only_linear_algebra_and_graphs(law, tmp_path):
+    loaded = scipy_modules_after_junction_run("ibox", law, tmp_path)
     assert "scipy.linalg.lapack" in loaded
     assert not [name for name in loaded
                 if name.split(".")[1:2] in (["optimize"], ["integrate"], ["interpolate"])]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaspower.errors import DomainError
 from gaspower.pressure import (
@@ -115,6 +117,17 @@ def test_rho_from_pressure_round_trip():
         for rho in (0.2, 1.0, 7.5):
             p = float(law.p(rho))
             assert law.rho_from_pressure(p) == pytest.approx(rho, rel=1e-10)
+
+
+@pytest.mark.parametrize("text", [
+    "sum_gamma", "linear_combination(1.0*generalized(1.0,-1.99),1.0*gamma(1,1.4))"])
+def test_generic_inversion_round_trips_to_rounding(text):
+    """The generic inversion resolves densities relative to themselves, also
+    far below 1."""
+    law = parse_law(text)
+    for rho in np.geomspace(1e-8, 1e8, 161).tolist():
+        assert law.rho_from_pressure(float(law.p(rho))) == pytest.approx(
+            rho, rel=2e-15, abs=0.0)
 
 
 def test_rho_from_pressure_out_of_range():
@@ -254,6 +267,31 @@ def test_cone_closure_under_random_positive_weights():
         if not check_sufficient_conditions(mixed).valid:
             failures.append((pool[i].label, pool[j].label, tuple(w)))
     assert not failures, f"cone closure violated for {failures[:3]}"
+
+
+# Laws that the checker passes, with power exponents from -2 to 2.
+VALID_LAWS = ("gamma(0.7142857142857143,1.4)", "gamma(1.0,3.0)", "isothermal(1.0)",
+              "inverse", "log", "sum_gamma", "generalized(1.0,-1.99)",
+              "generalized(2.0,-1.5)", "generalized(1.0,1.99)")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(members=st.lists(st.tuples(st.sampled_from(VALID_LAWS), st.floats(0.05, 10.0)),
+                        min_size=1, max_size=3))
+def test_positive_combinations_of_valid_laws_are_valid(members):
+    """The cone property that :func:`combine` promises, over mixed exponents."""
+    law = combine([parse_law(text) for text, _ in members], [w for _, w in members])
+    report = check_sufficient_conditions(law)
+    assert report.valid and not report.inconclusive, report.summary()
+
+
+def test_power_terms_of_a_combination_are_its_weighted_members():
+    law = parse_law("linear_combination(2.0*sum_gamma,0.5*generalized(1.0,-1.99))")
+    terms = law.power_terms()
+    assert terms == tuple((0.2, i / 5.0) for i in range(1, 11)) + ((0.5, -1.99),)
+    for rho in (1e-3, 0.7, 40.0):
+        assert sum(a * rho**d for a, d in terms) == pytest.approx(law.dp(rho), rel=1e-14)
+    assert parse_law("linear_combination(1.0*gamma_integral,1.0*log)").power_terms() is None
 
 
 # -- law selector strings -----------------------------------------------------
