@@ -403,6 +403,15 @@ class LinearCombinationLaw(PressureLaw):
         self.laws = laws
         self.weights = weights
         self.label = "combination(" + ", ".join(l.label for l in laws) + ")"
+        # Members and weights are immutable: the spec (which the law hashes
+        # by) and the power form are built once, not on every wave-curve call.
+        self._spec = "linear_combination({})".format(
+            ",".join(f"{w!r}*{law.spec()}" for w, law in zip(weights, laws)))
+        forms = [law.power_form() for law in laws]
+        self._power_form = None
+        if None not in forms and len({f[1] for f in forms}) == 1:
+            self._power_form = (sum(w * f[0] for w, f in zip(weights, forms)),
+                                forms[0][1])
 
     def _sum(self, attr, rho):
         total = self.weights[0] * getattr(self.laws[0], attr)(rho)
@@ -423,14 +432,7 @@ class LinearCombinationLaw(PressureLaw):
         return self._sum("d3p", rho)
 
     def power_form(self):
-        forms = [law.power_form() for law in self.laws]
-        if any(f is None for f in forms):
-            return None
-        deltas = {f[1] for f in forms}
-        if len(deltas) > 1:
-            return None
-        alpha = sum(w * f[0] for w, f in zip(self.weights, forms))
-        return (alpha, forms[0][1])
+        return self._power_form
 
     def power_terms(self):
         terms = [law.power_terms() for law in self.laws]
@@ -439,8 +441,7 @@ class LinearCombinationLaw(PressureLaw):
         return tuple((w * a, d) for w, t in zip(self.weights, terms) for a, d in t)
 
     def spec(self):
-        terms = ",".join(f"{w!r}*{law.spec()}" for w, law in zip(self.weights, self.laws))
-        return f"linear_combination({terms})"
+        return self._spec
 
 
 def inverse_law() -> GammaLaw:

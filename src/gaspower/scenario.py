@@ -25,6 +25,14 @@ from .pressure import PressureLaw, parse_law
 
 BAR = 1e5  # Pa
 
+# libyaml's scanner and emitter when PyYAML was built with them; the
+# constructor, resolver and representer are the same Python classes either
+# way, so both pairs read and write the same values.
+if yaml.__with_libyaml__:
+    _LOADER, _DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _LOADER, _DUMPER = yaml.SafeLoader, yaml.SafeDumper
+
 
 def _value_with_unit(raw, path: str) -> float:
     """Parse a scalar that may carry a 'bar' suffix."""
@@ -69,6 +77,34 @@ class _Section:
         raw = self.require(key) if default is None else self.data.get(key, default)
         if not isinstance(raw, str):
             raise SchemaError(f"{self.path}.{key}: expected a string, got {raw!r}")
+        return raw
+
+    def sequence(self, key: str, required: bool = False) -> list:
+        """The list under ``key``; an absent or null optional list is empty."""
+        raw = self.require(key) if required else self.data.get(key)
+        if raw is None and not required:
+            return []
+        if not isinstance(raw, list):
+            raise SchemaError(f"{self.path}.{key}: expected a list, got {raw!r}")
+        return raw
+
+    def sections(self, key: str, required: bool = False) -> list[_Section]:
+        """One section per entry of the list under ``key``."""
+        return [_Section(e, f"{self.path}.{key}[{k}]")
+                for k, e in enumerate(self.sequence(key, required))]
+
+    def numbers(self, key: str) -> tuple[float, ...]:
+        """The required list of numbers under ``key``."""
+        return tuple(_value_with_unit(v, f"{self.path}.{key}[{k}]")
+                     for k, v in enumerate(self.sequence(key, required=True)))
+
+    def flag(self, key: str, default: bool = False) -> bool:
+        """A YAML boolean; absent or null is ``default``."""
+        raw = self.data.get(key)
+        if raw is None:
+            return default
+        if not isinstance(raw, bool):
+            raise SchemaError(f"{self.path}.{key}: expected true or false, got {raw!r}")
         return raw
 
 
@@ -207,8 +243,7 @@ class Scenario:
         raise SchemaError(f"unknown pipe {pipe_id!r}")
 
 
-def _parse_pipe(entry, path: str) -> PipeSpec:
-    sec = _Section(entry, path)
+def _parse_pipe(sec: _Section) -> PipeSpec:
     length = (sec.number("length_km") * 1e3 if "length_km" in sec.data
               else sec.number("length"))
     diameter = (sec.number("diameter_mm") * 1e-3 if "diameter_mm" in sec.data
@@ -247,18 +282,16 @@ def _parse_value_series(raw, path: str) -> tuple:
     raise SchemaError(f"{path}: expected a number or a list of [t, v] pairs")
 
 
-def _parse_boundary(entry, path: str) -> BoundarySpec:
-    sec = _Section(entry, path)
+def _parse_boundary(sec: _Section) -> BoundarySpec:
     kind = sec.string("kind")
     if kind == "state":
         value = (sec.number("rho"), sec.number("q"))
     else:
-        value = _parse_value_series(sec.require("value"), f"{path}.value")
+        value = _parse_value_series(sec.require("value"), f"{sec.path}.value")
     return BoundarySpec(node=sec.string("node"), kind=kind, value=value)
 
 
-def _parse_bus(entry, path: str) -> BusSpec:
-    sec = _Section(entry, path)
+def _parse_bus(sec: _Section) -> BusSpec:
     opt = lambda key: (None if key not in sec.data or sec.data[key] is None
                        else sec.number(key))
     return BusSpec(
@@ -270,12 +303,20 @@ def _parse_bus(entry, path: str) -> BusSpec:
 
 
 def load_scenario(path) -> Scenario:
-    """Load and fully validate a scenario file."""
+    """Load and fully validate a scenario file.
+
+    The file is parsed from its bytes, so the parser detects the encoding
+    (UTF-8, or UTF-16 with a byte-order mark). A file that cannot be read,
+    decoded or parsed, and any field that is missing, ill-typed or
+    inconsistent, raises a :class:`SchemaError` that names the file or the
+    field.
+    """
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"scenario file {path} does not exist")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_bytes(), Loader=_LOADER)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read the scenario file: "
+                          f"{exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
     if raw is None:
@@ -290,54 +331,30 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     except Exception as exc:
         raise SchemaError(f"{origin}.pressure_law: {exc}") from exc
 
-    pipes = tuple(
-        _parse_pipe(e, f"{origin}.pipes[{k}]")
-        for k, e in enumerate(top.require("pipes"))
-    )
+    pipes = tuple(_parse_pipe(e) for e in top.sections("pipes", required=True))
     if len({p.id for p in pipes}) != len(pipes):
         raise SchemaError(f"{origin}.pipes: duplicate pipe ids")
 
     initial = tuple(
-        InitialSpec(
-            pipe=_Section(e, f"{origin}.initial[{k}]").string("pipe"),
-            rho=_Section(e, f"{origin}.initial[{k}]").number("rho"),
-            q=_Section(e, f"{origin}.initial[{k}]").number("q"),
-        )
-        for k, e in enumerate(top.get("initial", []) or [])
+        InitialSpec(pipe=e.string("pipe"), rho=e.number("rho"), q=e.number("q"))
+        for e in top.sections("initial")
     )
-    boundaries = tuple(
-        _parse_boundary(e, f"{origin}.boundary[{k}]")
-        for k, e in enumerate(top.get("boundary", []) or [])
-    )
+    boundaries = tuple(_parse_boundary(e) for e in top.sections("boundary"))
     extractions = tuple(
-        ExtractionSpec(
-            node=_Section(e, f"{origin}.extraction[{k}]").string("node"),
-            epsilon=_Section(e, f"{origin}.extraction[{k}]").number("epsilon"),
-        )
-        for k, e in enumerate(top.get("extraction", []) or [])
+        ExtractionSpec(node=e.string("node"), epsilon=e.number("epsilon"))
+        for e in top.sections("extraction")
     )
     compressors = tuple(
-        CompressorSpec(
-            node=_Section(e, f"{origin}.compressors[{k}]").string("node"),
-            pipe=_Section(e, f"{origin}.compressors[{k}]").string("pipe"),
-            ratio=_Section(e, f"{origin}.compressors[{k}]").number("ratio"),
-        )
-        for k, e in enumerate(top.get("compressors", []) or [])
+        CompressorSpec(node=e.string("node"), pipe=e.string("pipe"),
+                       ratio=e.number("ratio"))
+        for e in top.sections("compressors")
     )
 
-    buses = tuple(
-        _parse_bus(e, f"{origin}.buses[{k}]")
-        for k, e in enumerate(top.get("buses", []) or [])
-    )
+    buses = tuple(_parse_bus(e) for e in top.sections("buses"))
     lines = tuple(
-        LineSpec(
-            id=_Section(e, f"{origin}.lines[{k}]").string("id"),
-            from_bus=_Section(e, f"{origin}.lines[{k}]").string("from"),
-            to_bus=_Section(e, f"{origin}.lines[{k}]").string("to"),
-            G=_Section(e, f"{origin}.lines[{k}]").number("G"),
-            B=_Section(e, f"{origin}.lines[{k}]").number("B"),
-        )
-        for k, e in enumerate(top.get("lines", []) or [])
+        LineSpec(id=e.string("id"), from_bus=e.string("from"),
+                 to_bus=e.string("to"), G=e.number("G"), B=e.number("B"))
+        for e in top.sections("lines")
     )
 
     coupling = None
@@ -351,13 +368,10 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         )
 
     schedules = []
-    for k, e in enumerate(top.get("schedules", []) or []):
-        sec = _Section(e, f"{origin}.schedules[{k}]")
-        times = tuple(float(t) for t in sec.require("times"))
-        p_vals = tuple(float(v) for v in sec.require("P"))
-        q_vals = tuple(float(v) for v in sec.require("Q"))
+    for sec in top.sections("schedules"):
+        times, p_vals, q_vals = sec.numbers("times"), sec.numbers("P"), sec.numbers("Q")
         if len(times) != len(p_vals) or len(times) != len(q_vals):
-            raise SchemaError(f"{origin}.schedules[{k}]: length mismatch")
+            raise SchemaError(f"{sec.path}: length mismatch")
         schedules.append(ScheduleSpec(bus=sec.string("bus"), times=times,
                                       P=p_vals, Q=q_vals))
 
@@ -365,12 +379,16 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     scheme = num.string("scheme")
     if scheme not in ("cweno3", "ibox"):
         raise SchemaError(f"{origin}.numerics.scheme: unknown scheme {scheme!r}")
+    n_cells = num.get("n_cells")
+    if n_cells is not None and (type(n_cells) is not int or n_cells < 1):
+        raise SchemaError(
+            f"{origin}.numerics.n_cells: expected a positive integer, got {n_cells!r}")
     numerics = NumericsSpec(
         scheme=scheme,
         dt=num.number("dt"),
         t_end=num.number("t_end"),
         dx=num.number("dx") if "dx" in num.data else None,
-        n_cells=int(num.data["n_cells"]) if "n_cells" in num.data else None,
+        n_cells=n_cells,
         sample_every=(num.number("sample_every")
                       if "sample_every" in num.data else None),
     )
@@ -382,20 +400,18 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     series, profiles = (), ()
     if top.get("outputs") is not None:
         out = _Section(top.get("outputs"), f"{origin}.outputs")
-        series = tuple(str(s) for s in out.get("series", []) or [])
+        series = tuple(str(s) for s in out.sequence("series"))
         profiles = tuple(
-            ProfileSpec(
-                time=_Section(e, f"{origin}.outputs.profiles[{k}]").number("time"),
-                pipe=e.get("pipe"),
-            )
-            for k, e in enumerate(out.get("profiles", []) or [])
+            ProfileSpec(time=e.number("time"),
+                        pipe=e.string("pipe") if "pipe" in e.data else None)
+            for e in out.sections("profiles")
         )
 
     friction = FrictionSpec()
     if top.get("friction") is not None:
         f = _Section(top.get("friction"), f"{origin}.friction")
         friction = FrictionSpec(
-            enabled=bool(f.get("enabled", False)),
+            enabled=f.flag("enabled"),
             eta=f.number("eta", 1e-5),
         )
 
@@ -414,8 +430,8 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         numerics=numerics,
         outputs=OutputsSpec(series=series, profiles=profiles),
         friction=friction,
-        gas_nodes=tuple(str(n) for n in top.get("gas_nodes", []) or []),
-        stationary_init=bool(top.get("stationary_init", False)),
+        gas_nodes=tuple(str(n) for n in top.sequence("gas_nodes")),
+        stationary_init=top.flag("stationary_init"),
     )
     _validate(scenario, origin)
     return scenario
@@ -580,6 +596,13 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def save_scenario(s: Scenario, path) -> None:
+    """Write ``s`` as a scenario file that :func:`load_scenario` reads back
+    to an equal :class:`Scenario`.
+
+    The text is UTF-8, emitted by libyaml when PyYAML has it; the pure-Python
+    emitter writes the same bytes.
+    """
     Path(path).write_text(
-        yaml.safe_dump(scenario_to_dict(s), sort_keys=False, width=100)
+        yaml.dump(scenario_to_dict(s), Dumper=_DUMPER, sort_keys=False, width=100),
+        encoding="utf-8",
     )

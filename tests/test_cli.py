@@ -3,6 +3,8 @@
 import shutil
 from importlib.resources import files
 
+import pytest
+
 from gaspower.cli import main
 
 BUNDLED = files("gaspower") / "scenarios"
@@ -82,6 +84,20 @@ def test_schema_error_exit_path(capsys, tmp_path):
     bad.write_text("")
     assert main(["simulate-gas", str(bad)]) == 1
     assert "[schema-error]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe"),
+    lambda path: path.write_bytes(b"name: \xff\xfe\n"),
+], ids=["directory", "utf-16-bom", "not-utf-8"])
+def test_unreadable_scenario_is_a_schema_error_naming_it(capsys, tmp_path, make):
+    path = tmp_path / "unreadable.scn"
+    make(path)
+    assert main(["simulate-gas", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error [schema-error] {path}: "), captured.err
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_riemann_malformed_states_name_the_option(capsys):

@@ -28,7 +28,14 @@ from gaspower.laxcurves import (
     rho_max,
     rho_min,
 )
-from gaspower.pressure import GammaLaw, IsothermalLaw, LogLaw, SumGammaLaw, parse_law
+from gaspower.pressure import (
+    GammaLaw,
+    GeneralizedGammaLaw,
+    IsothermalLaw,
+    LogLaw,
+    SumGammaLaw,
+    parse_law,
+)
 
 
 def random_subsonic(rng, law, rho_range=(0.2, 5.0), margin=0.95) -> GasState:
@@ -374,6 +381,36 @@ def test_rarefaction_panels_are_cached_per_law_not_stored_on_it():
     rarefaction_integral(law, 0.5, 2.0)
     assert vars(law) == {}
     assert _panels(SumGammaLaw()) is _panels(law)
+
+
+def test_combination_integrals_reuse_the_members_forms(monkeypatch):
+    law = parse_law("linear_combination(1*gamma(1,3),2*log)")
+    calls = []
+
+    def counted(method):
+        def wrapper(self):
+            calls.append(method.__qualname__)
+            return method(self)
+        return wrapper
+
+    for cls, name in ((GeneralizedGammaLaw, "power_form"), (GeneralizedGammaLaw, "spec"),
+                      (GammaLaw, "spec"), (LogLaw, "spec")):
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    for k in range(1000):
+        rarefaction_integral(law, 0.3 + 1e-3 * k, 2.0)
+    assert calls == []
+    # the values the combination gave when it rebuilt both on every call
+    expected = {(0.3, 2.0): "0x1.27c112abd030bp+2",
+                (2.0, 0.3): "-0x1.27c112abd030bp+2",
+                (1e-6, 1e3): "0x1.1cc903bdca592p+12",
+                (5.0, 5.5): "0x1.bc6e0c50f8c38p-1",
+                (0.9, 1.1): "0x1.cb84d9de4964ap-2"}
+    for (rho, rho_ref), value in expected.items():
+        assert rarefaction_integral(law, rho, rho_ref) == float.fromhex(value)
+    monkeypatch.undo()
+    spec = "linear_combination(1.0*gamma(1.0,3.0),2.0*log)"
+    assert law.spec() == spec and hash(law) == hash(spec)
+    assert law == parse_law(spec) and law != parse_law("linear_combination(1*gamma(1,3))")
 
 
 def test_non_finite_sound_speed_fails_only_the_intervals_that_reach_it():

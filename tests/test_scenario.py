@@ -1,18 +1,41 @@
 """Scenario files: bundled contents, validation errors, round-tripping."""
 
+import math
+import re
+import string
 from importlib.resources import files
+from unittest import mock
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
+import gaspower.scenario
 from gaspower.errors import SchemaError
 from gaspower.pressure import GammaLaw, IsothermalLaw
 from gaspower.scenario import (
     load_scenario,
     save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
 
 BUNDLED = files("gaspower") / "scenarios"
+NAMES = ("validation.scn", "pressure_laws.scn", "gaslib9.scn")
+
+# Loader and dumper pairs: pure Python, and libyaml's when PyYAML has it.
+PAIRS = {"python": (yaml.SafeLoader, yaml.SafeDumper)}
+if yaml.__with_libyaml__:
+    PAIRS["libyaml"] = (yaml.CSafeLoader, yaml.CSafeDumper)
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML built without libyaml")
+
+
+def yaml_pair(name):
+    """Make ``gaspower.scenario`` read and write through the pair ``name``."""
+    loader, dumper = PAIRS[name]
+    return mock.patch.multiple(gaspower.scenario, _LOADER=loader, _DUMPER=dumper)
 
 
 def test_bundled_validation_scenario_contents():
@@ -111,7 +134,7 @@ def test_unknown_references_are_rejected():
 
 
 def test_round_trip_through_save_and_load(tmp_path):
-    for name in ("validation.scn", "pressure_laws.scn", "gaslib9.scn"):
+    for name in NAMES:
         scn = load_scenario(BUNDLED / name)
         target = tmp_path / name
         save_scenario(scn, target)
@@ -130,3 +153,113 @@ def test_bar_suffix_parsing():
         "numerics": {"scheme": "ibox", "dt": 1.0, "dx": 0.5, "t_end": 10.0},
     })
     assert scn.boundaries[0].value == (1.5e5,)
+
+
+def gaslib9_with(change):
+    raw = yaml.safe_load((BUNDLED / "gaslib9.scn").read_text())
+    change(raw)
+    return raw
+
+
+# field -> a change to gaslib9 that gives it the wrong type
+WRONG_TYPES = {
+    "pipes": lambda raw: raw.update(pipes=5),
+    "gas_nodes": lambda raw: raw.update(gas_nodes=5),
+    "schedules[0].P": lambda raw: raw["schedules"][0].update(P=3),
+    "schedules[0].times[0]": lambda raw: raw["schedules"][0].update(times=["a", 1]),
+    "stationary_init": lambda raw: raw.update(stationary_init="false"),
+    "friction.enabled": lambda raw: raw["friction"].update(enabled="no"),
+    "numerics.n_cells": lambda raw: raw["numerics"].update(n_cells="abc"),
+}
+
+
+@pytest.mark.parametrize("field", WRONG_TYPES)
+def test_wrong_typed_fields_are_schema_errors_naming_the_field(tmp_path, field):
+    path = tmp_path / "gaslib9.scn"
+    path.write_text(yaml.safe_dump(gaslib9_with(WRONG_TYPES[field]), sort_keys=False))
+    with pytest.raises(SchemaError, match="^" + re.escape(f"{path}.{field}: expected")):
+        load_scenario(path)
+
+
+@needs_libyaml
+def test_libyaml_is_the_default_pair():
+    assert gaspower.scenario._LOADER is yaml.CSafeLoader
+    assert gaspower.scenario._DUMPER is yaml.CSafeDumper
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", NAMES)
+def test_both_pairs_read_and_write_the_same(tmp_path, name):
+    data = (BUNDLED / name).read_bytes()
+    assert (yaml.load(data, Loader=yaml.SafeLoader)
+            == yaml.load(data, Loader=yaml.CSafeLoader))
+    scn = load_scenario(BUNDLED / name)
+    written = {}
+    for pair in PAIRS:
+        with yaml_pair(pair):
+            save_scenario(scn, tmp_path / pair)
+            assert load_scenario(tmp_path / pair) == scn
+        written[pair] = (tmp_path / pair).read_bytes()
+    assert written["python"] == written["libyaml"]
+
+
+ID_FIELDS = {"id", "from", "to", "node", "pipe", "gas_node", "power_bus", "bus",
+             "gas_nodes"}
+IDS = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=6)
+# a magnitude drawn across 600 decades
+MAGNITUDES = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-300, 300))
+
+
+def leaves(value, key=None):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from leaves(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from leaves(v, key)
+    else:
+        yield key, value
+
+
+def perturbed(raw, data):
+    """``raw`` with every non-zero float redrawn at its sign and every id
+    renamed one to one."""
+    old_ids = sorted({v for key, v in leaves(raw) if key in ID_FIELDS})
+    new_ids = data.draw(st.lists(IDS, min_size=len(old_ids), max_size=len(old_ids),
+                                 unique=True))
+    rename = dict(zip(old_ids, new_ids))
+
+    def rewrite(value, key):
+        if isinstance(value, dict):
+            return {k: rewrite(v, k) for k, v in value.items()}
+        if isinstance(value, list):
+            return [rewrite(v, key) for v in value]
+        if isinstance(value, float) and value != 0.0:
+            return math.copysign(data.draw(MAGNITUDES), value)
+        if key in ID_FIELDS:
+            return rename[value]
+        if key == "series":
+            kind, _, where = value.partition("@")
+            return f"{kind}@{rename.get(where, where)}"
+        return value
+
+    return rewrite(raw, None)
+
+
+BUNDLED_DICTS = {name: scenario_to_dict(load_scenario(BUNDLED / name)) for name in NAMES}
+
+
+# A failing example is reported as drawn: shrinking its hundreds of
+# independent draws would take minutes.
+@pytest.mark.parametrize("pair", PAIRS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate],
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(NAMES), data=st.data())
+def test_save_then_load_gives_an_equal_scenario(tmp_path, pair, name, data):
+    raw = perturbed(BUNDLED_DICTS[name], data)
+    scn = scenario_from_dict(raw, name)
+    with yaml_pair(pair):
+        save_scenario(scn, tmp_path / name)
+        again = load_scenario(tmp_path / name)
+    assert again == scn and scenario_to_dict(again) == raw
