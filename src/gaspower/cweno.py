@@ -141,10 +141,7 @@ def _end_traces(sim: GasSimulation, u: np.ndarray, layout: _Layout,
         for port, trace in zip(ports_out, sol.outgoing_traces):
             traces[(port.pipe_index, "start")] = trace
     for key, bc in sim.boundaries.items():
-        trace = apply_boundary(adjacent(*key), bc, t_stage, sim.law, key[1],
-                               rho_guess=sim.boundary_guess.get(key))
-        sim.boundary_guess[key] = trace.rho
-        traces[key] = trace
+        traces[key] = apply_boundary(adjacent(*key), bc, t_stage, sim.law, key[1])
     return traces
 
 

@@ -6,10 +6,11 @@ the pipe grids are views of it), junction topology with optional compressors
 and extractions, and boundary conditions. Boundary values are completed
 through wave-curve compatibility with the adjacent interior state: a
 prescribed pressure fixes the boundary density and the momentum follows from
-the wave curve through the neighbouring state; a prescribed momentum is
-matched on that curve, which fixes the boundary density. A left boundary is
-the mirror image of a right one (see the mirror convention in
-:mod:`gaspower.laxcurves`).
+the wave curve through the neighbouring state. A prescribed momentum makes
+the pipe end a one-port junction: the outflow plays the part of the
+extraction, and the junction solver of :mod:`gaspower.riemann` finds the
+boundary density. A left boundary is the mirror image of a right one (see the
+mirror convention in :mod:`gaspower.laxcurves`).
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NoSolutionError, NumericsError
+from .errors import DomainError, NumericsError
 from .friction import FrictionModel
-from .laxcurves import GasState, Side, lax_left, rho_min
+from .laxcurves import GasState, lax_left
 from .pressure import PressureLaw
-from .roots import brentq
+from .riemann import solve_multi_junction
 
 
 @dataclass(frozen=True)
@@ -271,14 +272,15 @@ def ramp(t0: float, t1: float, v0: float, v1: float):
 
 
 def apply_boundary(adjacent: GasState, bc: BoundaryCondition, t: float,
-                   law: PressureLaw, end: str,
-                   rho_guess: float | None = None) -> GasState:
+                   law: PressureLaw, end: str) -> GasState:
     """Complete a boundary state from prescribed data and the interior.
 
     ``end`` is the pipe end the condition acts on ('start' = left boundary).
     At a right boundary the interior is reached through a 1-wave; a left
     boundary, reached through a 2-wave, is solved as the mirrored right one
-    (see the mirror convention in :mod:`gaspower.laxcurves`).
+    (see the mirror convention in :mod:`gaspower.laxcurves`). A prescribed
+    momentum makes the pipe end a one-port junction whose extraction is the
+    outflow; an unreachable outflow is an ``InvalidDemandError``.
     """
     if bc.kind == "state":
         rho, q = bc.value(t)
@@ -288,9 +290,8 @@ def apply_boundary(adjacent: GasState, bc: BoundaryCondition, t: float,
     interior = adjacent.mirrored() if mirror else adjacent
     if bc.kind == "flow":
         q_b = float(bc.value(t))
-        rho_b = _match_on_curve(interior, -q_b if mirror else q_b, law, rho_guess,
-                                what=f"boundary momentum {q_b:g}")
-        return GasState(rho_b, q_b)
+        sol = solve_multi_junction([interior], [], -q_b if mirror else q_b, law)
+        return GasState(sol.rho_star, q_b)
     target = bc.value(t)
     rho_b = (law.rho_from_pressure(target)
              if bc.kind == "pressure" else float(target))
@@ -298,45 +299,9 @@ def apply_boundary(adjacent: GasState, bc: BoundaryCondition, t: float,
     return state.mirrored() if mirror else state
 
 
-def _match_on_curve(interior: GasState, q_target: float, law: PressureLaw,
-                    guess: float | None, what: str) -> float:
-    """Find rho > rho_min with lax_left(rho; interior) == q_target.
-
-    The 1-curve decreases above ``rho_min``. A warm-start guess narrows the
-    bracket; ``what`` names the prescribed momentum in error messages.
-    """
-    g = lambda r: lax_left(r, interior, law) - q_target
-    lo = max(rho_min(interior, Side.IN, law), 1e-9 * interior.rho)
-    g_lo = g(lo)
-    if g_lo < 0.0:
-        raise NoSolutionError(
-            f"{what} unreachable: the wave curve from the interior misses it "
-            f"by {-g_lo:g} at its junction-side bound rho={lo:g}"
-        )
-    if guess is not None and guess > lo:
-        a, b = max(0.8 * guess, lo), 1.25 * guess
-        if g(a) * g(b) <= 0.0:
-            return brentq(g, a, b, rtol=1e-15)
-    hi = max(2.0 * lo, 2.0 * interior.rho)
-    for _ in range(200):
-        if g_lo * g(hi) <= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoSolutionError(
-            f"no density matches {what} (searched up to rho={hi:g})"
-        )
-    return brentq(g, lo, hi, rtol=1e-15)
-
-
 @dataclass
 class GasSimulation:
-    """Mutable network state advanced by one of the two schemes.
-
-    ``boundary_guess`` maps a pipe end ``(pipe index, end)`` to the boundary
-    density found there last; the explicit scheme passes it to
-    :func:`apply_boundary` as the warm start of the next momentum match.
-    """
+    """Mutable network state advanced by one of the two schemes."""
 
     grids: list[PipeGrid]
     junctions: list[Junction] = field(default_factory=list)
@@ -351,7 +316,6 @@ class GasSimulation:
                               or len(self.grids) != 1):
             raise DomainError("periodic runs support exactly one isolated pipe")
         self.law = self.grids[0].law
-        self.boundary_guess: dict[tuple[int, str], float] = {}
         for j in self.junctions:
             areas = {round(self.grids[p.pipe_index].pipe.area, 12) for p in j.ports}
             if len(areas) > 1:

@@ -2,10 +2,15 @@
 
 A junction couples pipe traces through equality of pressure (one common
 trace density for unit pressure ratios) and conservation of mass, optionally
-with a prescribed extraction ``epsilon >= 0`` drawn at the node. Outgoing
-pipes follow the mirror convention of :mod:`gaspower.laxcurves`: their data
-are mirrored once per solve, so that every port is an incoming one on its
-1-wave curve, and their traces are mirrored back. The scalar junction
+with a prescribed extraction ``epsilon`` drawn at the node. The extraction is
+signed: a negative value is an injection, and any number above -inf is
+accepted (+inf is an ``InvalidDemandError`` like every demand at or above
+the supremum). A pipe end with a prescribed outflow is the one-port junction
+whose extraction is that outflow (see :func:`gaspower.network.apply_boundary`).
+
+Outgoing pipes follow the mirror convention of :mod:`gaspower.laxcurves`:
+their data are mirrored once per solve, so that every port is an incoming one
+on its 1-wave curve, and their traces are mirrored back. The scalar junction
 function
 
     D(rho) = sum over ports of lax_left(rho; port datum)
@@ -193,8 +198,8 @@ class _JunctionProblem:
         outgoing = tuple(outgoing)
         if not incoming and not outgoing:
             raise DomainError("junction needs at least one pipe")
-        if not epsilon >= 0.0:
-            raise DomainError(f"extraction must be non-negative, got {epsilon}")
+        if not epsilon > -math.inf:
+            raise DomainError(f"extraction must be a number above -inf, got {epsilon}")
         ratios = ()
         for side, ports, given in (("incoming", incoming, in_ratios),
                                    ("outgoing", outgoing, out_ratios)):
@@ -318,10 +323,10 @@ class _JunctionProblem:
             lo = max(self.rho_min_junction, 1e-9 * self.scale)
         else:
             lo = self.argmax()
-            if self.imbalance(lo) < 0.0:
+            if self.imbalance(lo) < eps:
                 raise NoSolutionError(
                     "junction curves have no intersection (imbalance is "
-                    f"negative at its maximum, rho={lo:g})"
+                    f"below the extraction {eps:g} at its maximum, rho={lo:g})"
                 )
 
         target = lambda r: self.imbalance(r) - eps
@@ -386,7 +391,7 @@ def solve_interface(left: GasState, right: GasState,
 
 def solve_gas_power_junction(left: GasState, right: GasState, epsilon: float,
                              law: PressureLaw) -> JunctionSolution:
-    """Two-pipe junction with a prescribed gas extraction ``epsilon >= 0``.
+    """Two-pipe junction with a prescribed gas extraction ``epsilon``.
 
     Of the up to two densities where the curve gap equals ``epsilon``, the
     one on the decreasing branch is returned; the other would carry waves

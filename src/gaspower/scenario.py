@@ -305,15 +305,16 @@ def _parse_bus(sec: _Section) -> BusSpec:
 def load_scenario(path) -> Scenario:
     """Load and fully validate a scenario file.
 
-    The file is parsed from its bytes, so the parser detects the encoding
-    (UTF-8, or UTF-16 with a byte-order mark). A file that cannot be read,
-    decoded or parsed, and any field that is missing, ill-typed or
-    inconsistent, raises a :class:`SchemaError` that names the file or the
-    field.
+    The file is parsed from the open binary file, so the parser detects the
+    encoding (UTF-8, or UTF-16 with a byte-order mark) and its error marks
+    name the path. A file that cannot be read, decoded or parsed, and any
+    field that is missing, ill-typed or inconsistent, raises a
+    :class:`SchemaError` that names the file or the field.
     """
     path = Path(path)
     try:
-        raw = yaml.load(path.read_bytes(), Loader=_LOADER)
+        with path.open("rb") as stream:
+            raw = yaml.load(stream, Loader=_LOADER)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read the scenario file: "
                           f"{exc.strerror or exc}") from exc

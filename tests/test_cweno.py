@@ -19,6 +19,7 @@ from gaspower.network import (
     constant,
 )
 from gaspower.pressure import IsothermalLaw, parse_law
+from gaspower.riemann import sample_solution, solve_gas_power_junction, solve_multi_junction
 
 
 def _junction_sim(law, eps, n=60, length=0.25, left=(4.0, 1.0), right=(3.0, -1.0)):
@@ -214,6 +215,35 @@ def test_constant_state_is_preserved_on_unequal_pipes(benchmark_law):
     for grid in sim.grids:
         assert np.max(np.abs(grid.rho - 2.0)) < 1e-14
         assert np.max(np.abs(grid.q - 0.2)) < 1e-14
+
+
+def test_junction_injection_matches_the_exact_solution(benchmark_law,
+                                                       benchmark_states, monkeypatch):
+    """A negative extraction injects gas at the junction: the run stays within
+    criterion 04's L1 bound of the exact solution, and every stage's traces
+    balance the injected flux."""
+    eps, t_end, dt = -1.0, 0.1, 2e-4
+    solutions = []
+
+    def recording(*args, **kwargs):
+        solutions.append(solve_multi_junction(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(gaspower.cweno, "solve_multi_junction", recording)
+    sim = _junction_sim(benchmark_law, eps, n=125)
+    for _ in range(int(round(t_end / dt))):
+        cweno3_step(sim, dt)
+    for sol in solutions:
+        traces = sol.incoming_traces + sol.outgoing_traces
+        scale = max(1.0, sum(abs(v.q) for v in traces))
+        assert abs(sol.flux_residual()) <= 1e-14 * scale
+
+    exact = solve_gas_power_junction(*benchmark_states, eps, benchmark_law)
+    x = np.concatenate([sim.grids[0].x - sim.grids[0].pipe.length, sim.grids[1].x])
+    rho = np.concatenate([sim.grids[0].rho, sim.grids[1].rho])
+    rho_exact = np.array([sample_solution(exact, xi).rho for xi in x / t_end])
+    assert exact.rho_star > max(state.rho for state in benchmark_states)
+    assert float(np.sum(np.abs(rho - rho_exact)) * sim.grids[0].dx) <= 2e-2
 
 
 def test_cell_layout_is_built_once_per_network_layout(benchmark_law):

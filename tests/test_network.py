@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from gaspower.errors import DomainError, NumericsError
-from gaspower.laxcurves import GasState, lax_left, lax_right
+from gaspower.errors import DomainError, InvalidDemandError, NumericsError
+from gaspower.laxcurves import GasState, Side, lax_left, lax_right, rho_min
 from gaspower.network import (
     BoundaryCondition,
     GasSimulation,
@@ -124,6 +124,23 @@ def test_boundary_states_lie_on_the_wave_curves():
     right = apply_boundary(interior, BoundaryCondition("flow", constant(-0.3)),
                            0.0, law, end="end")
     assert lax_left(right.rho, interior, law) == pytest.approx(-0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("law", [GammaLaw(1.0, 1.4), SumGammaLaw()],
+                         ids=["gamma", "sum_gamma"])
+@pytest.mark.parametrize("end", ["start", "end"])
+def test_unreachable_boundary_outflow_is_an_invalid_demand(law, end):
+    """A prescribed momentum is the extraction of a one-port junction: beyond
+    the top of the interior's wave curve, at its rho_min, it has no trace."""
+    interior = GasState(2.0, 0.4)
+    # The end boundary sees the interior on its 1-curve, the start boundary
+    # the mirrored interior with the momentum negated.
+    seen, sign = (interior, 1.0) if end == "end" else (interior.mirrored(), -1.0)
+    top = lax_left(rho_min(seen, Side.IN, law), seen, law)
+    bc = BoundaryCondition("flow", constant(sign * 1.01 * top))
+    with pytest.raises(InvalidDemandError) as info:
+        apply_boundary(interior, bc, 0.0, law, end)
+    assert info.value.epsilon_max == pytest.approx(top, rel=1e-14)
 
 
 def test_outflow_ramp_values():
@@ -331,10 +348,9 @@ def test_left_boundary_is_the_mirrored_right_boundary(law, kind):
         value = {"pressure": float(law.p(rho_b)), "density": rho_b,
                  "flow": lax_right(rho_b, interior, law)}[kind]
         mirrored_value = -value if kind == "flow" else value
-        for guess in (None, rho_b):
-            left = apply_boundary(interior, BoundaryCondition(kind, constant(value)),
-                                  0.0, law, "start", rho_guess=guess)
-            right = apply_boundary(interior.mirrored(),
-                                   BoundaryCondition(kind, constant(mirrored_value)),
-                                   0.0, law, "end", rho_guess=guess)
-            assert left == right.mirrored()
+        left = apply_boundary(interior, BoundaryCondition(kind, constant(value)),
+                              0.0, law, "start")
+        right = apply_boundary(interior.mirrored(),
+                               BoundaryCondition(kind, constant(mirrored_value)),
+                               0.0, law, "end")
+        assert left == right.mirrored()

@@ -1,10 +1,16 @@
 """Admittance assembly, mismatch equations, and the Newton power flow."""
 
+from importlib.resources import files
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaspower.driver import build_power_grid
 from gaspower.errors import ConvergenceError, DomainError
 from gaspower.powerflow import (
+    NEWTON_TOL,
     Bus,
     PowerGrid,
     TransmissionLine,
@@ -12,6 +18,7 @@ from gaspower.powerflow import (
     mismatch,
     solve_newton,
 )
+from gaspower.scenario import load_scenario
 
 # Nine-bus benchmark: diagonal entries are node records, off-diagonals come
 # from the lines (so the diagonals include the line-charging contribution).
@@ -219,3 +226,27 @@ def test_isolated_bus_is_a_convergence_error():
     grid = PowerGrid(buses, [TransmissionLine("S", "A", 0.0, 4.0)])
     with pytest.raises(ConvergenceError, match=r"singular in iteration 1$"):
         solve_newton(grid)
+
+
+GASLIB9 = load_scenario(files("gaspower") / "scenarios" / "gaslib9.scn")
+GASLIB9_PQ = [b.id for b in GASLIB9.buses if b.type == "PQ"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scales=st.lists(st.floats(0.0, 2.0), min_size=len(GASLIB9_PQ),
+                       max_size=len(GASLIB9_PQ)),
+       warm=st.booleans())
+def test_solutions_meet_the_mismatch_tolerance(scales, warm):
+    """From flat and warm starts, the returned voltages of the gaslib9 grid
+    with scaled PQ loads meet the set-points to NEWTON_TOL."""
+    grid = build_power_grid(GASLIB9)
+    initial = solve_newton(grid) if warm else "flat"
+    for bus_id, scale in zip(GASLIB9_PQ, scales):
+        bus = grid.buses[grid.index(bus_id)]
+        bus.P *= scale
+        bus.Q *= scale
+    sol = solve_newton(grid, initial)
+    assert np.max(np.abs(mismatch((sol.V, sol.phi), grid))) <= NEWTON_TOL
+    for k, bus in enumerate(grid.buses):
+        if bus.kind == "PQ":
+            assert (sol.P[k], sol.Q[k]) == (bus.P, bus.Q)

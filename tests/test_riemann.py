@@ -125,7 +125,7 @@ def test_benchmark_wave_structures(benchmark_law, benchmark_states, eps, waves):
 
 def test_nan_extraction_is_a_domain_error(benchmark_law, benchmark_states):
     left, right = benchmark_states
-    with pytest.raises(DomainError, match="extraction must be non-negative"):
+    with pytest.raises(DomainError, match="extraction must be a number above -inf"):
         solve_multi_junction([left], [right], math.nan, benchmark_law)
     with pytest.raises(InvalidDemandError):
         solve_multi_junction([left], [right], math.inf, benchmark_law)

@@ -99,6 +99,19 @@ def test_missing_file_is_a_schema_error(tmp_path):
         load_scenario(tmp_path / "does-not-exist.scn")
 
 
+@pytest.mark.parametrize("pair", PAIRS)
+@pytest.mark.parametrize("content", [b"name: \xff\xfe\n", b"gas_nodes: [a, b\n"],
+                         ids=["not-utf-8", "unclosed-flow-sequence"])
+def test_yaml_error_marks_name_the_file(tmp_path, pair, content):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(content)
+    with yaml_pair(pair), pytest.raises(SchemaError) as info:
+        load_scenario(bad)
+    message = str(info.value)
+    assert message.startswith(f"{bad}: not valid YAML: "), message
+    assert f'in "{bad}"' in message and "<byte string>" not in message, message
+
+
 def test_schema_errors_name_the_field(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text(
