@@ -1,10 +1,10 @@
-"""Pressure laws for isentropic pipe flow and a numeric well-posedness checker.
+"""Pressure laws for isentropic pipe flow and a well-posedness checker.
 
 A pressure law is any strictly increasing ``p(rho)`` on ``rho > 0``; strict
 hyperbolicity of the flow equations requires ``p'(rho) > 0`` everywhere. The
-checker in :func:`check_sufficient_conditions` evaluates, on a log-spaced
-density grid, a set of sufficient conditions under which interface and
-junction Riemann problems with sub-sonic data have a unique solution:
+checker in :func:`check_sufficient_conditions` decides a set of sufficient
+conditions under which interface and junction Riemann problems with
+sub-sonic data have a unique solution:
 
 * concavity of the wave curves, expressed through
   ``2 p' + rho p'' >= 0`` and ``6 p' + 6 rho p'' + rho^2 p''' >= 0``;
@@ -12,6 +12,11 @@ junction Riemann problems with sub-sonic data have a unique solution:
   the bound ``p' <= -p/rho``;
 * controlled behaviour near vacuum, via a negative limit of ``rho * p(rho)``
   or one of three tameness conditions on the sound speed ``c = sqrt(p')``.
+
+Inequalities are tested at every point of a log-spaced density grid. Limits
+are exact: every law states the leading term ``coef * rho**a * |ln rho|**b``
+of p and p' at both ends (:meth:`PressureLaw.asymptotics`), and the checker
+reads the limit conditions off those terms.
 
 Any positive linear combination of laws passing these conditions passes them
 again (they form a convex cone), which :func:`combine` exploits.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +85,34 @@ def _sqrt(x):
     return np.sqrt(x)
 
 
+class Term(NamedTuple):
+    """Leading term ``coef * rho**a * |ln rho|**b`` of a function at one end."""
+
+    coef: float
+    a: float
+    b: float = 0.0
+
+
+class Asymptotics(NamedTuple):
+    """Leading terms of p and p' as rho -> 0 (vacuum) and rho -> inf."""
+
+    p_vacuum: Term
+    p_infinity: Term
+    dp_vacuum: Term
+    dp_infinity: Term
+
+
+def _leading(terms, at_vacuum: bool) -> Term:
+    """The term of a sum that dominates at vacuum (smallest a) or at infinity
+    (largest a), ties broken by the larger b; equal terms add up."""
+    def order(t):
+        return (-t.a if at_vacuum else t.a, t.b)
+
+    top = max(map(order, terms))
+    lead = [t for t in terms if order(t) == top]
+    return Term(sum(t.coef for t in lead), lead[0].a, lead[0].b)
+
+
 class PressureLaw:
     """Strictly increasing pressure as a function of density.
 
@@ -119,14 +153,13 @@ class PressureLaw:
         """
         return None
 
-    def power_terms(self):
-        """Pairs (alpha, delta) with ``p' = sum alpha * rho**delta`` and p the
-        sum of their integrals without a constant; None for other laws.
-
-        The well-posedness checker reads the exact vacuum behaviour off them.
-        """
-        form = self.power_form()
-        return None if form is None else (form,)
+    def asymptotics(self) -> Asymptotics:
+        """Leading terms of p and p' at both ends, from which
+        :func:`check_sufficient_conditions` reads the limit conditions."""
+        raise DomainError(
+            f"{type(self).__name__} ({self.label}) defines no asymptotics(): "
+            "the well-posedness checker cannot decide its limits"
+        )
 
     def rho_from_pressure(self, pressure: float) -> float:
         """Invert the (monotone) pressure law; DomainError outside its range."""
@@ -226,6 +259,14 @@ class GeneralizedGammaLaw(PressureLaw):
 
     def power_form(self):
         return (self.alpha, self.delta)
+
+    def asymptotics(self):
+        dp = Term(self.alpha, self.delta)
+        if self._p_exp == 0.0:  # p = a ln(rho) = -a |ln rho| at vacuum
+            return Asymptotics(Term(-self._p_coef, 0.0, 1.0),
+                               Term(self._p_coef, 0.0, 1.0), dp, dp)
+        p = Term(self._p_coef, self._p_exp)
+        return Asymptotics(p, p, dp, dp)
 
     def rho_from_pressure(self, pressure):
         if not math.isfinite(pressure):
@@ -342,8 +383,10 @@ class SumGammaLaw(PressureLaw):
         rho, r = self._root(rho)
         return 0.1 / rho / rho * _horner(self._D3P, r)
 
-    def power_terms(self):
-        return tuple((0.1, i / 5.0) for i in range(1, 11))
+    def asymptotics(self):
+        # Led by the terms i = 1 at vacuum and i = 10 at infinity.
+        return Asymptotics(Term(0.1 / 1.2, 1.2), Term(0.1 / 3.0, 3.0),
+                           Term(0.1, 0.2), Term(0.1, 2.0))
 
     def spec(self):
         return "sum_gamma"
@@ -353,36 +396,48 @@ class GammaIntegralLaw(PressureLaw):
     """p(rho) = (rho^3 - rho)/ln(rho), i.e. the gamma-law averaged over
     exponents 1..3.
 
-    Shipped as a curiosity; it is *not* asserted to pass the well-posedness
-    checker. The removable singularity at rho = 1 is evaluated by series.
+    It passes the well-posedness checker: p grows without bound, and near
+    vacuum its sound speed vanishes like ``|ln rho|**-0.5`` (see
+    :meth:`asymptotics`) while ``2 p' - rho p'' >= 0`` holds.
+
+    With ``u = ln(rho)`` it evaluates ``w = (rho - 1)(rho + 1)/u``, in which
+    nothing cancels (``rho - 1`` is exact near 1), ``p = rho w`` and
+    ``p' = 2 w + (rho^2 + 1 - w)/u``. The last numerator is ``2 rho u s'(u)``
+    with ``s(u) = sinh(u)/u``; for ``|u| < 0.5``, where it cancels, it is
+    summed as the Taylor series of ``u s'(u)``.
     """
 
     label = "gamma_integral"
+    # u s'(u) = sum_k 2k/(2k+1)! (u^2)^k: coefficients for k = 8..1, the terms
+    # beyond k = 8 being below 1e-18 of p' on |u| < 0.5.
+    _DS = tuple(2.0 * k / math.factorial(2 * k + 1) for k in range(8, 0, -1))
 
-    def _split(self, rho):
+    @staticmethod
+    def _w(rho):
+        """(rho, u, w) as float arrays, with w = 2 (its limit) at u = 0."""
         rho = np.asarray(rho, dtype=float)
         u = np.log(rho)
-        near = np.abs(u) < 1e-5
-        return rho, u, near
+        at_one = u == 0.0
+        w = (rho - 1.0) * (rho + 1.0) / np.where(at_one, 1.0, u)
+        return rho, u, np.where(at_one, 2.0, w)
 
     def p(self, rho):
-        rho, u, near = self._split(rho)
-        safe_u = np.where(near, 1.0, u)
-        direct = (rho**3 - rho) / safe_u
-        # (e^{3u}-e^{u})/u = 2 + 4u + 13/3 u^2 + 10/3 u^3 + O(u^4)
-        series = 2.0 + 4.0 * u + (13.0 / 3.0) * u**2 + (10.0 / 3.0) * u**3
-        out = np.where(near, series, direct)
+        rho, _, w = self._w(rho)
+        out = rho * w
         return out if out.ndim else float(out)
 
     def dp(self, rho):
-        rho, u, near = self._split(rho)
-        safe_u = np.where(near, 1.0, u)
-        direct = ((3.0 * rho**2 - 1.0) * safe_u - (rho**3 - rho) / rho) / safe_u**2
-        # d/drho with rho = e^u: 4 + 26/3 u + 10 u^2 + O(u^3), times e^{-u}... the
-        # series below is for dp at rho = e^u directly.
-        series = (4.0 + (26.0 / 3.0) * u + 10.0 * u**2) / rho
-        out = np.where(near, series, direct)
+        rho, u, w = self._w(rho)
+        numerator = np.where(np.abs(u) < 0.5, 2.0 * rho * _horner(self._DS, u * u),
+                             rho * rho + 1.0 - w)
+        out = 2.0 * w + numerator / np.where(u == 0.0, 1.0, u)
         return out if out.ndim else float(out)
+
+    def asymptotics(self):
+        # p ~ rho/(-ln rho), p' ~ 1/(-ln rho) at vacuum;
+        # p ~ rho^3/ln rho, p' ~ 3 rho^2/ln rho at infinity.
+        return Asymptotics(Term(1.0, 1.0, -1.0), Term(1.0, 3.0, -1.0),
+                           Term(1.0, 0.0, -1.0), Term(3.0, 2.0, -1.0))
 
     def spec(self):
         return "gamma_integral"
@@ -434,11 +489,13 @@ class LinearCombinationLaw(PressureLaw):
     def power_form(self):
         return self._power_form
 
-    def power_terms(self):
-        terms = [law.power_terms() for law in self.laws]
-        if None in terms:
-            return None
-        return tuple((w * a, d) for w, t in zip(self.weights, terms) for a, d in t)
+    def asymptotics(self):
+        """Each end's dominant weighted member term."""
+        p0, p_inf, dp0, dp_inf = zip(*(
+            [Term(w * t.coef, t.a, t.b) for t in law.asymptotics()]
+            for w, law in zip(self.weights, self.laws)))
+        return Asymptotics(_leading(p0, True), _leading(p_inf, False),
+                           _leading(dp0, True), _leading(dp_inf, False))
 
     def spec(self):
         return self._spec
@@ -473,9 +530,9 @@ def classify_generalized_gamma(alpha: float, delta: float) -> bool:
     return alpha > 0.0 and abs(delta) <= 2.0
 
 
-def default_grid(head: float = 1e-6, tail: float = 1e6, n: int = 10_000) -> np.ndarray:
-    """Log-spaced density grid used by the well-posedness checker."""
-    return np.geomspace(head, tail, n)
+# Densities at which the checker tests its pointwise inequalities.
+DENSITY_GRID = np.geomspace(1e-6, 1e6, 10_000)
+DENSITY_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -484,9 +541,9 @@ class ValidityReport:
 
     The two ``concave_*`` flags are the curvature inequalities; the two
     ``pressure_*`` flags are the alternative large-density conditions; the
-    remaining four are the alternative near-vacuum conditions. ``inconclusive``
-    is set when a limit test could not fit a clean trend (the corresponding
-    flag is then conservatively False).
+    remaining four are the alternative near-vacuum conditions.
+    ``worst_violation`` is the largest relative violation among the pointwise
+    inequalities that the verdict rests on.
     """
 
     law_label: str
@@ -498,11 +555,7 @@ class ValidityReport:
     sound_speed_vanishes_tamely: bool   # c -> 0 and 2 p' - rho p'' >= 0
     sound_speed_finite_limit: bool      # 0 < lim c < inf
     sound_speed_integrable_blowup: bool  # rho^eta c -> (0, inf), eta in (0,1)
-    inconclusive: bool
     worst_violation: float
-    grid_head: float
-    grid_tail: float
-    grid_size: int
 
     @property
     def concavity_ok(self) -> bool:
@@ -539,8 +592,6 @@ class ValidityReport:
         lines = [f"pressure law: {self.law_label}"]
         lines += [f"  {name:32s} {'yes' if ok else 'no'}" for name, ok in rows]
         lines.append(f"  worst violation: {self.worst_violation:.3e}")
-        if self.inconclusive:
-            lines.append("  note: at least one limit trend was inconclusive")
         lines.append(f"  => {'VALID' if self.valid else 'INVALID'}")
         return "\n".join(lines)
 
@@ -553,21 +604,19 @@ def _nonneg(expr: np.ndarray, scale: np.ndarray) -> tuple[bool, float]:
     return bool(np.all(expr >= -slack)), worst
 
 
-def check_sufficient_conditions(law: PressureLaw, rho_grid=None) -> ValidityReport:
-    """Evaluate the well-posedness conditions numerically on a density grid.
+def check_sufficient_conditions(law: PressureLaw) -> ValidityReport:
+    """Evaluate the well-posedness conditions of a pressure law.
 
-    Pointwise inequalities are checked at every grid point with a slack of
-    ``REL_TOL`` relative to the magnitude of the compared terms. The limits
-    rho -> 0 and rho -> inf are classified from the trend of the grid-endpoint
-    decades, with a factor-of-ten extrapolation consistency check; a trend
-    that fits no clean pattern yields ``inconclusive`` instead of a guess.
+    Pointwise inequalities are checked at every point of ``DENSITY_GRID``
+    with a slack of ``REL_TOL`` relative to the magnitude of the compared
+    terms. The limits rho -> 0 and rho -> inf are read off the law's exact
+    leading terms, :meth:`PressureLaw.asymptotics`; a law without them is a
+    ``DomainError``. ``worst_violation`` counts an inequality only where the
+    limits make it the deciding condition: the decay bound when p stays
+    bounded, the tame-vanishing inequality when c vanishes at vacuum.
     """
-    grid = default_grid() if rho_grid is None else np.asarray(rho_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise DomainError("density grid must be a 1-d array with >= 2 points")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise DomainError("density grid must be positive and strictly increasing")
-
+    ends = law.asymptotics()
+    grid = DENSITY_GRID
     try:
         p = np.asarray(law.p(grid), dtype=float)
         dp = np.asarray(law.dp(grid), dtype=float)
@@ -589,104 +638,37 @@ def check_sufficient_conditions(law: PressureLaw, rho_grid=None) -> ValidityRepo
             f"{law.label} is not strictly increasing at rho={grid[idx]:g}"
         )
 
-    worst = 0.0
-    growth_trend_gray = False
-    vacuum_trend_gray = False
-
     # Curvature inequalities, pointwise on the grid.
     expr1 = 2.0 * dp + grid * d2p
     scale1 = 2.0 * np.abs(dp) + np.abs(grid * d2p)
-    c1a, w = _nonneg(expr1, scale1)
-    worst = max(worst, w)
+    c1a, worst = _nonneg(expr1, scale1)
 
     expr2 = 6.0 * dp + 6.0 * grid * d2p + grid**2 * d3p
     scale2 = 6.0 * np.abs(dp) + 6.0 * np.abs(grid * d2p) + np.abs(grid**2 * d3p)
     c1b, w = _nonneg(expr2, scale2)
     worst = max(worst, w)
 
-    # Large-density behaviour: decade-increment trend extended one factor of
-    # ten beyond the tail, so slowly decaying transients (e.g. a bounded
-    # component next to a logarithmic one) cannot mask the true growth.
-    tail = grid[-1]
-    p_at = [float(law.p(t)) for t in (tail, 10.0 * tail, 100.0 * tail)]
-    d2, d1 = p_at[1] - p_at[0], p_at[2] - p_at[1]
-    if d1 > 0.0 and d2 > 0.0 and d1 >= 0.95 * d2:
-        unbounded = True
-    elif d1 <= 0.0 or (d2 > 0.0 and d1 <= 0.85 * d2):
-        unbounded = False
-    else:
-        unbounded = False
-        growth_trend_gray = True
-
+    # Large density: p is unbounded exactly when its leading term is; a
+    # bounded p needs the decay bound.
+    top = ends.p_infinity
+    unbounded = top.a > 0.0 or (top.a == 0.0 and top.b > 0.0)
     expr_decay = -p / grid - dp
     scale_decay = np.abs(p / grid) + np.abs(dp)
     decay_bound, w = _nonneg(expr_decay, scale_decay)
-    worst = max(worst, w)
+    if not unbounded:
+        worst = max(worst, w)
 
-    # Near-vacuum behaviour at the grid head. A law of power terms is led by
-    # its smallest exponent: rho * p(rho) tends to a negative limit exactly
-    # when that is -2. Other laws take a geometric extrapolation of
-    # rho * p(rho) from three decades (exact for power-plus-constant tails,
-    # which removes slowly decaying transients before the sign test).
-    head = grid[0]
-    terms = law.power_terms()
-    if terms is not None:
-        lowest = min(delta for _, delta in terms)
-        vacuum_negative = lowest == -2.0
-    else:
-        v1, v2, v3 = (s * head * float(law.p(s * head)) for s in (1.0, 10.0, 100.0))
-        g1, g2 = v1 - v2, v2 - v3
-        if abs(g1) <= 1e-12 * max(1.0, abs(v1)):
-            limit = v1
-            transient = 0.0
-        elif g2 != 0.0 and 0.0 < g1 / g2 <= 0.95:
-            r = g1 / g2
-            transient = -g1 * r / (1.0 - r)
-            limit = v1 - transient
-        else:
-            limit = math.inf  # diverging or unclassifiable: not a finite limit
-            transient = 0.0
-        vacuum_negative = (
-            math.isfinite(limit)
-            and limit < 0.0
-            and abs(limit) >= 1e-3 * abs(transient)
-        )
-
-    # Exponent s of c ~ rho^(-s) near vacuum, with a band of doubt of width
-    # ``band`` around its decisive values 0 and 1.
-    c_h = float(law.c(head))
-    if terms is not None:
-        s, band = -0.5 * lowest, 0.0  # c ~ rho^(lowest/2) near vacuum, exactly
-    else:
-        # Local exponent over the first two decades.
-        c_10h = float(law.c(10.0 * head))
-        c_100h = float(law.c(100.0 * head))
-        s1 = math.log10(c_h / c_10h)
-        s2 = math.log10(c_10h / c_100h)
-        s, band = 0.5 * (s1 + s2), 0.005
-        vacuum_trend_gray = abs(s1 - s2) > 0.02
-    tame_vanish = finite_limit = integrable_blowup = False
-    if not vacuum_trend_gray:
-        if s < -band:  # c decreasing towards 0 near vacuum
-            expr3 = 2.0 * dp - grid * d2p
-            scale3 = 2.0 * np.abs(dp) + np.abs(grid * d2p)
-            tame_vanish, w = _nonneg(expr3, scale3)
-            worst = max(worst, w)
-        elif s <= band:
-            finite_limit = c_h > 0.0 and math.isfinite(c_h)
-        elif s < 1.0 - 3.0 * band:
-            integrable_blowup = True
-        else:
-            # s beyond 1: blow-up too strong for an integrable exponent,
-            # unless a fitted s is within the band of it
-            vacuum_trend_gray = s < 1.0 + band
-
-    # A gray trend only matters when no definite condition already settles
-    # the corresponding alternative.
-    vacuum_any = vacuum_negative or tame_vanish or finite_limit or integrable_blowup
-    inconclusive = (growth_trend_gray and not decay_bound) or (
-        vacuum_trend_gray and not vacuum_any
-    )
+    # Near vacuum: rho * p(rho) tends to a negative limit exactly when p is
+    # led by -p0/rho; c = sqrt(p') goes as rho^(a/2) |ln rho|^(b/2).
+    low = ends.p_vacuum
+    vacuum_negative = low.a == -1.0 and low.b == 0.0 and low.coef < 0.0
+    a, b = ends.dp_vacuum.a, ends.dp_vacuum.b
+    tame_vanish = False
+    if a > 0.0 or (a == 0.0 and b < 0.0):  # c -> 0
+        expr3 = 2.0 * dp - grid * d2p
+        scale3 = 2.0 * np.abs(dp) + np.abs(grid * d2p)
+        tame_vanish, w = _nonneg(expr3, scale3)
+        worst = max(worst, w)
 
     return ValidityReport(
         law_label=law.label,
@@ -696,13 +678,9 @@ def check_sufficient_conditions(law: PressureLaw, rho_grid=None) -> ValidityRepo
         pressure_decay_bound=decay_bound,
         vacuum_limit_negative=vacuum_negative,
         sound_speed_vanishes_tamely=tame_vanish,
-        sound_speed_finite_limit=finite_limit,
-        sound_speed_integrable_blowup=integrable_blowup,
-        inconclusive=inconclusive,
+        sound_speed_finite_limit=a == 0.0 and b == 0.0,
+        sound_speed_integrable_blowup=-2.0 < a < 0.0 and b == 0.0,
         worst_violation=worst,
-        grid_head=float(grid[0]),
-        grid_tail=float(grid[-1]),
-        grid_size=int(grid.size),
     )
 
 

@@ -33,6 +33,26 @@ def test_pressure_check_accepts_a_mixed_combination_next_to_delta_minus_two(caps
     assert "=> VALID" in out and "inconclusive" not in out
 
 
+@pytest.mark.parametrize("law, code, worst", [
+    ("gamma(0.7142857142857143,1.4)", 0, "0.000e+00"),
+    ("inverse", 0, "0.000e+00"),
+    ("log", 0, "0.000e+00"),
+    ("sum_gamma", 0, "0.000e+00"),
+    ("gamma_integral", 0, "0.000e+00"),
+    ("isothermal(1.0)", 0, "0.000e+00"),
+    ("linear_combination(8.17*generalized(1.0,-1.99),0.077*gamma_integral)", 0, "0.000e+00"),
+    ("gamma(1,3.5)", 1, "1.111e-01"),
+])
+def test_pressure_check_worst_violation_counts_only_deciding_conditions(capsys, law,
+                                                                        code, worst):
+    """The decay bound p' <= -p/rho, which an unbounded p cannot meet, does
+    not enter the worst violation of a law that the growth of p settles."""
+    assert main(["pressure-check", law]) == code
+    out = capsys.readouterr().out
+    assert f"  worst violation: {worst}\n" in out
+    assert out.endswith("=> VALID\n" if code == 0 else "=> INVALID\n")
+
+
 def test_pressure_check_bad_selector_reports_category(capsys):
     assert main(["pressure-check", "nosuchlaw(1)"]) == 1
     assert "[domain-error]" in capsys.readouterr().err

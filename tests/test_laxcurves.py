@@ -346,8 +346,7 @@ def _oracle_sound_speeds(mp):
     ("sum_gamma", 2e-15),
     ("linear_combination(1*gamma(1,3),2*log)", 2e-15),
     ("linear_combination(1.0*generalized(1.0,-1.99),1.0*gamma(1,1.4))", 2e-15),
-    # its own sound speed carries ~1e-12 noise near rho = 1
-    ("gamma_integral", 1e-10),
+    ("gamma_integral", 2e-15),
 ])
 def test_rarefaction_integral_matches_a_30_digit_oracle(spec, tol):
     """Laws without a power form, on random and on short intervals of

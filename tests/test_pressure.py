@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaspower.errors import DomainError
 from gaspower.pressure import (
+    Asymptotics,
     GammaLaw,
     GammaIntegralLaw,
     GeneralizedGammaLaw,
@@ -17,13 +18,13 @@ from gaspower.pressure import (
     LogLaw,
     PressureLaw,
     SumGammaLaw,
+    Term,
     _horner,
     _pow,
     _sqrt,
     check_sufficient_conditions,
     classify_generalized_gamma,
     combine,
-    default_grid,
     inverse_law,
     parse_law,
     sound_speed,
@@ -207,17 +208,69 @@ def test_classification_examples():
     assert not classify_generalized_gamma(-1.0, 0.5)  # needs alpha > 0
 
 
-def test_checker_reports_failure_on_bad_grid():
-    with pytest.raises(DomainError):
-        check_sufficient_conditions(GammaLaw(1.0, 1.4), np.array([1.0, 0.5]))
-    with pytest.raises(DomainError):
-        check_sufficient_conditions(GammaLaw(1.0, 1.4), np.array([-1.0, 1.0]))
+# The exact values of the power family's closed-form bounds, and either side.
+BOUNDARY_DELTAS = (-2.0, 2.0, -2.0 - 1e-9, -2.0 + 1e-9, 2.0 - 1e-9, 2.0 + 1e-9)
 
 
-def test_exotic_integral_law_runs_through_checker():
-    # Averaged-exponent law: shipped as an example, validity not asserted.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.1, 10.0),
+       delta=st.sampled_from(BOUNDARY_DELTAS) | st.floats(-4.0, 4.0))
+def test_checker_agrees_with_the_closed_form_classification(alpha, delta):
+    report = check_sufficient_conditions(GeneralizedGammaLaw(alpha, delta))
+    assert report.valid == classify_generalized_gamma(alpha, delta), report.summary()
+
+
+def test_averaged_exponent_law_is_valid():
+    """p unbounded; c vanishes like |ln rho|^(-1/2) and vanishes tamely."""
     report = check_sufficient_conditions(GammaIntegralLaw())
-    assert report.grid_size == default_grid().size
+    assert report.valid and report.pressure_unbounded, report.summary()
+    assert report.sound_speed_vanishes_tamely, report.summary()
+
+
+def test_worst_violation_of_a_failed_vacuum_check_is_its_own():
+    """rho^3.5 fails only 2 p' - rho p'' >= 0, by 1.75/15.75 of its terms."""
+    report = check_sufficient_conditions(GammaLaw(1.0, 3.5))
+    assert not report.sound_speed_vanishes_tamely
+    assert report.worst_violation == pytest.approx(1.75 / 15.75, rel=1e-12)
+
+
+def test_a_law_without_asymptotics_is_a_domain_error():
+    class Handwritten(PressureLaw):
+        label = "handwritten"
+
+        def p(self, rho):
+            return 2.0 * rho
+
+        def dp(self, rho):
+            return 2.0 + 0.0 * rho
+
+        def spec(self):
+            return "handwritten"
+
+    for law in (Handwritten(), combine([LogLaw(), Handwritten()], [1.0, 1.0])):
+        with pytest.raises(DomainError, match="Handwritten"):
+            check_sufficient_conditions(law)
+
+
+def test_gamma_integral_matches_a_40_digit_oracle_near_one():
+    """p and p' within 1e-13 relative for |ln rho| in [1e-8, 0.1], both
+    sides of rho = 1, and at rho = 1 itself, on floats and on arrays."""
+    mp = pytest.importorskip("mpmath")
+    law = GammaIntegralLaw()
+    u = np.geomspace(1e-8, 0.1, 300)
+    rho = np.concatenate([np.exp(u), np.exp(-u), [1.0]])
+    on_array = {"p": law.p(rho), "dp": law.dp(rho)}
+    with mp.workdps(40):
+        for k, x in enumerate(rho.tolist()):
+            r = mp.mpf(x)
+            lr = mp.log(r)
+            exact = {"p": mp.mpf(2), "dp": mp.mpf(4)} if x == 1.0 else {
+                "p": (r**3 - r) / lr,
+                "dp": (3 * r * r - 1) / lr - (r * r - 1) / (lr * lr),
+            }
+            for method, value in exact.items():
+                for got in (getattr(law, method)(x), on_array[method][k]):
+                    assert abs(got - value) <= 1e-13 * abs(value), (method, x, got)
 
 
 # -- combinations -------------------------------------------------------------
@@ -271,7 +324,7 @@ def test_cone_closure_under_random_positive_weights():
 
 # Laws that the checker passes, with power exponents from -2 to 2.
 VALID_LAWS = ("gamma(0.7142857142857143,1.4)", "gamma(1.0,3.0)", "isothermal(1.0)",
-              "inverse", "log", "sum_gamma", "generalized(1.0,-1.99)",
+              "inverse", "log", "sum_gamma", "gamma_integral", "generalized(1.0,-1.99)",
               "generalized(2.0,-1.5)", "generalized(1.0,1.99)")
 
 
@@ -282,16 +335,62 @@ def test_positive_combinations_of_valid_laws_are_valid(members):
     """The cone property that :func:`combine` promises, over mixed exponents."""
     law = combine([parse_law(text) for text, _ in members], [w for _, w in members])
     report = check_sufficient_conditions(law)
-    assert report.valid and not report.inconclusive, report.summary()
+    assert report.valid, report.summary()
 
 
-def test_power_terms_of_a_combination_are_its_weighted_members():
+# A positive combination of two valid laws, led at vacuum by a power next to
+# delta = -2 and at infinity by gamma_integral's log-corrected term.
+MIXED_LOG_POWER = combine([GeneralizedGammaLaw(1.0, -1.99), GammaIntegralLaw()],
+                          [8.17, 0.077])
+
+
+def test_asymptotics_of_a_combination_are_its_dominant_weighted_members():
     law = parse_law("linear_combination(2.0*sum_gamma,0.5*generalized(1.0,-1.99))")
-    terms = law.power_terms()
-    assert terms == tuple((0.2, i / 5.0) for i in range(1, 11)) + ((0.5, -1.99),)
-    for rho in (1e-3, 0.7, 40.0):
-        assert sum(a * rho**d for a, d in terms) == pytest.approx(law.dp(rho), rel=1e-14)
-    assert parse_law("linear_combination(1.0*gamma_integral,1.0*log)").power_terms() is None
+    assert law.asymptotics() == Asymptotics(
+        p_vacuum=Term(0.5 / -0.99, -0.99), p_infinity=Term(2.0 * 0.1 / 3.0, 3.0),
+        dp_vacuum=Term(0.5, -1.99), dp_infinity=Term(0.2, 2.0))
+    assert MIXED_LOG_POWER.asymptotics() == Asymptotics(
+        p_vacuum=Term(8.17 / -0.99, -0.99), p_infinity=Term(0.077, 3.0, -1.0),
+        dp_vacuum=Term(8.17, -1.99), dp_infinity=Term(3.0 * 0.077, 2.0, -1.0))
+    # Equal leading terms add up; a larger log power wins a tie in a.
+    both = parse_law("linear_combination(1.0*log,2.0*generalized(3.0,-1.0),1.0*isothermal(1.0))")
+    assert both.asymptotics().p_vacuum == Term(-7.0, 0.0, 1.0)
+    assert both.asymptotics().dp_infinity == Term(1.0, 0.0)
+    assert combine([GammaIntegralLaw(), IsothermalLaw(2.0)], [1.0, 1.0]).asymptotics(
+        ).dp_vacuum == Term(4.0, 0.0)
+
+
+def _exact_p_and_dp(law, rho, mp):
+    """p and p' of a law from its formula, at an mpmath density."""
+    if isinstance(law, LinearCombinationLaw):
+        parts = [_exact_p_and_dp(member, rho, mp) for member in law.laws]
+        return tuple(sum(w * part[k] for w, part in zip(law.weights, parts)) for k in (0, 1))
+    if isinstance(law, GeneralizedGammaLaw):
+        alpha, delta = mp.mpf(law.alpha), mp.mpf(law.delta)
+        if delta == -1:
+            return alpha * mp.log(rho), alpha / rho
+        return alpha * rho**(delta + 1) / (delta + 1), alpha * rho**delta
+    if isinstance(law, SumGammaLaw):
+        exponents = [mp.mpf(i) / 5 for i in range(1, 11)]
+        return (sum(rho**(1 + e) / (1 + e) for e in exponents) / 10,
+                sum(rho**e for e in exponents) / 10)
+    assert isinstance(law, GammaIntegralLaw)
+    u = mp.log(rho)
+    return (rho**3 - rho) / u, (3 * rho**2 - 1) / u - (rho**2 - 1) / u**2
+
+
+@pytest.mark.parametrize("law", PARSED_LAWS + [MIXED_LOG_POWER], ids=lambda l: l.spec())
+def test_asymptotics_match_a_50_digit_oracle(law):
+    """Each leading term within 2% of p or p' at rho = 1e-30 and 1e30 (the
+    next term of gamma_integral's p' is 1/ln(rho) = 1.4% of it there)."""
+    mp = pytest.importorskip("mpmath")
+    ends = law.asymptotics()
+    with mp.workdps(50):
+        for rho, p_term, dp_term in ((mp.mpf("1e-30"), ends.p_vacuum, ends.dp_vacuum),
+                                     (mp.mpf("1e30"), ends.p_infinity, ends.dp_infinity)):
+            for term, exact in zip((p_term, dp_term), _exact_p_and_dp(law, rho, mp)):
+                lead = term.coef * rho**term.a * abs(mp.log(rho))**term.b
+                assert abs(lead / exact - 1) <= 0.02, (rho, term, float(lead / exact))
 
 
 # -- law selector strings -----------------------------------------------------
