@@ -51,6 +51,7 @@ from .network import (
     JunctionPort,
     Pipe,
     PipeGrid,
+    StepRecord,
     apply_boundary,
 )
 from .output import ProfileOutput, TimeSeriesOutput, write_timeseries

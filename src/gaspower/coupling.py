@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InvalidDemandError
 from .ibox import ibox_step
-from .network import GasSimulation, Junction
+from .network import GasSimulation, Junction, StepRecord
 from .powerflow import PowerFlowSolution, PowerGrid, solve_newton
 from .riemann import junction_max_extraction
 
@@ -138,10 +138,12 @@ def update_extraction(sim: GasSimulation, grid: PowerGrid, link: GasPowerLink,
 def cosim_step(sim: GasSimulation, grid: PowerGrid, link: GasPowerLink,
                schedules: list[DemandSchedule], t: float, dt: float,
                stepper=ibox_step,
-               warm: PowerFlowSolution | None = None) -> PowerFlowSolution:
+               warm: PowerFlowSolution | None = None
+               ) -> tuple[PowerFlowSolution, StepRecord]:
     """One coupled step: demands -> power flow -> extraction -> gas step.
 
-    Returns the power-flow solution used during the step. Aborts with
+    Returns the power-flow solution used during the step and the gas
+    step's record. Aborts with
     ``InvalidDemandError`` when the converted extraction exceeds what the
     linked junction can physically supply.
     """
@@ -156,8 +158,7 @@ def cosim_step(sim: GasSimulation, grid: PowerGrid, link: GasPowerLink,
             f"(slack P = {pf.P[grid.slack_index]:g} p.u. at t = {t:g})",
             epsilon_max=eps_cap,
         )
-    stepper(sim, dt)
-    return pf
+    return pf, stepper(sim, dt)
 
 
 def find_stationary_state(sim: GasSimulation) -> None:

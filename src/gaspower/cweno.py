@@ -29,9 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CflViolationError
+from .errors import CflViolationError, GasPowerError
 from .laxcurves import GasState
-from .network import GasSimulation, apply_boundary, flux
+from .network import GasSimulation, StepRecord, apply_boundary, flux
 from .riemann import solve_multi_junction
 
 CFL_NUMBER = 0.45
@@ -119,7 +119,11 @@ def _llf_flux(u_m, u_p, law):
 
 def _end_traces(sim: GasSimulation, u: np.ndarray, layout: _Layout,
                 t_stage: float):
-    """Trace state at every pipe end from junction solves and boundaries."""
+    """Trace state at every pipe end from junction solves and boundaries.
+
+    A ``GasPowerError`` of a solve is re-raised as it is, its message
+    prefixed with the stage time and the junction or pipe end.
+    """
 
     def adjacent(idx, end):
         cell = layout.first[idx] if end == "start" else layout.last[idx]
@@ -129,19 +133,29 @@ def _end_traces(sim: GasSimulation, u: np.ndarray, layout: _Layout,
     for junction in sim.junctions:
         ports_in = junction.incoming_ports()
         ports_out = junction.outgoing_ports()
-        sol = solve_multi_junction(
-            [adjacent(p.pipe_index, "end") for p in ports_in],
-            [adjacent(p.pipe_index, "start") for p in ports_out],
-            junction.extraction_at(t_stage), sim.law,
-            in_pressure_ratios=[p.pressure_ratio for p in ports_in],
-            out_pressure_ratios=[p.pressure_ratio for p in ports_out],
-        )
+        try:
+            sol = solve_multi_junction(
+                [adjacent(p.pipe_index, "end") for p in ports_in],
+                [adjacent(p.pipe_index, "start") for p in ports_out],
+                junction.extraction_at(t_stage), sim.law,
+                in_pressure_ratios=[p.pressure_ratio for p in ports_in],
+                out_pressure_ratios=[p.pressure_ratio for p in ports_out],
+            )
+        except GasPowerError as exc:
+            exc.args = (f"t={t_stage:g}, junction {junction.node}: {exc}",)
+            raise
         for port, trace in zip(ports_in, sol.incoming_traces):
             traces[(port.pipe_index, "end")] = trace
         for port, trace in zip(ports_out, sol.outgoing_traces):
             traces[(port.pipe_index, "start")] = trace
-    for key, bc in sim.boundaries.items():
-        traces[key] = apply_boundary(adjacent(*key), bc, t_stage, sim.law, key[1])
+    for (idx, end), bc in sim.boundaries.items():
+        try:
+            traces[idx, end] = apply_boundary(adjacent(idx, end), bc, t_stage,
+                                              sim.law, end)
+        except GasPowerError as exc:
+            exc.args = (f"t={t_stage:g}, pipe {sim.grids[idx].pipe.id} {end}: "
+                        f"{exc}",)
+            raise
     return traces
 
 
@@ -174,8 +188,10 @@ def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout):
     return d, mass_rate
 
 
-def cweno3_step(sim: GasSimulation, dt: float) -> None:
-    """Advance the network by one SSP-RK3 step of size ``dt``.
+def cweno3_step(sim: GasSimulation, dt: float) -> StepRecord:
+    """Advance the network by one SSP-RK3 step of size ``dt`` and return its
+    mass balance; the expected change is the stage-weighted net boundary
+    mass rate.
 
     Raises ``DomainError`` on node grids and ``CflViolationError`` when dt
     exceeds CFL_NUMBER * dx / max|lambda| on any pipe, and aborts if a cell
@@ -210,4 +226,4 @@ def cweno3_step(sim: GasSimulation, dt: float) -> None:
     sim.check_subsonic()
     expected = dt * (rate1 * _STAGE_WEIGHTS[0] + rate2 * _STAGE_WEIGHTS[1]
                      + rate3 * _STAGE_WEIGHTS[2])
-    sim.last_mass_balance = (sim.total_mass() - mass_before, expected)
+    return StepRecord(sim.total_mass() - mass_before, expected)

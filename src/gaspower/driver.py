@@ -211,6 +211,7 @@ class RunResult:
     profiles: list[ProfileOutput]
     sim: GasSimulation
     power_history: list | None = None
+    max_mass_defect: float = 0.0    # largest |mass defect| of the run's steps
 
     @property
     def outputs(self):
@@ -238,7 +239,8 @@ def _run(scenario: Scenario, sim: GasSimulation, probes: _ProbeSet,
     """Step ``sim`` to t_end, sampling probes and capturing profiles.
 
     ``power_step(t, dt, stepper=, warm=)`` advances one coupled step and
-    returns its power-flow solution; ``pf`` is the one at t=0.
+    returns its power-flow solution and step record; ``pf`` is the
+    solution at t=0.
     """
     stepper = cweno3_step if scenario.numerics.scheme == "cweno3" else ibox_step
     dt = scenario.numerics.dt
@@ -248,18 +250,22 @@ def _run(scenario: Scenario, sim: GasSimulation, probes: _ProbeSet,
     profiles: list[ProfileOutput] = []
     seen: set = set()
     history = []
+    max_defect = 0.0
     for k in range(n_steps + 1):   # k = 0 records the initial state
-        if k > 0 and power_step is None:
-            stepper(sim, dt)
-        elif k > 0:
-            pf = power_step(sim.t, dt, stepper=stepper, warm=pf)
+        if k > 0:
+            if power_step is None:
+                record = stepper(sim, dt)
+            else:
+                pf, record = power_step(sim.t, dt, stepper=stepper, warm=pf)
+            max_defect = max(max_defect, abs(record.mass_defect))
         probes.pf = pf
         if k % every == 0 or k == n_steps:
             probes.sample(sim.t)
             history.append((sim.t, pf))
         _take_profiles(scenario, sim, sim.t, dt, profiles, seen)
     return RunResult(series=probes.series, profiles=profiles, sim=sim,
-                     power_history=history if power_step else None)
+                     power_history=history if power_step else None,
+                     max_mass_defect=max_defect)
 
 
 def run_gas_simulation(scenario: Scenario) -> RunResult:

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .network import GasSimulation, flux_jacobian
+from .network import GasSimulation, StepRecord, flux_jacobian
 
 NEWTON_TOL = 1e-10
 NEWTON_MAXITER = 50
@@ -434,8 +434,16 @@ def _scaled_norm(residual: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max(_scaled(residual, scale)))
 
 
-def ibox_step(sim: GasSimulation, dt: float) -> None:
-    """Advance the network by one implicit box step of size ``dt``."""
+def ibox_step(sim: GasSimulation, dt: float) -> StepRecord:
+    """Advance the network by one implicit box step of size ``dt`` and
+    return its mass balance.
+
+    The mass rows of the box relation telescope along every pipe, so the
+    trapezoidal mass is expected to change by dt * sum_k A_k (q_first,k -
+    q_last,k) at the new level (zero on a periodic pipe). The terms of the pipe ends at a
+    junction add up to minus the area times its extraction, by the
+    junction's mass row.
+    """
     lam_min = sim.min_wavespeed()
     if lam_min > 0.0:
         pipe_dx = sim.layout.pipe_dx
@@ -448,6 +456,7 @@ def ibox_step(sim: GasSimulation, dt: float) -> None:
                 stacklevel=2,
             )
 
+    mass_before = sim.total_mass()
     asm = _Assembler(sim, dt, sim.t + dt)
     x = asm.x_old
     residual, scale = asm.residual(x)
@@ -484,3 +493,7 @@ def ibox_step(sim: GasSimulation, dt: float) -> None:
         state[:, -1] = state[:, 0]
     sim.t += dt
     sim.check_subsonic()
+    nodes = sim.layout
+    q_ends = state[1, nodes.offsets[:-1]] - state[1, nodes.offsets[1:] - 1]
+    return StepRecord(sim.total_mass() - mass_before,
+                      dt * float(np.dot(nodes.pipe_area, q_ends)))

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, InvalidDemandError, NumericsError
 from .friction import FrictionModel
 from .laxcurves import GasState, lax_left
 from .pressure import PressureLaw
@@ -290,13 +290,36 @@ def apply_boundary(adjacent: GasState, bc: BoundaryCondition, t: float,
     interior = adjacent.mirrored() if mirror else adjacent
     if bc.kind == "flow":
         q_b = float(bc.value(t))
-        sol = solve_multi_junction([interior], [], -q_b if mirror else q_b, law)
+        outflow = -q_b if mirror else q_b
+        try:
+            sol = solve_multi_junction([interior], [], outflow, law)
+        except InvalidDemandError as exc:
+            raise InvalidDemandError(
+                f"outflow {outflow:g} is at or above the boundary maximum "
+                f"{exc.epsilon_max:g}", epsilon_max=exc.epsilon_max) from None
         return GasState(sol.rho_star, q_b)
     target = bc.value(t)
     rho_b = (law.rho_from_pressure(target)
              if bc.kind == "pressure" else float(target))
     state = GasState(rho_b, lax_left(rho_b, interior, law))
     return state.mirrored() if mirror else state
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """What one step did to the network's mass.
+
+    ``expected_mass_change`` is what the step's boundary fluxes and junction
+    extractions account for, so ``mass_defect`` is the discrete mass balance
+    error of the step (sources in the density equation count towards it).
+    """
+
+    mass_change: float
+    expected_mass_change: float
+
+    @property
+    def mass_defect(self) -> float:
+        return self.mass_change - self.expected_mass_change
 
 
 @dataclass

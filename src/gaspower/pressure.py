@@ -530,11 +530,6 @@ def classify_generalized_gamma(alpha: float, delta: float) -> bool:
     return alpha > 0.0 and abs(delta) <= 2.0
 
 
-# Densities at which the checker tests its pointwise inequalities.
-DENSITY_GRID = np.geomspace(1e-6, 1e6, 10_000)
-DENSITY_GRID.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """Outcome of the sufficient-condition checks for one pressure law.
@@ -607,16 +602,16 @@ def _nonneg(expr: np.ndarray, scale: np.ndarray) -> tuple[bool, float]:
 def check_sufficient_conditions(law: PressureLaw) -> ValidityReport:
     """Evaluate the well-posedness conditions of a pressure law.
 
-    Pointwise inequalities are checked at every point of ``DENSITY_GRID``
-    with a slack of ``REL_TOL`` relative to the magnitude of the compared
-    terms. The limits rho -> 0 and rho -> inf are read off the law's exact
+    Pointwise inequalities are checked at 10^4 log-spaced densities from
+    1e-6 to 1e6, with a slack of ``REL_TOL`` relative to the magnitude of
+    the compared terms. The limits rho -> 0 and rho -> inf are read off the law's exact
     leading terms, :meth:`PressureLaw.asymptotics`; a law without them is a
     ``DomainError``. ``worst_violation`` counts an inequality only where the
     limits make it the deciding condition: the decay bound when p stays
     bounded, the tame-vanishing inequality when c vanishes at vacuum.
     """
     ends = law.asymptotics()
-    grid = DENSITY_GRID
+    grid = np.geomspace(1e-6, 1e6, 10_000)
     try:
         p = np.asarray(law.p(grid), dtype=float)
         dp = np.asarray(law.dp(grid), dtype=float)

@@ -151,7 +151,7 @@ def _coupled_fixture():
 
 def test_constant_demand_cosim_is_stationary():
     sim, grid, link = _coupled_fixture()
-    pf = cosim_step(sim, grid, link, [], 0.0, 1.0)  # sets the extraction
+    pf, _ = cosim_step(sim, grid, link, [], 0.0, 1.0)  # sets the extraction
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         find_stationary_state(sim)
@@ -161,8 +161,8 @@ def test_constant_demand_cosim_is_stationary():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for k in range(steps):
-            pf = cosim_step(sim, grid, link, [], sim.t, hours * 3600.0 / steps,
-                            warm=pf)
+            pf, _ = cosim_step(sim, grid, link, [], sim.t,
+                               hours * 3600.0 / steps, warm=pf)
     drift = np.max(np.abs(sim.state_vector() - before) / np.maximum(1.0, np.abs(before)))
     print(f"\n  cosim drift over {hours} h: {drift:.2e}")
     assert drift < 1e-8 * hours
@@ -174,9 +174,9 @@ def test_scheduled_demand_feeds_the_gas_extraction():
     junction = sim.junctions[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pf0 = cosim_step(sim, grid, link, schedules, 0.0, 60.0)
+        pf0, _ = cosim_step(sim, grid, link, schedules, 0.0, 60.0)
         eps0 = junction.extraction_at(0.0)
-        pf1 = cosim_step(sim, grid, link, schedules, 3600.0, 60.0, warm=pf0)
+        pf1, _ = cosim_step(sim, grid, link, schedules, 3600.0, 60.0, warm=pf0)
         eps1 = junction.extraction_at(0.0)
     assert pf1.P[0] > pf0.P[0]
     assert eps1 > eps0

@@ -64,9 +64,9 @@ def test_mass_balance_closes_every_step(benchmark_law):
     sim = _junction_sim(benchmark_law, 1.75, n=80)
     dt = 0.45 * sim.grids[0].dx / sim.max_wavespeed() * 0.8
     for _ in range(25):
-        cweno3_step(sim, dt)
-        change, expected = sim.last_mass_balance
-        assert change == pytest.approx(expected, abs=1e-10)
+        record = cweno3_step(sim, dt)
+        assert record.mass_change == pytest.approx(record.expected_mass_change,
+                                                   abs=1e-10)
 
 
 def test_junction_draw_reduces_total_mass(benchmark_law):
@@ -203,9 +203,9 @@ def test_pipe_order_does_not_change_the_result(benchmark_law, order):
 def test_mass_balance_closes_on_unequal_pipes(benchmark_law):
     sim = _unequal_network(benchmark_law)
     for _ in range(25):
-        cweno3_step(sim, 2e-3)
-        change, expected = sim.last_mass_balance
-        assert change == pytest.approx(expected, abs=1e-10)
+        record = cweno3_step(sim, 2e-3)
+        assert record.mass_change == pytest.approx(record.expected_mass_change,
+                                                   abs=1e-10)
 
 
 def test_constant_state_is_preserved_on_unequal_pipes(benchmark_law):

@@ -4,6 +4,7 @@ import dataclasses
 from importlib.resources import files
 
 import pytest
+import yaml
 
 from gaspower.coupling import find_stationary_state
 from gaspower.driver import (
@@ -12,7 +13,9 @@ from gaspower.driver import (
     run_cosim,
     run_gas_simulation,
 )
-from gaspower.errors import DomainError, SchemaError
+from gaspower.errors import DomainError, InvalidDemandError, SchemaError
+from gaspower.laxcurves import GasState
+from gaspower.riemann import junction_max_extraction
 from gaspower.scenario import load_scenario, scenario_from_dict
 
 BUNDLED = files("gaspower") / "scenarios"
@@ -132,3 +135,32 @@ def test_stationary_start_from_a_constant_boundary_series(tmp_path):
 def test_stationary_start_rejects_a_varying_boundary_series(tmp_path):
     with pytest.raises(SchemaError, match=r"boundary\[0\]: node 'S5'"):
         _gaslib9_with_s5_pressure("[[0, 60 bar], [100, 61 bar]]", tmp_path)
+
+
+def _validation_with(extraction=None, outlet=None):
+    raw = yaml.safe_load((BUNDLED / "validation.scn").read_text())
+    if extraction is not None:
+        raw["extraction"] = [{"node": "JUNCTION", "epsilon": extraction}]
+    if outlet is not None:
+        raw["boundary"][1] = {"node": "OUTLET", **outlet}
+    return scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("overrides, place, ports_in, ports_out", [
+    ({"extraction": 30.0},
+     r"junction JUNCTION: extraction 30 is at or above the junction maximum",
+     [GasState(4.0, 1.0)], [GasState(3.0, -1.0)]),
+    ({"outlet": {"kind": "flow", "value": 50.0}},
+     r"pipe RIGHT end: outflow 50 is at or above the boundary maximum",
+     [GasState(3.0, -1.0)], []),
+], ids=["junction-extraction", "boundary-outflow"])
+def test_infeasible_demand_names_the_time_and_the_place(overrides, place,
+                                                        ports_in, ports_out):
+    """A demand beyond the supremum fails at the first stage as an
+    ``InvalidDemandError`` that keeps its supremum and names t and the
+    junction or pipe end."""
+    scenario = _validation_with(**overrides)
+    with pytest.raises(InvalidDemandError, match=rf"^t=0, {place} ") as info:
+        run_gas_simulation(scenario)
+    expected = junction_max_extraction(ports_in, ports_out, scenario.law)
+    assert info.value.epsilon_max == pytest.approx(expected, rel=1e-12)

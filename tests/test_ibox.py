@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 
 import gaspower.friction
 import gaspower.ibox
+from gaspower.coupling import DemandSchedule, GasPowerLink, cosim_step
 from gaspower.driver import build_gas_simulation
 from gaspower.errors import ConvergenceError, DomainError
 from gaspower.friction import FrictionModel, colebrook_friction_factor
@@ -27,6 +28,7 @@ from gaspower.network import (
     constant,
     flux,
 )
+from gaspower.powerflow import Bus, PowerGrid, TransmissionLine
 from gaspower.riemann import solve_gas_power_junction
 from gaspower.scenario import load_scenario
 
@@ -34,7 +36,7 @@ from gaspower.scenario import load_scenario
 def _quiet_step(sim, dt):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ibox_step(sim, dt)
+        return ibox_step(sim, dt)
 
 
 def _uniform_frictionless_flow(law):
@@ -270,11 +272,43 @@ def test_mass_balance_closes_at_every_step(benchmark_law):
     dt = 0.02
     for _ in range(20):
         before = sim.total_mass()
-        _quiet_step(sim, dt)
+        record = _quiet_step(sim, dt)
         after = sim.total_mass()
         expected = dt * pipe.area * (a.q[0] - b.q[-1] - eps)
         assert abs(expected) > 1e-4 * after
         assert after - before == pytest.approx(expected, abs=1e-12 * after)
+        # The step's own record agrees with this oracle.
+        assert record.mass_change == after - before
+        assert record.expected_mass_change == pytest.approx(expected,
+                                                            abs=1e-12 * after)
+
+
+def test_cosim_step_record_closes_on_the_compressor_network(benchmark_law):
+    """A coupled step returns the box step's record: on the three-pipe
+    network with its compressor and the generator's draw at the junction,
+    the mass change is the boundary flows minus the draw, step by step."""
+    sim = _three_pipe_network(benchmark_law)
+    sim.extra_source = None     # its density source is not a boundary flow
+    grid = PowerGrid([Bus("S", "slack", V=1.0, phi=0.0, G=0.0, B=-10.0),
+                      Bus("L", "PQ", P=-0.5, Q=-0.1, G=0.0, B=-10.0)],
+                     [TransmissionLine("S", "L", 0.0, 10.0)])
+    area = sim.grids[0].pipe.area
+    link = GasPowerLink("j", "S", a0=0.05, a1=0.2, a2=0.1, rho0=1.0, area=area)
+    schedules = [DemandSchedule("L", (0.0, 5.0), (-0.2, -0.8), (-0.05, -0.2))]
+    p0, p1, p2 = sim.grids
+    dt, pf = 0.5, None
+    for _ in range(10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pf, record = cosim_step(sim, grid, link, schedules, sim.t, dt, warm=pf)
+        mass = sim.total_mass()
+        draw = sim.junctions[0].extraction_at(sim.t)
+        assert draw > 0.4
+        expected = dt * (area * (p0.q[0] - p1.q[-1] - draw)
+                         + p2.pipe.area * (p2.q[0] - p2.q[-1]))
+        assert abs(record.mass_defect) <= 1e-12 * mass
+        assert record.expected_mass_change == pytest.approx(expected,
+                                                            abs=1e-12 * mass)
 
 
 def _random_network(rng, law, pipes, junctions, ends, periodic=False):
@@ -359,6 +393,22 @@ def test_banded_solve_matches_scipy(network, benchmark_law):
         scipy.sparse.csr_matrix(jac.toarray()), rhs)
     solution = gaspower.ibox.spsolve(jac, rhs)
     assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("network", _NETWORKS)
+def test_step_record_closes_the_mass_balance(network, benchmark_law):
+    """On every network shape, friction on and the periodic pipe included,
+    each step's mass change is the telescoped box mass rows to 1e-12 of the
+    mass; on the periodic pipe nothing is expected to enter or leave."""
+    rng = np.random.default_rng(network["seed"])
+    periodic = network.get("periodic", False)
+    sim = _random_network(rng, benchmark_law, network["pipes"],
+                          network["junctions"], network.get("ends", {}),
+                          periodic)
+    for _ in range(10):
+        record = _quiet_step(sim, 0.5)
+        assert abs(record.mass_defect) <= 1e-12 * sim.total_mass()
+        assert (record.expected_mass_change == 0.0) == periodic
 
 
 def test_layout_is_built_once_per_network_layout(benchmark_law):
