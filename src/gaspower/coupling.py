@@ -104,8 +104,8 @@ def link_junction(sim: GasSimulation, node: str) -> Junction:
 
 def link_max_extraction(sim: GasSimulation, junction: Junction) -> float:
     """Largest extraction the junction supports for the current end states."""
-    ports_in = junction.incoming_ports()
-    ports_out = junction.outgoing_ports()
+    ports_in = [p for p in junction.ports if p.end == "end"]
+    ports_out = [p for p in junction.ports if p.end == "start"]
     data_in = [sim.grids[p.pipe_index].end_state("end") for p in ports_in]
     data_out = [sim.grids[p.pipe_index].end_state("start") for p in ports_out]
     return junction_max_extraction(

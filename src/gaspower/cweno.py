@@ -15,11 +15,11 @@ grids are views. A layout cached per network layout holds every cell's
 neighbours, clamped at bounded pipe ends and wrapped on a periodic pipe, so
 a stage reconstructs and takes fluxes and friction once for all pipes.
 
-Coupling points are handled by solving the junction Riemann problem with the
-adjacent cell averages as data at every stage; the resulting trace states
-are imposed as exact boundary states of the neighbouring cells, whose
-reconstruction falls back to first order. Physical boundaries enter the same
-way through wave-curve compatible boundary states.
+Every stage solves each junction Riemann problem on the cell averages next
+to its ports, read at once through the layout, by ``junction_traces`` or,
+where it declines, ``solve_multi_junction``. The trace fluxes are the end
+fluxes of those cells, whose reconstruction falls back to first order.
+Physical boundaries enter the same way through wave-curve compatible states.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import CflViolationError, GasPowerError
 from .laxcurves import GasState
 from .network import GasSimulation, StepRecord, apply_boundary, flux
-from .riemann import solve_multi_junction
+from .riemann import junction_traces, solve_multi_junction
 
 CFL_NUMBER = 0.45
 _STAGE_SHIFTS = (0.0, 1.0, 0.5)
@@ -43,16 +43,19 @@ _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 class _Layout(NamedTuple):
     """Cell indices of a network stacked pipe after pipe."""
 
-    left: np.ndarray     # left and right neighbour of every cell
+    left: np.ndarray        # left and right neighbour of every cell
     right: np.ndarray
-    first: np.ndarray    # first and last cell of every pipe
+    first: np.ndarray       # first and last cell of every pipe
     last: np.ndarray
-    ends: np.ndarray     # cells reconstructed to first order
+    ends: np.ndarray        # cells reconstructed to first order
+    port_cells: np.ndarray  # cell next to every junction port, junction after junction
+    junctions: tuple        # per junction: slice of port_cells, cells, n_in, ratios, unit
 
 
 @functools.lru_cache(maxsize=32)
-def _layout(counts: tuple, periodic: bool) -> _Layout:
-    """Layout of pipes with ``counts`` cells, wrapped when ``periodic``."""
+def _layout(counts: tuple, periodic: bool, junctions: tuple = ()) -> _Layout:
+    """Layout of pipes with ``counts`` cells, wrapped when ``periodic``, and
+    of the ``JunctionPort``s of every junction, incoming ports first."""
     last = np.cumsum(counts) - 1
     first = last - counts + 1
     cells = np.arange(last[-1] + 1)
@@ -65,8 +68,17 @@ def _layout(counts: tuple, periodic: bool) -> _Layout:
         left = np.maximum(cells - 1, cell_first)
         right = np.minimum(cells + 1, cell_last)
         ends = np.concatenate([first, last])
-    layout = _Layout(left, right, first, last, ends)
-    for array in layout:
+    port_cells, ports = [], []
+    for junction in junctions:
+        junction = sorted(junction, key=lambda p: p.end == "start")  # incoming first
+        adjacent = [int((last if p.end == "end" else first)[p.pipe_index]) for p in junction]
+        ratios = tuple(p.pressure_ratio for p in junction)
+        ports.append((slice(len(port_cells), len(port_cells) + len(adjacent)), adjacent,
+                      sum(p.end == "end" for p in junction), ratios, set(ratios) <= {1.0}))
+        port_cells += adjacent
+    layout = _Layout(left, right, first, last, ends, np.array(port_cells, dtype=np.intp),
+                     tuple(ports))
+    for array in layout[:-1]:
         array.flags.writeable = False
     return layout
 
@@ -117,46 +129,40 @@ def _llf_flux(u_m, u_p, law):
     return out
 
 
-def _end_traces(sim: GasSimulation, u: np.ndarray, layout: _Layout,
-                t_stage: float):
-    """Trace state at every pipe end from junction solves and boundaries.
-
-    A ``GasPowerError`` of a solve is re-raised as it is, its message
-    prefixed with the stage time and the junction or pipe end.
-    """
-
-    def adjacent(idx, end):
-        cell = layout.first[idx] if end == "start" else layout.last[idx]
-        return GasState(float(u[0, cell]), float(u[1, cell]))
-
-    traces: dict[tuple[int, str], GasState] = {}
-    for junction in sim.junctions:
-        ports_in = junction.incoming_ports()
-        ports_out = junction.outgoing_ports()
+def _end_fluxes(sim: GasSimulation, u: np.ndarray, layout: _Layout,
+                t_stage: float, f_left: np.ndarray, f_right: np.ndarray) -> None:
+    """Set the trace flux of every pipe end in ``f_left`` (starts) and
+    ``f_right`` (ends); a ``GasPowerError`` of a solve is re-raised with its
+    message prefixed by the stage time and the junction or pipe end."""
+    law = sim.law
+    rho_all, q_all = u[:, layout.port_cells].tolist()
+    for junction, (span, cells, n_in, ratios, unit) in zip(sim.junctions, layout.junctions):
+        rho, q, epsilon = rho_all[span], q_all[span], junction.extraction_at(t_stage)
         try:
-            sol = solve_multi_junction(
-                [adjacent(p.pipe_index, "end") for p in ports_in],
-                [adjacent(p.pipe_index, "start") for p in ports_out],
-                junction.extraction_at(t_stage), sim.law,
-                in_pressure_ratios=[p.pressure_ratio for p in ports_in],
-                out_pressure_ratios=[p.pressure_ratio for p in ports_out],
-            )
+            found = junction_traces(rho, q, n_in, unit, epsilon, law)
+            if found is None:
+                states = [GasState(*v) for v in zip(rho, q)]
+                sol = solve_multi_junction(states[:n_in], states[n_in:], epsilon, law,
+                                           in_pressure_ratios=ratios[:n_in],
+                                           out_pressure_ratios=ratios[n_in:])
+                traces = [(v.rho, v.q) for v in sol.incoming_traces + sol.outgoing_traces]
+            else:
+                traces = [(found[0], q_v) for q_v in found[1]]
         except GasPowerError as exc:
             exc.args = (f"t={t_stage:g}, junction {junction.node}: {exc}",)
             raise
-        for port, trace in zip(ports_in, sol.incoming_traces):
-            traces[(port.pipe_index, "end")] = trace
-        for port, trace in zip(ports_out, sol.outgoing_traces):
-            traces[(port.pipe_index, "start")] = trace
+        for k, (cell, (rho_v, q_v)) in enumerate(zip(cells, traces)):
+            f = f_right if k < n_in else f_left
+            f[0, cell], f[1, cell] = flux(rho_v, q_v, law)
     for (idx, end), bc in sim.boundaries.items():
+        f, cell = (f_left, layout.first[idx]) if end == "start" else (f_right, layout.last[idx])
         try:
-            traces[idx, end] = apply_boundary(adjacent(idx, end), bc, t_stage,
-                                              sim.law, end)
+            trace = apply_boundary(GasState(float(u[0, cell]), float(u[1, cell])),
+                                   bc, t_stage, law, end)
         except GasPowerError as exc:
-            exc.args = (f"t={t_stage:g}, pipe {sim.grids[idx].pipe.id} {end}: "
-                        f"{exc}",)
+            exc.args = (f"t={t_stage:g}, pipe {sim.grids[idx].pipe.id} {end}: {exc}",)
             raise
-    return traces
+        f[0, cell], f[1, cell] = flux(trace.rho, trace.q, law)
 
 
 def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout):
@@ -170,9 +176,7 @@ def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout):
     # neighbour's, except at pipe ends, which take the flux of their trace.
     f_right = _llf_flux(right, np.take(left, layout.right, axis=1), law)
     f_left = np.take(f_right, layout.left, axis=1)
-    for (idx, end), trace in _end_traces(sim, u, layout, t_stage).items():
-        f, cell = (f_left, layout.first) if end == "start" else (f_right, layout.last)
-        f[:, cell[idx]] = flux(trace.rho, trace.q, law)
+    _end_fluxes(sim, u, layout, t_stage, f_left, f_right)
     # Zero on a periodic pipe, whose end fluxes are those of one interface.
     mass_rate = float(np.dot(cells.pipe_area,
                              f_left[0, layout.first] - f_right[0, layout.last]))
@@ -210,7 +214,8 @@ def cweno3_step(sim: GasSimulation, dt: float) -> StepRecord:
 
     t = sim.t
     u0 = sim.state
-    layout = _layout(sim.layout.counts, sim.periodic)
+    layout = _layout(sim.layout.counts, sim.periodic,
+                     tuple(tuple(j.ports) for j in sim.junctions))
     mass_before = sim.total_mass()
 
     k1, rate1 = _rhs(sim, u0, t + _STAGE_SHIFTS[0] * dt, layout)

@@ -55,8 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, GasPowerError, InvalidDemandError
 from .network import GasSimulation, StepRecord, flux_jacobian
+from .riemann import junction_max_extraction
 
 NEWTON_TOL = 1e-10
 NEWTON_MAXITER = 50
@@ -317,6 +318,34 @@ class _Assembler:
                 return f"junction {junction.node} ({kind})"
         raise IndexError(f"row {row} is not a row of the box system")
 
+    def unreachable_demand(self) -> InvalidDemandError | None:
+        """The first junction extraction or ``flow`` outflow of the step at or
+        above its maximum for the step's starting states, or None."""
+        # Imported here because the coupling module imports this one.
+        from .coupling import link_max_extraction
+
+        sim, t = self.sim, self.t_new
+        for (*_, eps), junction in zip(self.junctions, sim.junctions):
+            eps_max = link_max_extraction(sim, junction)
+            if eps >= eps_max:
+                return InvalidDemandError(
+                    f"t={t:g}, junction {junction.node}: extraction {eps:g} is at "
+                    f"or above the junction maximum {eps_max:g}", epsilon_max=eps_max)
+        for ((idx, end), bc), q_b in zip(sim.boundaries.items(), self.bc_targets):
+            if bc.kind != "flow":
+                continue
+            # A one-port junction, mirrored at a pipe start (see apply_boundary).
+            interior = sim.grids[idx].end_state(end)
+            if end == "start":
+                interior, q_b = interior.mirrored(), -q_b
+            eps_max = junction_max_extraction([interior], [], sim.law)
+            if q_b >= eps_max:
+                return InvalidDemandError(
+                    f"t={t:g}, pipe {sim.grids[idx].pipe.id} {end}: outflow {q_b:g} "
+                    f"is at or above the boundary maximum {eps_max:g}",
+                    epsilon_max=eps_max)
+        return None
+
     def _extra(self, rho, q):
         g = self.sim.extra_source(self.x_nodes, self.t_new, rho, q)
         return [np.asarray(v, dtype=float) for v in g]
@@ -443,6 +472,11 @@ def ibox_step(sim: GasSimulation, dt: float) -> StepRecord:
     q_last,k) at the new level (zero on a periodic pipe). The terms of the pipe ends at a
     junction add up to minus the area times its extraction, by the
     junction's mass row.
+
+    A Newton iteration that fails is an ``InvalidDemandError`` when an
+    extraction or ``flow`` outflow is at or above its maximum for the step's
+    starting states, and a ``ConvergenceError`` naming the row of the
+    largest residual otherwise.
     """
     lam_min = sim.min_wavespeed()
     if lam_min > 0.0:
@@ -462,7 +496,11 @@ def ibox_step(sim: GasSimulation, dt: float) -> StepRecord:
     residual, scale = asm.residual(x)
     norm = _scaled_norm(residual, scale)
 
-    def failure(what: str) -> ConvergenceError:
+    def failure(what: str) -> GasPowerError:
+        # A demand beyond its maximum is named as such, not as the stall it causes.
+        demand = asm.unreachable_demand()
+        if demand is not None:
+            return demand
         worst = asm.place(int(np.argmax(_scaled(residual, scale))))
         return ConvergenceError(
             f"box-scheme Newton {what} at t={sim.t:g} (scaled residual "

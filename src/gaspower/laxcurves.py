@@ -236,21 +236,27 @@ def lax_left_with_deriv(rho: float, left: GasState,
     of the derivative is returned (the branches agree there in value and
     first derivative).
     """
+    return lax_left_with_deriv_of(rho, left.rho, left.u, law)
+
+
+def lax_left_with_deriv_of(rho: float, rho_l: float, u_l: float,
+                           law: PressureLaw) -> tuple[float, float]:
+    """:func:`lax_left_with_deriv` through the datum of density ``rho_l``
+    and velocity ``u_l``, given as floats."""
     if rho <= 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
-    if rho <= left.rho:
-        velocity = left.u + rarefaction_integral(law, rho, left.rho)
+    if rho <= rho_l:
+        velocity = u_l + rarefaction_integral(law, rho, rho_l)
         return rho * velocity, velocity - float(law.c(rho))
     # f_shock and _f_shock_deriv with their common factors formed once.
-    rho_l = left.rho
     dp = float(law.p(rho)) - float(law.p(rho_l))
     weight = (rho / rho_l) * (rho - rho_l)
     f = max(0.0, weight * dp)
     if f == 0.0:
-        return rho * left.u, left.u - float(law.c(rho_l))
+        return rho * u_l, u_l - float(law.c(rho_l))
     root = math.sqrt(f)
     slope = (2.0 * rho - rho_l) / rho_l * dp + weight * float(law.dp(rho))
-    return rho * left.u - root, left.u - slope / (2.0 * root)
+    return rho * u_l - root, u_l - slope / (2.0 * root)
 
 
 def lax_right_with_deriv(rho: float, right: GasState,

@@ -26,7 +26,7 @@ from .errors import DomainError, InvalidDemandError, NumericsError
 from .friction import FrictionModel
 from .laxcurves import GasState, lax_left
 from .pressure import PressureLaw
-from .riemann import solve_multi_junction
+from .riemann import junction_traces, solve_multi_junction
 
 
 @dataclass(frozen=True)
@@ -217,12 +217,6 @@ class Junction:
     def extraction_at(self, t: float) -> float:
         return float(self.extraction(t)) if self.extraction is not None else 0.0
 
-    def incoming_ports(self):
-        return [p for p in self.ports if p.end == "end"]
-
-    def outgoing_ports(self):
-        return [p for p in self.ports if p.end == "start"]
-
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -291,13 +285,15 @@ def apply_boundary(adjacent: GasState, bc: BoundaryCondition, t: float,
     if bc.kind == "flow":
         q_b = float(bc.value(t))
         outflow = -q_b if mirror else q_b
+        found = junction_traces([interior.rho], [interior.q], 1, True, outflow, law)
         try:
-            sol = solve_multi_junction([interior], [], outflow, law)
+            rho_b = (found[0] if found is not None
+                     else solve_multi_junction([interior], [], outflow, law).rho_star)
         except InvalidDemandError as exc:
             raise InvalidDemandError(
                 f"outflow {outflow:g} is at or above the boundary maximum "
                 f"{exc.epsilon_max:g}", epsilon_max=exc.epsilon_max) from None
-        return GasState(sol.rho_star, q_b)
+        return GasState(rho_b, q_b)
     target = bc.value(t)
     rho_b = (law.rho_from_pressure(target)
              if bc.kind == "pressure" else float(target))

@@ -42,9 +42,8 @@ inadmissible or unsolvable junction: ``InvalidDemandError`` (with the
 supremum attached), ``NoSolutionError``, ``InadmissibleError`` and the
 inadmissible solutions of the non-strict solvers.
 
-``_JunctionProblem`` alone knows the ports, their ratios and density maps.
-A ``JunctionSolution`` holds the traces and refers to its problem; its wave
-types and junction limits, unused on the Newton path, are derived on access.
+The time steppers call :func:`junction_traces`, the same Newton loop on
+float data, and leave what it declines to :func:`solve_multi_junction`.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .laxcurves import (
     lambda2,
     lax_left,
     lax_left_deriv,
-    lax_left_with_deriv,
+    lax_left_with_deriv_of,
     require_subsonic,
     rho_max,
     rho_min,
@@ -90,8 +89,7 @@ class JunctionSolution:
     All traces of unit-ratio ports share the density ``rho_star`` (hence a
     common pressure); incoming and outgoing momenta balance the extraction.
     The wave types, ``rho_min_junction`` and ``rho_max_junction`` (and the
-    ``subsonic_traces`` flag) are derived from the traces and the solved
-    problem on first access; the time-stepping hot path never needs them.
+    ``subsonic_traces`` flag) are derived on first access.
     """
 
     rho_star: float
@@ -181,21 +179,65 @@ def _port_maps(law: PressureLaw, ratio: float):
     return h, dh, pullback
 
 
-class _JunctionProblem:
-    """Scalar formulation of one junction solve; the one place that knows
-    the ports.
+def _sweep(rho: float, ports, law: PressureLaw, maps=None):
+    """Port momenta and slopes, D(rho) and D'(rho) at junction density rho of
+    (density, velocity) ``ports``, outgoing ones mirrored, and ``maps``."""
+    momenta, slopes, total, slope = [], [], 0.0, 0.0
+    for k, (rho_l, u_l) in enumerate(ports):
+        if maps is None:
+            q, dq = lax_left_with_deriv_of(rho, rho_l, u_l, law)
+        else:
+            h, dh, _ = maps[k]
+            q, dq = lax_left_with_deriv_of(h(rho), rho_l, u_l, law)
+            dq *= dh(rho)
+        momenta.append(q)
+        slopes.append(dq)
+        total += q
+        slope += dq
+    return momenta, slopes, total, slope
 
-    ``data`` holds the incoming data, then the mirrored outgoing data, and
-    ``maps`` the density maps of the same ports, so every loop over the
-    ports treats them alike. Ratios are None (all ones) or one positive,
-    finite number per port. When every ratio is 1 the maps are identities,
-    and ``maps`` is None: trace and junction densities coincide.
+
+def _newton(ports, epsilon: float, law: PressureLaw):
+    """Admissible root of D - epsilon for unit-ratio ``ports`` (see
+    :func:`_sweep`) by Newton's method from their largest density.
+
+    Returns ``(rho_star, momenta)`` with the port momenta at rho_star, or
+    None when the bracketed fallback has to decide: as soon as a port slope
+    is not negative by the margin ``_SLOPE_TOL``, and when the iteration does
+    not settle. After the first step the iterates of a concave D only move
+    left; a step back to the right is rounding at the root when it is at
+    most ``_ROUNDING_STEP`` rho, and means that D is not concave otherwise.
+    """
+    rho, step = max(ports)[0], math.inf
+    for k in range(_NEWTON_MAX_ITER):
+        momenta, slopes, total, slope = _sweep(rho, ports, law)
+        for q, dq in zip(momenta, slopes):
+            if not dq < -_SLOPE_TOL * abs(q) / rho:
+                return None
+        if abs(step) <= 1e-15 * rho:
+            return rho, momenta
+        step = (total - epsilon) / slope
+        if k > 0 and step < 0.0:
+            return (rho, momenta) if -step <= _ROUNDING_STEP * rho else None
+        rho -= step
+        if not 0.0 < rho < math.inf:
+            return None
+    return None
+
+
+class _JunctionProblem:
+    """Scalar formulation of one junction solve of the general solver.
+
+    ``data`` holds the incoming data, then the mirrored outgoing data,
+    ``ports`` their densities and velocities, and ``maps`` their density
+    maps, so every loop over the ports treats them alike. Ratios are None
+    (all ones) or one positive, finite number per port. When every ratio is
+    1 the maps are identities, and ``maps`` is None.
     """
 
     def __init__(self, incoming, outgoing, epsilon, law,
                  in_ratios=None, out_ratios=None):
-        incoming = tuple(incoming)
-        outgoing = tuple(outgoing)
+        incoming, outgoing = tuple(incoming), tuple(outgoing)
         if not incoming and not outgoing:
             raise DomainError("junction needs at least one pipe")
         if not epsilon > -math.inf:
@@ -216,6 +258,7 @@ class _JunctionProblem:
         self.epsilon = float(epsilon)
         self.law = law
         self.data = incoming + tuple(s.mirrored() for s in outgoing)
+        self.ports = [(s.rho, s.u) for s in self.data]
         self.maps = (None if all(r == 1.0 for r in ratios)
                      else [_port_maps(law, r) for r in ratios])
         self.scale = max(s.rho for s in self.data)
@@ -236,33 +279,13 @@ class _JunctionProblem:
     def rho_max_junction(self) -> float:
         return min(self._limits(rho_max))
 
-    def _sweep(self, rho: float):
-        """Port momenta and slopes, D(rho) and D'(rho) at junction density rho.
-
-        Momenta and slopes are those of the mirrored data for outgoing ports.
-        """
-        momenta, slopes, total, slope = [], [], 0.0, 0.0
-        law = self.law
-        for k, state in enumerate(self.data):
-            if self.maps is None:
-                q, dq = lax_left_with_deriv(rho, state, law)
-            else:
-                h, dh, _ = self.maps[k]
-                q, dq = lax_left_with_deriv(h(rho), state, law)
-                dq *= dh(rho)
-            momenta.append(q)
-            slopes.append(dq)
-            total += q
-            slope += dq
-        return momenta, slopes, total, slope
-
     def imbalance(self, rho: float) -> float:
         """D(rho): incoming minus outgoing momentum at junction density rho."""
-        return self._sweep(rho)[2]
+        return _sweep(rho, self.ports, self.law, self.maps)[2]
 
     def argmax(self) -> float:
         """Locate the maximum of D by bisecting its (decreasing) derivative."""
-        deriv = lambda r: self._sweep(r)[3]
+        deriv = lambda r: _sweep(r, self.ports, self.law, self.maps)[3]
         lo = 1e-9 * self.scale
         if deriv(lo) <= 0.0:
             return lo
@@ -278,33 +301,6 @@ class _JunctionProblem:
         """Supremum of solvable extractions: D at the junction minimal density."""
         floor = max(self.rho_min_junction, 1e-9 * self.scale)
         return self.imbalance(floor)
-
-    def _newton(self):
-        """Admissible root of D - epsilon by Newton's method from the right.
-
-        Returns ``(rho_star, momenta)`` with the port momenta at rho_star,
-        or None when the bracketed fallback has to decide: as soon as a
-        port slope is not negative by the margin ``_SLOPE_TOL``, and when
-        the iteration does not settle. After the first step the iterates of
-        a concave D only move left; a step back to the right is rounding at
-        the root when it is at most ``_ROUNDING_STEP`` rho, and means that D
-        is not concave otherwise.
-        """
-        rho, step = self.scale, math.inf
-        for k in range(_NEWTON_MAX_ITER):
-            momenta, slopes, total, slope = self._sweep(rho)
-            if not all(dq < -_SLOPE_TOL * abs(q) / rho
-                       for q, dq in zip(momenta, slopes)):
-                return None
-            if abs(step) <= 1e-15 * rho:
-                return rho, momenta
-            step = (total - self.epsilon) / slope
-            if k > 0 and step < 0.0:
-                return (rho, momenta) if -step <= _ROUNDING_STEP * rho else None
-            rho -= step
-            if not 0.0 < rho < math.inf:
-                return None
-        return None
 
     def _bracketed(self, strict_admissibility: bool):
         """Root on the decreasing branch by bracketing; the fallback path.
@@ -350,10 +346,11 @@ class _JunctionProblem:
                 f"density {self.rho_min_junction:g}; max extraction "
                 f"{self.max_extraction():g}"
             )
-        return rho_star, self._sweep(rho_star)[0], admissible
+        momenta = _sweep(rho_star, self.ports, self.law, self.maps)[0]
+        return rho_star, momenta, admissible
 
     def solve(self, strict_admissibility: bool) -> JunctionSolution:
-        found = self._newton() if self.maps is None else None
+        found = _newton(self.ports, self.epsilon, self.law) if self.maps is None else None
         if found is None:
             rho_star, momenta, admissible = self._bracketed(strict_admissibility)
         else:
@@ -416,6 +413,29 @@ def solve_multi_junction(incoming: Sequence[GasState], outgoing: Sequence[GasSta
     problem = _JunctionProblem(incoming, outgoing, epsilon, law,
                                in_pressure_ratios, out_pressure_ratios)
     return problem.solve(strict_admissibility=True)
+
+
+def junction_traces(rho: Sequence[float], q: Sequence[float], n_in: int,
+                    unit_ratios: bool, epsilon: float, law: PressureLaw):
+    """:func:`solve_multi_junction` of port data ``rho``, ``q`` (floats, the
+    ``n_in`` incoming ports first) as ``(rho_star, trace momenta)``; None for
+    what it decides otherwise than by Newton's method or rejects: ratios other
+    than 1, no port, a density not positive, a port not sub-sonic, an
+    extraction not above -inf."""
+    if not (unit_ratios and rho and epsilon > -math.inf):
+        return None
+    ports = []
+    for k, (rho_l, q_l) in enumerate(zip(rho, q)):
+        if not rho_l > 0.0:
+            return None
+        u_l = (q_l if k < n_in else 0.0 - q_l) / rho_l
+        if not abs(u_l) < float(law.c(rho_l)):
+            return None
+        ports.append((rho_l, u_l))
+    found = _newton(ports, epsilon, law)
+    if found is not None:
+        found[1][n_in:] = [0.0 - v for v in found[1][n_in:]]
+    return found
 
 
 def junction_max_extraction(incoming: Sequence[GasState],

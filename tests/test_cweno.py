@@ -19,7 +19,7 @@ from gaspower.network import (
     constant,
 )
 from gaspower.pressure import IsothermalLaw, parse_law
-from gaspower.riemann import sample_solution, solve_gas_power_junction, solve_multi_junction
+from gaspower.riemann import junction_traces, sample_solution, solve_gas_power_junction
 
 
 def _junction_sim(law, eps, n=60, length=0.25, left=(4.0, 1.0), right=(3.0, -1.0)):
@@ -220,23 +220,28 @@ def test_constant_state_is_preserved_on_unequal_pipes(benchmark_law):
 def test_junction_injection_matches_the_exact_solution(benchmark_law,
                                                        benchmark_states, monkeypatch):
     """A negative extraction injects gas at the junction: the run stays within
-    criterion 04's L1 bound of the exact solution, and every stage's traces
-    balance the injected flux."""
+    criterion 04's L1 bound of the exact solution, and every stage's traces,
+    from the float junction entry as ``cweno`` sees it, balance the injected
+    flux."""
     eps, t_end, dt = -1.0, 0.1, 2e-4
-    solutions = []
+    solves = []
 
-    def recording(*args, **kwargs):
-        solutions.append(solve_multi_junction(*args, **kwargs))
-        return solutions[-1]
+    def recording(rho, q, n_in, unit_ratios, epsilon, law):
+        found = junction_traces(rho, q, n_in, unit_ratios, epsilon, law)
+        solves.append((n_in, epsilon, found))
+        return found
 
-    monkeypatch.setattr(gaspower.cweno, "solve_multi_junction", recording)
+    monkeypatch.setattr(gaspower.cweno, "junction_traces", recording)
     sim = _junction_sim(benchmark_law, eps, n=125)
-    for _ in range(int(round(t_end / dt))):
+    steps = int(round(t_end / dt))
+    for _ in range(steps):
         cweno3_step(sim, dt)
-    for sol in solutions:
-        traces = sol.incoming_traces + sol.outgoing_traces
-        scale = max(1.0, sum(abs(v.q) for v in traces))
-        assert abs(sol.flux_residual()) <= 1e-14 * scale
+    assert len(solves) == 3 * steps
+    for n_in, epsilon, found in solves:
+        assert found is not None
+        momenta = found[1]
+        scale = max(1.0, sum(abs(q) for q in momenta))
+        assert abs(sum(momenta[:n_in]) - sum(momenta[n_in:]) - epsilon) <= 1e-14 * scale
 
     exact = solve_gas_power_junction(*benchmark_states, eps, benchmark_law)
     x = np.concatenate([sim.grids[0].x - sim.grids[0].pipe.length, sim.grids[1].x])
@@ -254,6 +259,36 @@ def test_cell_layout_is_built_once_per_network_layout(benchmark_law):
             cweno3_step(sim, 2e-3)
     info = gaspower.cweno._layout.cache_info()
     assert (info.misses, info.hits) == (1, 5)
+
+
+def test_junction_wiring_gets_its_own_cell_layout(benchmark_law):
+    """Networks with the same cell counts but other junction wiring take
+    their own layout: each solves its own junction. The wired network is
+    the reference one with its pipes listed in another order."""
+    def network(order):
+        # Pipe 0 feeds pipe 1 at a junction with a draw; pipe 2 stands alone.
+        at = {k: i for i, k in enumerate(order)}
+        grids = [PipeGrid(Pipe(f"P{k}", "a", "b", 0.3), 20, benchmark_law).set_profile(
+            lambda x, k=k: 2.5 + 0.3 * np.sin(7.0 * x + k),
+            lambda x, k=k: 0.3 + 0.1 * np.cos(5.0 * x - k)) for k in order]
+        ends = ((0, "start"), (1, "end"), (2, "start"), (2, "end"))
+        return GasSimulation(
+            grids=grids,
+            junctions=[Junction("j", [JunctionPort(at[0], "end"),
+                                      JunctionPort(at[1], "start")],
+                                extraction=constant(0.2))],
+            boundaries={(at[k], end): BoundaryCondition("state", constant((2.5, 0.3)))
+                        for k, end in ends})
+
+    gaspower.cweno._layout.cache_clear()
+    reference, rewired = network((0, 1, 2)), network((2, 0, 1))
+    for _ in range(10):
+        cweno3_step(reference, 2e-3)
+        cweno3_step(rewired, 2e-3)
+    assert gaspower.cweno._layout.cache_info().misses == 2
+    for i, k in enumerate((2, 0, 1)):
+        assert rewired.grids[i].rho.tobytes() == reference.grids[k].rho.tobytes()
+        assert rewired.grids[i].q.tobytes() == reference.grids[k].q.tobytes()
 
 
 def _reconstruct_oracle(v, eps, layout):

@@ -137,8 +137,9 @@ def test_stationary_start_rejects_a_varying_boundary_series(tmp_path):
         _gaslib9_with_s5_pressure("[[0, 60 bar], [100, 61 bar]]", tmp_path)
 
 
-def _validation_with(extraction=None, outlet=None):
+def _validation_with(extraction=None, outlet=None, **numerics):
     raw = yaml.safe_load((BUNDLED / "validation.scn").read_text())
+    raw["numerics"].update(numerics)
     if extraction is not None:
         raw["extraction"] = [{"node": "JUNCTION", "epsilon": extraction}]
     if outlet is not None:
@@ -164,3 +165,23 @@ def test_infeasible_demand_names_the_time_and_the_place(overrides, place,
         run_gas_simulation(scenario)
     expected = junction_max_extraction(ports_in, ports_out, scenario.law)
     assert info.value.epsilon_max == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("overrides, place, ports_in, ports_out", [
+    ({"extraction": 30.0},
+     r"junction JUNCTION: extraction 30 is at or above the junction maximum",
+     [GasState(4.0, 1.0)], [GasState(3.0, -1.0)]),
+    ({"outlet": {"kind": "flow", "value": 50.0}},
+     r"pipe RIGHT end: outflow 50 is at or above the boundary maximum",
+     [GasState(3.0, -1.0)], []),
+], ids=["junction-extraction", "boundary-outflow"])
+def test_box_scheme_names_an_unreachable_demand(overrides, place, ports_in, ports_out):
+    """The box step whose Newton iteration fails on a demand at or above the
+    supremum of its starting states raises an ``InvalidDemandError`` with
+    that supremum, naming the step's new time and the junction or pipe end,
+    instead of a convergence failure."""
+    scenario = _validation_with(**overrides, scheme="ibox", dt=5.0e-4)
+    with pytest.raises(InvalidDemandError, match=rf"^t=0\.0005, {place} ") as info:
+        run_gas_simulation(scenario)
+    assert info.value.epsilon_max == junction_max_extraction(ports_in, ports_out,
+                                                             scenario.law)

@@ -14,7 +14,7 @@ import gaspower.friction
 import gaspower.ibox
 from gaspower.coupling import DemandSchedule, GasPowerLink, cosim_step
 from gaspower.driver import build_gas_simulation
-from gaspower.errors import ConvergenceError, DomainError
+from gaspower.errors import ConvergenceError, DomainError, InvalidDemandError
 from gaspower.friction import FrictionModel, colebrook_friction_factor
 from gaspower.ibox import _Assembler, ibox_step, spsolve
 from gaspower.laxcurves import GasState
@@ -138,10 +138,29 @@ def test_newton_failure_is_reported(unit_isothermal):
         boundaries={(0, "start"): BoundaryCondition("density", constant(1.0)),
                     (0, "end"): BoundaryCondition("flow", constant(0.99))},
     )
-    # An outflow at the sonic limit of the curve has no sub-sonic match.
-    with pytest.raises(ConvergenceError):
+    # An outflow beyond the sonic limit of the curve has no sub-sonic match:
+    # the stalled step names it with the one-port maximum of the state at rest.
+    with pytest.raises(InvalidDemandError,
+                       match=r"^t=0\.5, pipe P end: outflow 0\.99 is at or above "
+                             r"the boundary maximum 0\.367879$") as info:
         for _ in range(5):
             _quiet_step(sim, 0.5)
+    assert info.value.epsilon_max == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+def test_a_stall_below_the_outflow_maximum_stays_a_convergence_failure(unit_isothermal):
+    """0.36 is below the one-port maximum 1/e of the state at rest, so the
+    stalled step is not a demand error: it names its worst row."""
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 10, unit_isothermal,
+                    staggering="nodes").fill(1.0, 0.0)
+    sim = GasSimulation(
+        grids=[grid],
+        boundaries={(0, "start"): BoundaryCondition("density", constant(1.0)),
+                    (0, "end"): BoundaryCondition("flow", constant(0.36))},
+    )
+    with pytest.raises(ConvergenceError, match=r"^box-scheme Newton stalled at t=0 "
+                                               r".*pipe P node 9-10 \(momentum\)$"):
+        _quiet_step(sim, 0.5)
 
 
 def test_one_friction_solve_per_assembly(monkeypatch, unit_isothermal):
@@ -672,14 +691,18 @@ def test_newton_failures_name_the_row_of_the_largest_residual(
             boundaries={(0, "start"): BoundaryCondition("density", constant(1.0)),
                         (0, "end"): BoundaryCondition("flow", constant(q))})
 
-    for sim, message in (
-            (outflow(benchmark_law, 5.0), r"pipe P end \(q boundary\)"),
-            (outflow(unit_isothermal, 0.99), r"pipe P node 9-10 \(momentum\)")):
-        with pytest.raises(ConvergenceError,
-                           match=r"stalled at t=\S+ \(scaled residual .*\); "
-                                 rf"largest residual at {message}$"):
-            for _ in range(5):
-                _quiet_step(sim, 0.5)
+    # These outflows are beyond their maxima, which a failed step names
+    # first; without that check the stalls name their worst rows.
+    with monkeypatch.context() as patch:
+        patch.setattr(_Assembler, "unreachable_demand", lambda self: None)
+        for sim, message in (
+                (outflow(benchmark_law, 5.0), r"pipe P end \(q boundary\)"),
+                (outflow(unit_isothermal, 0.99), r"pipe P node 9-10 \(momentum\)")):
+            with pytest.raises(ConvergenceError,
+                               match=r"stalled at t=\S+ \(scaled residual .*\); "
+                                     rf"largest residual at {message}$"):
+                for _ in range(5):
+                    _quiet_step(sim, 0.5)
 
     monkeypatch.setattr(gaspower.ibox, "NEWTON_MAXITER", 1)
     with pytest.raises(ConvergenceError,

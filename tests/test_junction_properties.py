@@ -11,11 +11,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gaspower.errors import GasPowerError, InvalidDemandError, NoSolutionError
+from gaspower.errors import (
+    GasPowerError,
+    InadmissibleError,
+    InvalidDemandError,
+    NoSolutionError,
+)
 from gaspower.laxcurves import GasState
 from gaspower.pressure import parse_law
 from gaspower.riemann import (
     junction_max_extraction,
+    junction_traces,
     max_extraction,
     solve_gas_power_junction,
     solve_multi_junction,
@@ -182,3 +188,34 @@ def test_compressor_ports_keep_their_pressure_ratio(spec, incoming, outgoing, ep
         assert abs(r * float(law.p(v.rho)) - p_star) <= tol
     scale = _momentum_scale(law, data_in + data_out + list(traces))
     assert abs(sol.flux_residual()) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(spec=laws, points=st.lists(datum, min_size=1, max_size=4), n_in=st.integers(0, 4),
+       demand=st.one_of(st.tuples(st.just("fraction"), st.floats(-2.0, 0.999)),
+                        st.tuples(st.just("supremum"), st.floats(0.0, 1e-9))))
+def test_float_junction_entry_is_the_general_solver_bit_for_bit(spec, points, n_in,
+                                                                demand):
+    """Where ``junction_traces`` answers, its rho* and trace momenta are those
+    of ``solve_multi_junction`` bit for bit; where it declines, the general
+    solver answers or raises a junction error. Non-unit ratios always
+    decline. Extractions are signed fractions of the supremum's magnitude or
+    within 1e-9 of the supremum, at or below it."""
+    law = LAWS[spec]
+    states = _states(law, points)
+    n_in = min(n_in, len(states))
+    rho, q = [s.rho for s in states], [s.q for s in states]
+    cap = junction_max_extraction(states[:n_in], states[n_in:], law)
+    kind, x = demand
+    eps = x * abs(cap) if kind == "fraction" else cap - x * max(abs(cap), 1.0)
+    found = junction_traces(rho, q, n_in, True, eps, law)
+    assert junction_traces(rho, q, n_in, False, eps, law) is None
+    try:
+        sol = solve_multi_junction(states[:n_in], states[n_in:], eps, law)
+    except (InvalidDemandError, NoSolutionError, InadmissibleError):
+        assert found is None
+        return
+    if found is not None:
+        traces = sol.incoming_traces + sol.outgoing_traces
+        assert found[0].hex() == sol.rho_star.hex()
+        assert [m.hex() for m in found[1]] == [v.q.hex() for v in traces]

@@ -10,6 +10,7 @@ from gaspower.laxcurves import GasState, WaveType, lambda1, lambda2
 from gaspower.pressure import GeneralizedGammaLaw, IsothermalLaw
 from gaspower.riemann import (
     junction_max_extraction,
+    junction_traces,
     max_extraction,
     sample_solution,
     solve_gas_power_junction,
@@ -333,6 +334,27 @@ def test_adversarial_states_have_no_intersection(delta):
 
 
 # -- self-similar sampling --------------------------------------------------------
+
+
+@pytest.mark.parametrize("rho, q, eps, message", [
+    ([4.0, 0.0], [1.0, -1.0], 0.5, r"density must be positive, got 0\.0"),
+    ([4.0, -3.0], [1.0, -1.0], 0.5, r"density must be positive, got -3\.0"),
+    ([4.0, math.nan], [1.0, -1.0], 0.5, r"density must be positive, got nan"),
+    ([4.0, 3.0], [1.0, -9.0], 0.5, r"outgoing state 0 \(3, -9\) is not sub-sonic"),
+    ([4.0, 3.0], [math.nan, -1.0], 0.5, r"incoming state 0 \(4, nan\) is not sub-sonic"),
+    ([4.0, 3.0], [1.0, -1.0], -math.inf, "extraction must be a number above -inf"),
+    ([4.0, 3.0], [1.0, -1.0], math.nan, "extraction must be a number above -inf"),
+    ([], [], 0.5, "junction needs at least one pipe"),
+])
+def test_float_junction_entry_declines_what_the_general_solver_rejects(
+        benchmark_law, rho, q, eps, message):
+    """The float entry declines data that the general solver, given the same
+    data as states, rejects with a ``DomainError``."""
+    n_in = min(1, len(rho))
+    assert junction_traces(rho, q, n_in, True, eps, benchmark_law) is None
+    with pytest.raises(DomainError, match=message):
+        states = [GasState(*v) for v in zip(rho, q)]
+        solve_multi_junction(states[:n_in], states[n_in:], eps, benchmark_law)
 
 
 def test_sampling_far_field(benchmark_law, benchmark_states):
