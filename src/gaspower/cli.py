@@ -24,7 +24,7 @@ from .errors import DomainError, GasPowerError
 from .laxcurves import GasState
 from .output import write_timeseries
 from .pressure import check_sufficient_conditions, parse_law
-from .riemann import solve_gas_power_junction, solve_interface, wave_thresholds
+from .riemann import solve_gas_power_junction, wave_thresholds
 from .scenario import load_scenario
 
 
@@ -56,10 +56,7 @@ def _cmd_riemann(args) -> int:
     law = parse_law(args.law)
     left = _parse_state(args.left, "--left")
     right = _parse_state(args.right, "--right")
-    if args.epsilon:
-        sol = solve_gas_power_junction(left, right, args.epsilon, law)
-    else:
-        sol = solve_interface(left, right, law)
+    sol = solve_gas_power_junction(left, right, args.epsilon, law)
     wave_l, wave_r = sol.wave_pair
     print(f"rho*            = {sol.rho_star!r}")
     print(f"left trace      = ({sol.left_trace.rho!r}, {sol.left_trace.q!r})")

@@ -8,8 +8,9 @@ for the slack real power P [p.u.]. Converted through rho0 / A (pipe
 cross-section) this becomes the momentum-flux extraction applied at the
 linked gas junction. Electric transients are fast compared to the gas
 dynamics, so the power flow is re-solved once per gas time step with frozen
-demand schedules, and the resulting extraction is held constant during the
-step.
+demand schedules. The resulting extraction is a number that the
+co-simulation sets on the linked junction before each gas step, which reads
+it as a constant.
 """
 
 from __future__ import annotations
@@ -84,16 +85,6 @@ class DemandSchedule:
         return p, q
 
 
-class ExtractionHolder:
-    """Constant-in-step extraction handle the co-simulation updates."""
-
-    def __init__(self, value: float = 0.0):
-        self.value = float(value)
-
-    def __call__(self, t: float) -> float:
-        return self.value
-
-
 def link_junction(sim: GasSimulation, node: str) -> Junction:
     """The junction of ``sim`` at gas node ``node``."""
     for junction in sim.junctions:
@@ -118,8 +109,8 @@ def link_max_extraction(sim: GasSimulation, junction: Junction) -> float:
 def update_extraction(sim: GasSimulation, grid: PowerGrid, link: GasPowerLink,
                       schedules: list[DemandSchedule], t: float,
                       warm: PowerFlowSolution | None = None) -> PowerFlowSolution:
-    """Set the demands at ``t``, solve the power flow and hold the
-    generator's extraction at the linked junction.
+    """Set the demands at ``t``, solve the power flow and set the
+    generator's extraction on the linked junction.
 
     The power flow starts flat unless ``warm`` gives a previous solution.
     """
@@ -128,10 +119,8 @@ def update_extraction(sim: GasSimulation, grid: PowerGrid, link: GasPowerLink,
         bus.P, bus.Q = schedule.at(t)
 
     pf = solve_newton(grid, initial=warm if warm is not None else "flat")
-    junction = link_junction(sim, link.gas_node)
-    if not isinstance(junction.extraction, ExtractionHolder):
-        junction.extraction = ExtractionHolder()
-    junction.extraction.value = link.extraction(float(pf.P[grid.slack_index]))
+    link_junction(sim, link.gas_node).extraction = link.extraction(
+        float(pf.P[grid.slack_index]))
     return pf
 
 
@@ -149,7 +138,7 @@ def cosim_step(sim: GasSimulation, grid: PowerGrid, link: GasPowerLink,
     """
     pf = update_extraction(sim, grid, link, schedules, t, warm)
     junction = link_junction(sim, link.gas_node)
-    eps_q = junction.extraction.value
+    eps_q = junction.extraction
     eps_cap = link_max_extraction(sim, junction)
     if eps_q >= eps_cap:
         raise InvalidDemandError(
@@ -168,9 +157,8 @@ def find_stationary_state(sim: GasSimulation) -> None:
     solves the discrete steady equations: the time terms cancel and the rest
     of the residual is dt times the steady residual. So the steps stop at
     the first one that leaves the state bit for bit unchanged, whose residual
-    already meets the box scheme's Newton tolerance. Boundary data and
-    extractions must be constant in time. The simulation clock is reset to
-    zero afterwards.
+    already meets the box scheme's Newton tolerance. Boundary data must be
+    constant in time. The simulation clock is reset to zero afterwards.
     """
     current = sim.state_vector()
     for _ in range(STATIONARY_MAX_STEPS):

@@ -137,7 +137,7 @@ def _end_fluxes(sim: GasSimulation, u: np.ndarray, layout: _Layout,
     law = sim.law
     rho_all, q_all = u[:, layout.port_cells].tolist()
     for junction, (span, cells, n_in, ratios, unit) in zip(sim.junctions, layout.junctions):
-        rho, q, epsilon = rho_all[span], q_all[span], junction.extraction_at(t_stage)
+        rho, q, epsilon = rho_all[span], q_all[span], junction.extraction
         try:
             found = junction_traces(rho, q, n_in, unit, epsilon, law)
             if found is None:

@@ -9,7 +9,6 @@ import numpy as np
 
 from .coupling import (
     DemandSchedule,
-    ExtractionHolder,
     GasPowerLink,
     cosim_step,
     find_stationary_state,
@@ -104,8 +103,8 @@ def build_gas_simulation(scenario: Scenario) -> GasSimulation:
                 )
             continue
         if len(ports) >= 2 or node in extraction_nodes:
-            holder = ExtractionHolder(extraction_nodes.get(node, 0.0))
-            junctions.append(Junction(node, ports, extraction=holder))
+            junctions.append(Junction(node, ports,
+                                      extraction=extraction_nodes.get(node, 0.0)))
         else:
             raise SchemaError(f"node {node}: dangling pipe end without boundary")
 
@@ -192,7 +191,7 @@ class _ProbeSet:
         if kind == "epsilon":
             for junction in self.sim.junctions:
                 if junction.node == where:
-                    return junction.extraction_at(self.sim.t)
+                    return junction.extraction
             raise SchemaError(f"no junction {where!r} for probe {quantity!r}")
         if kind in ("P", "Q", "V", "phi"):
             if self.grid is None or self.pf is None:

@@ -260,7 +260,7 @@ class _Assembler:
         # Junctions: first row, port columns, ratios, signs and extraction.
         self.junctions = [
             (row, bases, [p.pressure_ratio for p in junction.ports], signs,
-             junction.extraction_at(t_new))
+             junction.extraction)
             for (row, bases, signs), junction in zip(lay.junctions, sim.junctions)
         ]
         # Per-node geometry of the stacked network, for one friction call.

@@ -3,14 +3,15 @@
 A :class:`GasSimulation` owns one state array of the network (cell averages
 for the explicit scheme, node values for the box scheme, pipe after pipe;
 the pipe grids are views of it), junction topology with optional compressors
-and extractions, and boundary conditions. Boundary values are completed
-through wave-curve compatibility with the adjacent interior state: a
-prescribed pressure fixes the boundary density and the momentum follows from
-the wave curve through the neighbouring state. A prescribed momentum makes
-the pipe end a one-port junction: the outflow plays the part of the
-extraction, and the junction solver of :mod:`gaspower.riemann` finds the
-boundary density. A left boundary is the mirror image of a right one (see the
-mirror convention in :mod:`gaspower.laxcurves`).
+and extractions, and boundary conditions. Its grids and pressure law are
+fixed when it is built; a junction's extraction is a number. Boundary values
+are completed through wave-curve compatibility with the adjacent interior
+state: a prescribed pressure fixes the boundary density and the momentum
+follows from the wave curve through the neighbouring state. A prescribed
+momentum makes the pipe end a one-port junction: the outflow plays the part
+of the extraction, and the junction solver of :mod:`gaspower.riemann` finds
+the boundary density. A left boundary is the mirror image of a right one
+(see the mirror convention in :mod:`gaspower.laxcurves`).
 """
 
 from __future__ import annotations
@@ -210,12 +211,15 @@ class JunctionPort:
 
 @dataclass
 class Junction:
+    """Pipe ends meeting at ``node`` and the gas drawn there.
+
+    ``extraction`` is a number in momentum-flux units (negative injects gas);
+    a step reads it as it is, and the co-simulation sets it before each step.
+    """
+
     node: str
     ports: list[JunctionPort]
-    extraction: Callable[[float], float] | None = None  # momentum-flux units
-
-    def extraction_at(self, t: float) -> float:
-        return float(self.extraction(t)) if self.extraction is not None else 0.0
+    extraction: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -320,9 +324,14 @@ class StepRecord:
 
 @dataclass
 class GasSimulation:
-    """Mutable network state advanced by one of the two schemes."""
+    """Network state advanced in place by one of the two schemes.
 
-    grids: list[PipeGrid]
+    The network is fixed at build: ``grids`` becomes a tuple whose grids are
+    views of :attr:`state`, laid out as :attr:`layout` says, and all pipes
+    share one pressure law.
+    """
+
+    grids: tuple[PipeGrid, ...]
     junctions: list[Junction] = field(default_factory=list)
     boundaries: dict[tuple[int, str], BoundaryCondition] = field(default_factory=dict)
     friction: FrictionModel = field(default_factory=lambda: FrictionModel(enabled=False))
@@ -334,7 +343,15 @@ class GasSimulation:
         if self.periodic and (self.junctions or self.boundaries
                               or len(self.grids) != 1):
             raise DomainError("periodic runs support exactly one isolated pipe")
+        self.grids = tuple(self.grids)
         self.law = self.grids[0].law
+        for grid in self.grids:
+            if grid.law != self.law:
+                raise DomainError(
+                    f"pipe {grid.pipe.id}: pressure law {grid.law.spec()} differs "
+                    f"from the network's {self.law.spec()} "
+                    f"(pipe {self.grids[0].pipe.id})"
+                )
         for j in self.junctions:
             areas = {round(self.grids[p.pipe_index].pipe.area, 12) for p in j.ports}
             if len(areas) > 1:
@@ -356,31 +373,16 @@ class GasSimulation:
         self._stack()
 
     def _stack(self) -> None:
-        """Gather the grids' values into one network state; each grid then
-        holds a view of its slice."""
-        self._stacked = list(self.grids)
-        self._layout = _layout(tuple((g.pipe, g.n, g.staggering)
-                                     for g in self.grids))
-        offsets = self._layout.offsets
-        self._state = np.empty((2, int(offsets[-1])))
+        """Gather the grids' values into one network state, ``state``: row 0
+        density and row 1 momentum, pipe after pipe, as ``layout`` gives the
+        pipe, position and geometry of every entry. Each grid then holds a
+        view of its slice."""
+        self.layout = _layout(tuple((g.pipe, g.n, g.staggering) for g in self.grids))
+        offsets = self.layout.offsets
+        self.state = np.empty((2, int(offsets[-1])))
         for g, i, j in zip(self.grids, offsets, offsets[1:]):
-            self._state[0, i:j], self._state[1, i:j] = g.rho, g.q
-            g._u = self._state[:, i:j]
-
-    @property
-    def state(self) -> np.ndarray:
-        """The ``(2, N)`` network state, row 0 density and row 1 momentum,
-        pipe after pipe; a grid replaced in ``grids`` is gathered anew."""
-        if self.grids != self._stacked:
-            self._stack()
-        return self._state
-
-    @property
-    def layout(self) -> _Layout:
-        """Pipe, position and geometry of every entry of :attr:`state`."""
-        if self.grids != self._stacked:
-            self._stack()
-        return self._layout
+            self.state[0, i:j], self.state[1, i:j] = g.rho, g.q
+            g._u = self.state[:, i:j]
 
     def max_wavespeed(self) -> float:
         """Largest |u| + c over all pipes; NaN if any state is NaN."""

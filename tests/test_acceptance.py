@@ -83,7 +83,7 @@ def _benchmark_sim(eps, n_per_pipe, staggering):
     return GasSimulation(
         grids=[left, right],
         junctions=[Junction("j", [JunctionPort(0, "end"), JunctionPort(1, "start")],
-                            extraction=constant(eps))],
+                            extraction=eps)],
         boundaries={(0, "start"): BoundaryCondition("state", constant((4.0, 1.0))),
                     (1, "end"): BoundaryCondition("state", constant((3.0, -1.0)))},
     )

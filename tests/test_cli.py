@@ -67,6 +67,16 @@ def test_riemann_reports_rarefactions_for_large_draw(capsys):
     assert "rho*" in out
 
 
+def test_riemann_without_epsilon_is_the_zero_extraction_junction(capsys):
+    """No ``--epsilon`` prints the same report as ``--epsilon 0``."""
+    states = ["riemann", "--law", "gamma(1,1.4)", "--left", "4,1", "--right", "3,-1"]
+    assert main(states) == 0
+    default = capsys.readouterr().out
+    assert main(states + ["--epsilon", "0"]) == 0
+    assert capsys.readouterr().out == default
+    assert "rho*" in default
+
+
 def test_riemann_excessive_draw_is_machine_readable(capsys):
     code = main(["riemann", "--law", "gamma(1,1.4)", "--left", "4,1",
                  "--right", "3,-1", "--epsilon", "4.5"])

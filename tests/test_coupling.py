@@ -8,10 +8,10 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+import gaspower.cweno
 from gaspower import coupling
 from gaspower.coupling import (
     DemandSchedule,
-    ExtractionHolder,
     GasPowerLink,
     cosim_step,
     find_stationary_state,
@@ -19,6 +19,7 @@ from gaspower.coupling import (
     link_max_extraction,
     update_extraction,
 )
+from gaspower.cweno import cweno3_step
 from gaspower.driver import build_gas_simulation, build_link, build_power_grid
 from gaspower.errors import ConfigError, ConvergenceError, InvalidDemandError
 from gaspower.friction import FrictionModel
@@ -34,6 +35,7 @@ from gaspower.network import (
 )
 from gaspower.powerflow import Bus, PowerGrid, TransmissionLine
 from gaspower.pressure import IsothermalLaw
+from gaspower.riemann import junction_traces
 from gaspower.scenario import load_scenario
 
 
@@ -66,19 +68,19 @@ def test_schedule_interpolation_and_validation():
         DemandSchedule("N5", (1.0,), (0.0, 0.0), (0.0,))
 
 
-def _small_network(law, eps=20.0):
+def _small_network(law, eps=20.0, staggering="nodes"):
     """60-bar feed, one extraction junction, fixed outflow; SI-scale."""
     a = PipeGrid(Pipe("A", "src", "J", 2000.0, diameter=0.6, roughness=5e-5),
-                 8, law, staggering="nodes")
+                 8, law, staggering=staggering)
     b = PipeGrid(Pipe("B", "J", "snk", 2000.0, diameter=0.6, roughness=5e-5),
-                 8, law, staggering="nodes")
+                 8, law, staggering=staggering)
     rho0 = 60e5 / 340.0**2
     a.fill(rho0, 0.0)
     b.fill(rho0, 0.0)
     return GasSimulation(
         grids=[a, b],
         junctions=[Junction("J", [JunctionPort(0, "end"), JunctionPort(1, "start")],
-                            extraction=ExtractionHolder(eps))],
+                            extraction=eps)],
         boundaries={(0, "start"): BoundaryCondition("pressure", constant(60e5)),
                     (1, "end"): BoundaryCondition("flow", constant(100.0))},
         friction=FrictionModel(),
@@ -136,9 +138,9 @@ def test_stationary_march_reports_its_step_budget(monkeypatch):
             find_stationary_state(sim)
 
 
-def _coupled_fixture():
+def _coupled_fixture(staggering="nodes"):
     law = IsothermalLaw(340.0)
-    sim = _small_network(law, eps=0.0)
+    sim = _small_network(law, eps=0.0, staggering=staggering)
     grid = PowerGrid(
         [Bus("S", "slack", V=1.0, phi=0.0, G=0.0, B=-10.0),
          Bus("L", "PQ", P=-0.5, Q=-0.1, G=0.0, B=-10.0)],
@@ -175,13 +177,34 @@ def test_scheduled_demand_feeds_the_gas_extraction():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pf0, _ = cosim_step(sim, grid, link, schedules, 0.0, 60.0)
-        eps0 = junction.extraction_at(0.0)
+        eps0 = junction.extraction
         pf1, _ = cosim_step(sim, grid, link, schedules, 3600.0, 60.0, warm=pf0)
-        eps1 = junction.extraction_at(0.0)
+        eps1 = junction.extraction
     assert pf1.P[0] > pf0.P[0]
     assert eps1 > eps0
     expected = heat_rate(float(pf1.P[0]), link) * link.rho0 / link.area
     assert eps1 == pytest.approx(expected, rel=1e-12)
+
+
+def test_coupled_cweno_stages_solve_at_the_power_flow_extraction(monkeypatch):
+    """A coupled CWENO3 step hands the extraction of its power flow, bit for
+    bit, to the junction solve of each of its three stages, and its record
+    closes the mass balance."""
+    sim, grid, link = _coupled_fixture(staggering="cells")
+    draws = []
+
+    def recording(rho, q, n_in, unit_ratios, epsilon, law):
+        draws.append(epsilon)
+        return junction_traces(rho, q, n_in, unit_ratios, epsilon, law)
+
+    monkeypatch.setattr(gaspower.cweno, "junction_traces", recording)
+    dt = 0.4 * float(np.min(sim.layout.pipe_dx)) / sim.max_wavespeed()
+    pf, record = cosim_step(sim, grid, link, [], 0.0, dt, stepper=cweno3_step)
+    draw = link.extraction(float(pf.P[grid.slack_index]))
+    assert draw > 0.0
+    assert draws == [draw] * 3
+    assert sim.junctions[0].extraction == draw
+    assert record.mass_change == pytest.approx(record.expected_mass_change, abs=1e-10)
 
 
 def test_infeasible_demand_aborts_with_diagnostic():

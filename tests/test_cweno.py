@@ -28,7 +28,7 @@ def _junction_sim(law, eps, n=60, length=0.25, left=(4.0, 1.0), right=(3.0, -1.0
     return GasSimulation(
         grids=[a, b],
         junctions=[Junction("j", [JunctionPort(0, "end"), JunctionPort(1, "start")],
-                            extraction=constant(eps))],
+                            extraction=eps)],
         boundaries={(0, "start"): BoundaryCondition("state", constant(left)),
                     (1, "end"): BoundaryCondition("state", constant(right))},
     )
@@ -135,10 +135,16 @@ def test_step_aborts_on_supersonic_result(unit_isothermal):
 
 
 def test_node_grids_are_a_domain_error(benchmark_law):
-    sim = _junction_sim(benchmark_law, 0.0, n=20)
-    sim.grids[1] = PipeGrid(Pipe("R", "j", "out", 0.25), 20, benchmark_law,
-                            staggering="nodes").fill(3.0, -1.0)
-    sim.t = 0.5
+    a = PipeGrid(Pipe("L", "in", "j", 0.25), 20, benchmark_law).fill(4.0, 1.0)
+    b = PipeGrid(Pipe("R", "j", "out", 0.25), 20, benchmark_law,
+                 staggering="nodes").fill(3.0, -1.0)
+    sim = GasSimulation(
+        grids=[a, b],
+        junctions=[Junction("j", [JunctionPort(0, "end"), JunctionPort(1, "start")])],
+        boundaries={(0, "start"): BoundaryCondition("state", constant((4.0, 1.0))),
+                    (1, "end"): BoundaryCondition("state", constant((3.0, -1.0)))},
+        t=0.5,
+    )
     with pytest.raises(DomainError, match=r"pipe R: .*'nodes'.* at t=0\.5"):
         cweno3_step(sim, 1e-4)
 
@@ -167,13 +173,13 @@ def _unequal_network(law, order=(0, 1, 2), constant_state=None, friction=True):
         grids.append(grid)
     at = {k: i for i, k in enumerate(order)}
     if constant_state is None:
-        ratio, draw = 1.05, constant(0.2)
+        ratio, draw = 1.05, 0.2
         ends = {(0, "start"): BoundaryCondition("pressure", constant(float(law.p(2.6)))),
                 (1, "end"): BoundaryCondition("flow", constant(0.25)),
                 (2, "start"): BoundaryCondition("state", constant((2.4, 0.35))),
                 (2, "end"): BoundaryCondition("density", constant(2.5))}
     else:
-        ratio, draw = 1.0, constant(0.0)
+        ratio, draw = 1.0, 0.0
         ends = {key: BoundaryCondition("state", constant(constant_state))
                 for key in ((0, "start"), (1, "end"), (2, "start"), (2, "end"))}
     return GasSimulation(
@@ -276,7 +282,7 @@ def test_junction_wiring_gets_its_own_cell_layout(benchmark_law):
             grids=grids,
             junctions=[Junction("j", [JunctionPort(at[0], "end"),
                                       JunctionPort(at[1], "start")],
-                                extraction=constant(0.2))],
+                                extraction=0.2)],
             boundaries={(at[k], end): BoundaryCondition("state", constant((2.5, 0.3)))
                         for k, end in ends})
 

@@ -47,10 +47,10 @@ def test_interior_nodes_become_junctions():
     assert set(sim.boundaries) == {(0, "start"), (1, "end")}
 
 
-def test_extraction_attaches_to_the_junction():
+def test_scenario_extraction_is_the_junction_extraction():
     scn = _mini(extraction=[{"node": "n1", "epsilon": 0.25}])
     sim = build_gas_simulation(scn)
-    assert sim.junctions[0].extraction_at(0.0) == 0.25
+    assert sim.junctions[0].extraction == 0.25
 
 
 def test_compressor_ratio_reaches_the_port():

@@ -114,7 +114,7 @@ def test_junction_traces_match_the_wave_curve_solution(benchmark_law):
     sim = GasSimulation(
         grids=[a, b],
         junctions=[Junction("j", [JunctionPort(0, "end"), JunctionPort(1, "start")],
-                            extraction=constant(1.75))],
+                            extraction=1.75)],
         boundaries={(0, "start"): BoundaryCondition("state", constant((4.0, 1.0))),
                     (1, "end"): BoundaryCondition("state", constant((3.0, -1.0)))},
     )
@@ -210,7 +210,7 @@ def _three_pipe_network(law):
         grids=grids,
         junctions=[Junction("j", [JunctionPort(0, "end"),
                                   JunctionPort(1, "start", pressure_ratio=1.05)],
-                            extraction=constant(0.3))],
+                            extraction=0.3)],
         boundaries={(0, "start"): BoundaryCondition("pressure", constant(2.5)),
                     (1, "end"): BoundaryCondition("flow", constant(1.2)),
                     (2, "start"): BoundaryCondition("density", constant(2.2)),
@@ -283,7 +283,7 @@ def test_mass_balance_closes_at_every_step(benchmark_law):
     sim = GasSimulation(
         grids=[a, b],
         junctions=[Junction("j", [JunctionPort(0, "end"), JunctionPort(1, "start")],
-                            extraction=constant(eps))],
+                            extraction=eps)],
         boundaries={(0, "start"): BoundaryCondition("pressure", constant(6.0)),
                     (1, "end"): BoundaryCondition("flow", constant(0.5))},
         friction=FrictionModel(eta=1e-3),
@@ -321,7 +321,7 @@ def test_cosim_step_record_closes_on_the_compressor_network(benchmark_law):
             warnings.simplefilter("ignore")
             pf, record = cosim_step(sim, grid, link, schedules, sim.t, dt, warm=pf)
         mass = sim.total_mass()
-        draw = sim.junctions[0].extraction_at(sim.t)
+        draw = sim.junctions[0].extraction
         assert draw > 0.4
         expected = dt * (area * (p0.q[0] - p1.q[-1] - draw)
                          + p2.pipe.area * (p2.q[0] - p2.q[-1]))
@@ -375,12 +375,12 @@ def _chain(k):
 # pipes 0 and 1 merge into pipe 2 through a compressor on the outgoing port
 _TEE = {"pipes": 3, "junctions": [Junction(
     "j", [_port(0, "end"), _port(1, "end"), _port(2, "start", 1.05)],
-    extraction=constant(0.2))]}
+    extraction=0.2)]}
 # pipe 0 feeds two parallel pipes 1 and 2 that rejoin into pipe 3
 _LOOP = {"pipes": 4, "junctions": [
     Junction("a", [_port(0, "end"), _port(1, "start"), _port(2, "start")]),
     Junction("b", [_port(1, "end"), _port(2, "end"), _port(3, "start")],
-             extraction=constant(0.1))]}
+             extraction=0.1)]}
 _NETWORKS = (
     [pytest.param({**_chain(k), "seed": s}, id=f"chain{k}-seed{s}")
      for k in (1, 2, 3, 4) for s in (0, 1)]
@@ -462,7 +462,7 @@ def test_bandwidth_of_the_bundled_and_benchmark_networks(benchmark_law):
     sim = GasSimulation(
         grids=grids,
         junctions=[Junction("j", [JunctionPort(0, "end"), JunctionPort(1, "start")],
-                            extraction=constant(0.5))],
+                            extraction=0.5)],
         boundaries={(0, "start"): BoundaryCondition("state", constant((3.0, 0.5))),
                     (1, "end"): BoundaryCondition("state", constant((3.0, 0.0)))},
     )
@@ -601,7 +601,7 @@ def _reference_assembly(sim, dt, x):
             residual[row], scale[row] = p[i] - p[0], abs(p[i]) + abs(p[0])
             jac[row, cols[i]], jac[row, cols[0]] = dp[i], -dp[0]
             row += 1
-        eps = junction.extraction_at(sim.t + dt)
+        eps = junction.extraction
         total, s = -eps, abs(eps)
         for c, port in zip(cols, junction.ports):
             sign = 1.0 if port.end == "end" else -1.0
