@@ -16,10 +16,11 @@ neighbours, clamped at bounded pipe ends and wrapped on a periodic pipe, so
 a stage reconstructs and takes fluxes and friction once for all pipes.
 
 Every stage solves each junction Riemann problem on the cell averages next
-to its ports, read at once through the layout, by ``junction_traces`` or,
-where it declines, ``solve_multi_junction``. The trace fluxes are the end
-fluxes of those cells, whose reconstruction falls back to first order.
-Physical boundaries enter the same way through wave-curve compatible states.
+to its ports, read at once through the layout: by ``junction_traces`` on
+floats, or by ``solve_multi_junction`` where a port has a compressor ratio
+other than 1. The trace fluxes are the end fluxes of those cells, whose
+reconstruction falls back to first order. Physical boundaries enter the
+same way through wave-curve compatible states.
 """
 
 from __future__ import annotations
@@ -139,15 +140,15 @@ def _end_fluxes(sim: GasSimulation, u: np.ndarray, layout: _Layout,
     for junction, (span, cells, n_in, ratios, unit) in zip(sim.junctions, layout.junctions):
         rho, q, epsilon = rho_all[span], q_all[span], junction.extraction
         try:
-            found = junction_traces(rho, q, n_in, unit, epsilon, law)
-            if found is None:
+            if unit:
+                rho_star, momenta = junction_traces(rho, q, n_in, epsilon, law)
+                traces = [(rho_star, q_v) for q_v in momenta]
+            else:
                 states = [GasState(*v) for v in zip(rho, q)]
                 sol = solve_multi_junction(states[:n_in], states[n_in:], epsilon, law,
                                            in_pressure_ratios=ratios[:n_in],
                                            out_pressure_ratios=ratios[n_in:])
                 traces = [(v.rho, v.q) for v in sol.incoming_traces + sol.outgoing_traces]
-            else:
-                traces = [(found[0], q_v) for q_v in found[1]]
         except GasPowerError as exc:
             exc.args = (f"t={t_stage:g}, junction {junction.node}: {exc}",)
             raise

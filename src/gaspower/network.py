@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -27,7 +28,7 @@ from .errors import DomainError, InvalidDemandError, NumericsError
 from .friction import FrictionModel
 from .laxcurves import GasState, lax_left
 from .pressure import PressureLaw
-from .riemann import junction_traces, solve_multi_junction
+from .riemann import junction_traces
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,11 @@ class Pipe:
         if not (0.0 < self.length < math.inf and 0.0 < self.diameter < math.inf):
             raise DomainError(
                 f"pipe {self.id}: length and diameter must be positive and "
-                f"finite, got {self.length} and {self.diameter}"
-            )
+                f"finite, got {self.length} and {self.diameter}")
         if not 0.0 <= self.roughness < math.inf:
             raise DomainError(
                 f"pipe {self.id}: roughness must be non-negative and finite, "
-                f"got {self.roughness}"
-            )
+                f"got {self.roughness}")
 
     @property
     def area(self) -> float:
@@ -205,8 +204,7 @@ class JunctionPort:
         if not (0.0 < self.pressure_ratio < math.inf):
             raise DomainError(
                 f"pipe {self.pipe_index} {self.end}: compressor pressure ratio "
-                f"must be positive and finite, got {self.pressure_ratio!r}"
-            )
+                f"must be positive and finite, got {self.pressure_ratio!r}")
 
 
 @dataclass
@@ -220,6 +218,12 @@ class Junction:
     node: str
     ports: list[JunctionPort]
     extraction: float = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.extraction, numbers.Real):
+            raise DomainError(f"junction {self.node}: extraction must be a real "
+                              f"number, got {self.extraction!r}")
+        self.extraction = float(self.extraction)
 
 
 @dataclass(frozen=True)
@@ -289,10 +293,8 @@ def apply_boundary(adjacent: GasState, bc: BoundaryCondition, t: float,
     if bc.kind == "flow":
         q_b = float(bc.value(t))
         outflow = -q_b if mirror else q_b
-        found = junction_traces([interior.rho], [interior.q], 1, True, outflow, law)
         try:
-            rho_b = (found[0] if found is not None
-                     else solve_multi_junction([interior], [], outflow, law).rho_star)
+            rho_b = junction_traces([interior.rho], [interior.q], 1, outflow, law)[0]
         except InvalidDemandError as exc:
             raise InvalidDemandError(
                 f"outflow {outflow:g} is at or above the boundary maximum "
@@ -350,26 +352,21 @@ class GasSimulation:
                 raise DomainError(
                     f"pipe {grid.pipe.id}: pressure law {grid.law.spec()} differs "
                     f"from the network's {self.law.spec()} "
-                    f"(pipe {self.grids[0].pipe.id})"
-                )
+                    f"(pipe {self.grids[0].pipe.id})")
         for j in self.junctions:
             areas = {round(self.grids[p.pipe_index].pipe.area, 12) for p in j.ports}
             if len(areas) > 1:
                 # Flux conservation is stated in momentum-flux units and only
                 # balances mass when the meeting pipes share a cross-section.
-                raise DomainError(
-                    f"junction {j.node}: pipes of unequal cross-section"
-                )
+                raise DomainError(f"junction {j.node}: pipes of unequal cross-section")
         covered = {(p.pipe_index, p.end) for j in self.junctions for p in j.ports}
         covered |= set(self.boundaries.keys())
         if not self.periodic:
-            for i, _ in enumerate(self.grids):
+            for i, grid in enumerate(self.grids):
                 for end in ("start", "end"):
                     if (i, end) not in covered:
-                        raise DomainError(
-                            f"pipe {self.grids[i].pipe.id}: no boundary or "
-                            f"junction at its {end}"
-                        )
+                        raise DomainError(f"pipe {grid.pipe.id}: no boundary or "
+                                          f"junction at its {end}")
         self._stack()
 
     def _stack(self) -> None:

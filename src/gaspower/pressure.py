@@ -682,6 +682,7 @@ def check_sufficient_conditions(law: PressureLaw) -> ValidityReport:
 # -- textual law selection ---------------------------------------------------
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_MAX_NESTING = 32  # far below the depth at which Python's stack runs out
 
 
 def parse_law(text: str) -> PressureLaw:
@@ -696,8 +697,9 @@ def parse_law(text: str) -> PressureLaw:
 
     Known names: gamma(kappa,gamma), isothermal(c), inverse, log, sum_gamma,
     gamma_integral, generalized(alpha,delta), linear_combination(...).
+    Combinations nest at most ``_MAX_NESTING`` deep.
     """
-    law, pos = _parse_law(text, 0)
+    law, pos = _parse_law(text, 0, 0)
     if text[pos:].strip():
         raise DomainError(f"trailing input in law spec: {text[pos:]!r}")
     return law
@@ -716,7 +718,9 @@ def _parse_number(text, pos):
     return float(m.group(0)), pos + m.end()
 
 
-def _parse_law(text, pos):
+def _parse_law(text, pos, depth):
+    if depth > _MAX_NESTING:
+        raise DomainError(f"law spec nests deeper than {_MAX_NESTING} levels")
     pos = _skip_ws(text, pos)
     m = _NAME_RE.match(text, pos)
     if not m:
@@ -779,7 +783,7 @@ def _parse_law(text, pos):
                     weight, pos = 1.0, save
             except DomainError:
                 pos = save
-            law, pos = _parse_law(text, pos)
+            law, pos = _parse_law(text, pos, depth + 1)
             laws.append(law)
             weights.append(weight)
             pos = _skip_ws(text, pos)

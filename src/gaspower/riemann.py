@@ -40,10 +40,9 @@ ratio r != 1 (an ideal compressor boosting its pipe's trace pressure into
 the node by the factor r), where D need not be concave. It decides every
 inadmissible or unsolvable junction: ``InvalidDemandError`` (with the
 supremum attached), ``NoSolutionError``, ``InadmissibleError`` and the
-inadmissible solutions of the non-strict solvers.
-
-The time steppers call :func:`junction_traces`, the same Newton loop on
-float data, and leave what it declines to :func:`solve_multi_junction`.
+inadmissible solutions of the non-strict solvers. Newton's method runs at
+most once per solve. Every entry checks its port data as floats in
+:func:`_ports`; the time steppers call :func:`junction_traces` on floats.
 """
 
 from __future__ import annotations
@@ -199,14 +198,13 @@ def _sweep(rho: float, ports, law: PressureLaw, maps=None):
 
 def _newton(ports, epsilon: float, law: PressureLaw):
     """Admissible root of D - epsilon for unit-ratio ``ports`` (see
-    :func:`_sweep`) by Newton's method from their largest density.
-
-    Returns ``(rho_star, momenta)`` with the port momenta at rho_star, or
-    None when the bracketed fallback has to decide: as soon as a port slope
-    is not negative by the margin ``_SLOPE_TOL``, and when the iteration does
-    not settle. After the first step the iterates of a concave D only move
-    left; a step back to the right is rounding at the root when it is at
-    most ``_ROUNDING_STEP`` rho, and means that D is not concave otherwise.
+    :func:`_sweep`) by Newton's method from their largest density, as
+    ``(rho_star, momenta)``; None where the bracketed search has to decide:
+    as soon as a port slope is not negative by the margin ``_SLOPE_TOL``, and
+    when the iteration does not settle. After the first step the iterates of
+    a concave D only move left; a step back to the right is rounding at the
+    root when it is at most ``_ROUNDING_STEP`` rho, and means that D is not
+    concave otherwise.
     """
     rho, step = max(ports)[0], math.inf
     for k in range(_NEWTON_MAX_ITER):
@@ -225,48 +223,65 @@ def _newton(ports, epsilon: float, law: PressureLaw):
     return None
 
 
-class _JunctionProblem:
-    """Scalar formulation of one junction solve of the general solver.
+def _ports(rho, q, n_in: int, epsilon: float, law: PressureLaw):
+    """(density, velocity) of the ports of densities ``rho`` and momenta
+    ``q``, the ``n_in`` incoming ports first and the outgoing ones mirrored;
+    the ``DomainError`` that building the data as ``GasState``s and a
+    junction of them raises first: a density that is not positive, no port,
+    an extraction not above -inf, a port that is not sub-sonic."""
+    ports, sonic = [], None  # sonic: the first port that is not sub-sonic
+    for k, (rho_l, q_l) in enumerate(zip(rho, q)):
+        if not rho_l > 0.0:
+            GasState(rho_l, q_l)  # raises the DomainError of its density
+        u_l = (q_l if k < n_in else 0.0 - q_l) / rho_l
+        if sonic is None and not abs(u_l) < float(law.c(rho_l)):
+            sonic = k
+        ports.append((rho_l, u_l))
+    if not ports:
+        raise DomainError("junction needs at least one pipe")
+    if not epsilon > -math.inf:
+        raise DomainError(f"extraction must be a number above -inf, got {epsilon}")
+    if sonic is not None:
+        what = f"incoming state {sonic}" if sonic < n_in else f"outgoing state {sonic - n_in}"
+        require_subsonic(GasState(rho[sonic], q[sonic]), law, what)
+    return ports
 
-    ``data`` holds the incoming data, then the mirrored outgoing data,
-    ``ports`` their densities and velocities, and ``maps`` their density
+
+class _JunctionProblem:
+    """Scalar formulation of one junction solve, from port densities ``rho``
+    and momenta ``q`` as floats, the ``n_in`` incoming ports first.
+
+    ``ports`` holds their checked densities and velocities (see
+    :func:`_ports`, whose result may be passed in) and ``maps`` their density
     maps, so every loop over the ports treats them alike. Ratios are None
-    (all ones) or one positive, finite number per port. When every ratio is
-    1 the maps are identities, and ``maps`` is None.
+    (all ones) or one positive, finite number per port; when every ratio is
+    1, ``maps`` is None.
     """
 
-    def __init__(self, incoming, outgoing, epsilon, law,
-                 in_ratios=None, out_ratios=None):
-        incoming, outgoing = tuple(incoming), tuple(outgoing)
-        if not incoming and not outgoing:
-            raise DomainError("junction needs at least one pipe")
-        if not epsilon > -math.inf:
-            raise DomainError(f"extraction must be a number above -inf, got {epsilon}")
+    def __init__(self, rho, q, n_in, epsilon, law, in_ratios=None, out_ratios=None,
+                 ports=None):
+        self.ports = _ports(rho, q, n_in, epsilon, law) if ports is None else ports
         ratios = ()
-        for side, ports, given in (("incoming", incoming, in_ratios),
-                                   ("outgoing", outgoing, out_ratios)):
-            given = (1.0,) * len(ports) if given is None else tuple(given)
-            if len(given) != len(ports) or not all(0.0 < r < math.inf for r in given):
+        for side, count, given in (("incoming", n_in, in_ratios),
+                                   ("outgoing", len(self.ports) - n_in, out_ratios)):
+            given = (1.0,) * count if given is None else tuple(given)
+            if len(given) != count or not all(0.0 < r < math.inf for r in given):
                 raise DomainError(
-                    f"{side} pressure ratios must be {len(ports)} positive finite "
+                    f"{side} pressure ratios must be {count} positive finite "
                     f"numbers, one per port, got {list(given)}")
             ratios += given
-            for k, state in enumerate(ports):
-                require_subsonic(state, law, f"{side} state {k}")
-        self.incoming = incoming
-        self.outgoing = outgoing
+        self.q, self.n_in = q, n_in
         self.epsilon = float(epsilon)
         self.law = law
-        self.data = incoming + tuple(s.mirrored() for s in outgoing)
-        self.ports = [(s.rho, s.u) for s in self.data]
         self.maps = (None if all(r == 1.0 for r in ratios)
                      else [_port_maps(law, r) for r in ratios])
-        self.scale = max(s.rho for s in self.data)
+        self.scale = max(rho for rho, _ in self.ports)
 
     def _limits(self, bound):
         """Per-pipe ``bound`` (``rho_min`` or ``rho_max``) pulled back to the
         junction density; the maps increase, so the order is kept."""
-        limits = [bound(state, Side.IN, self.law) for state in self.data]
+        limits = [bound(GasState(rho, q), Side.IN if k < self.n_in else Side.OUT, self.law)
+                  for k, ((rho, _), q) in enumerate(zip(self.ports, self.q))]
         if self.maps is None:
             return limits
         return [pullback(v) for v, (_, _, pullback) in zip(limits, self.maps)]
@@ -293,8 +308,7 @@ class _JunctionProblem:
         while deriv(hi) > 0.0:
             hi *= 4.0
             if hi > _BRACKET_CAP * self.scale:
-                # D keeps increasing on the whole search range.
-                return hi
+                return hi  # D keeps increasing on the whole search range
         return brentq(deriv, lo, hi, rtol=1e-14)
 
     def max_extraction(self) -> float:
@@ -302,37 +316,32 @@ class _JunctionProblem:
         floor = max(self.rho_min_junction, 1e-9 * self.scale)
         return self.imbalance(floor)
 
-    def _bracketed(self, strict_admissibility: bool):
+    def bracketed(self, strict_admissibility: bool):
         """Root on the decreasing branch by bracketing; the fallback path.
 
         Returns ``(rho_star, momenta, admissible)``.
         """
         eps = self.epsilon
-
         if eps > 0.0:
             eps_max = self.max_extraction()
             if eps >= eps_max:
                 raise InvalidDemandError(
                     f"extraction {eps:g} is at or above the junction maximum "
-                    f"{eps_max:g}", epsilon_max=eps_max,
-                )
+                    f"{eps_max:g}", epsilon_max=eps_max)
             lo = max(self.rho_min_junction, 1e-9 * self.scale)
         else:
             lo = self.argmax()
             if self.imbalance(lo) < eps:
                 raise NoSolutionError(
                     "junction curves have no intersection (imbalance is "
-                    f"below the extraction {eps:g} at its maximum, rho={lo:g})"
-                )
-
+                    f"below the extraction {eps:g} at its maximum, rho={lo:g})")
         target = lambda r: self.imbalance(r) - eps
         hi = max(2.0 * lo, self.scale)
         while target(hi) > 0.0:
             hi *= 2.0
             if hi > _BRACKET_CAP * self.scale:
                 raise NoSolutionError(
-                    f"no sign change of the junction function up to rho={hi:g}"
-                )
+                    f"no sign change of the junction function up to rho={hi:g}")
         if target(lo) < 0.0:
             # Degenerate: maximum itself is the root (within float noise).
             rho_star = lo
@@ -344,44 +353,43 @@ class _JunctionProblem:
             raise InadmissibleError(
                 f"junction density {rho_star:g} is at or below the minimal "
                 f"density {self.rho_min_junction:g}; max extraction "
-                f"{self.max_extraction():g}"
-            )
+                f"{self.max_extraction():g}")
         momenta = _sweep(rho_star, self.ports, self.law, self.maps)[0]
         return rho_star, momenta, admissible
 
     def solve(self, strict_admissibility: bool) -> JunctionSolution:
         found = _newton(self.ports, self.epsilon, self.law) if self.maps is None else None
         if found is None:
-            rho_star, momenta, admissible = self._bracketed(strict_admissibility)
+            rho_star, momenta, admissible = self.bracketed(strict_admissibility)
         else:
             (rho_star, momenta), admissible = found, True
-        n_in = len(self.incoming)
+        n_in = self.n_in
         if self.maps is None:
             traces = [GasState(rho_star, q) for q in momenta]
         else:
             traces = [GasState(h(rho_star), q) for (h, _, _), q in zip(self.maps, momenta)]
         traces[n_in:] = [v.mirrored() for v in traces[n_in:]]
+        data = [GasState(rho, q) for (rho, _), q in zip(self.ports, self.q)]
         return JunctionSolution(
-            rho_star=float(rho_star),
-            epsilon=self.epsilon,
-            incoming=self.incoming,
-            outgoing=self.outgoing,
-            incoming_traces=tuple(traces[:n_in]),
-            outgoing_traces=tuple(traces[n_in:]),
-            admissible=admissible,
-            law=self.law,
-            _problem=self,
-        )
+            rho_star=float(rho_star), epsilon=self.epsilon,
+            incoming=tuple(data[:n_in]), outgoing=tuple(data[n_in:]),
+            incoming_traces=tuple(traces[:n_in]), outgoing_traces=tuple(traces[n_in:]),
+            admissible=admissible, law=self.law, _problem=self)
+
+
+def _of_states(incoming, outgoing, epsilon, law, *ratios) -> _JunctionProblem:
+    """The problem of ``incoming`` and ``outgoing`` ``GasState``s."""
+    incoming, outgoing = tuple(incoming), tuple(outgoing)
+    states = incoming + outgoing
+    return _JunctionProblem([s.rho for s in states], [s.q for s in states], len(incoming),
+                            epsilon, law, *ratios)
 
 
 def solve_interface(left: GasState, right: GasState,
                     law: PressureLaw) -> JunctionSolution:
-    """Solve the two-state interface problem (zero extraction).
-
-    The unique intersection density of the two wave curves is found on the
-    decreasing branch and refined to machine precision; the solution may
-    carry ``admissible=False`` when that density does not exceed the junction
-    minimal density.
+    """Solve the two-state interface problem (zero extraction): the
+    intersection of the two wave curves on the decreasing branch, with
+    ``admissible=False`` where it does not exceed the junction minimal density.
     """
     return solve_gas_power_junction(left, right, 0.0, law)
 
@@ -395,7 +403,7 @@ def solve_gas_power_junction(left: GasState, right: GasState, epsilon: float,
     into the junction. Demands at or above :func:`max_extraction` raise
     ``InvalidDemandError`` with the admissible supremum attached.
     """
-    problem = _JunctionProblem([left], [right], epsilon, law)
+    problem = _of_states([left], [right], epsilon, law)
     return problem.solve(strict_admissibility=False)
 
 
@@ -410,31 +418,24 @@ def solve_multi_junction(incoming: Sequence[GasState], outgoing: Sequence[GasSta
     smallest per-pipe ``rho_max`` is returned with ``subsonic_traces=False``.
     Pressure ratios model ideal compressors on individual ports.
     """
-    problem = _JunctionProblem(incoming, outgoing, epsilon, law,
-                               in_pressure_ratios, out_pressure_ratios)
+    problem = _of_states(incoming, outgoing, epsilon, law,
+                         in_pressure_ratios, out_pressure_ratios)
     return problem.solve(strict_admissibility=True)
 
 
 def junction_traces(rho: Sequence[float], q: Sequence[float], n_in: int,
-                    unit_ratios: bool, epsilon: float, law: PressureLaw):
-    """:func:`solve_multi_junction` of port data ``rho``, ``q`` (floats, the
-    ``n_in`` incoming ports first) as ``(rho_star, trace momenta)``; None for
-    what it decides otherwise than by Newton's method or rejects: ratios other
-    than 1, no port, a density not positive, a port not sub-sonic, an
-    extraction not above -inf."""
-    if not (unit_ratios and rho and epsilon > -math.inf):
-        return None
-    ports = []
-    for k, (rho_l, q_l) in enumerate(zip(rho, q)):
-        if not rho_l > 0.0:
-            return None
-        u_l = (q_l if k < n_in else 0.0 - q_l) / rho_l
-        if not abs(u_l) < float(law.c(rho_l)):
-            return None
-        ports.append((rho_l, u_l))
+                    epsilon: float, law: PressureLaw):
+    """:func:`solve_multi_junction` of unit-ratio port data ``rho``, ``q``
+    (floats, the ``n_in`` incoming ports first) as ``(rho_star, trace
+    momenta)``. It raises what that solver raises for the same data given as
+    states; a case that Newton's method declines goes on to the bracketed
+    search of the same problem."""
+    ports = _ports(rho, q, n_in, epsilon, law)
     found = _newton(ports, epsilon, law)
-    if found is not None:
-        found[1][n_in:] = [0.0 - v for v in found[1][n_in:]]
+    if found is None:
+        problem = _JunctionProblem(rho, q, n_in, epsilon, law, ports=ports)
+        found = problem.bracketed(strict_admissibility=True)[:2]
+    found[1][n_in:] = [0.0 - v for v in found[1][n_in:]]
     return found
 
 
@@ -448,8 +449,8 @@ def junction_max_extraction(incoming: Sequence[GasState],
     It is the junction function D at the junction minimal density; ports
     and pressure ratios are those of :func:`solve_multi_junction`.
     """
-    problem = _JunctionProblem(incoming, outgoing, 0.0, law,
-                               in_pressure_ratios, out_pressure_ratios)
+    problem = _of_states(incoming, outgoing, 0.0, law,
+                         in_pressure_ratios, out_pressure_ratios)
     return problem.max_extraction()
 
 
@@ -468,14 +469,9 @@ def wave_thresholds(left: GasState, right: GasState,
     at the junction minimal density (at or above which no admissible solution
     exists).
     """
-    problem = _JunctionProblem([left], [right], 0.0, law)
-    hi = max(left.rho, right.rho)
-    lo = min(left.rho, right.rho)
-    return (
-        problem.imbalance(hi),
-        problem.imbalance(lo),
-        problem.max_extraction(),
-    )
+    problem = _of_states([left], [right], 0.0, law)
+    lo, hi = sorted((left.rho, right.rho))
+    return problem.imbalance(hi), problem.imbalance(lo), problem.max_extraction()
 
 
 def _invert_fan(deriv, lo: float, hi: float, xi: float) -> float:

@@ -58,6 +58,31 @@ def test_pressure_check_bad_selector_reports_category(capsys):
     assert "[domain-error]" in capsys.readouterr().err
 
 
+DEEP_LAW = "linear_combination(" * 2000 + "log" + ")" * 2000
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure-check", DEEP_LAW],
+    ["riemann", "--law", DEEP_LAW, "--left", "4,1", "--right", "3,-1"],
+], ids=["pressure-check", "riemann"])
+def test_deeply_nested_law_spec_is_a_domain_error(capsys, argv):
+    """A law spec nested 2,000 deep is rejected by the parser, not by Python's
+    stack."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error [domain-error] law spec nests deeper than ")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_deeply_nested_law_spec_in_a_scenario_is_a_schema_error(capsys, tmp_path):
+    local = tmp_path / "deep.scn"
+    text = (BUNDLED / "validation.scn").read_text()
+    local.write_text(text.replace("pressure_law: gamma(1.0,1.4)", f"pressure_law: {DEEP_LAW}"))
+    assert main(["simulate-gas", str(local)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [schema-error] {local}.pressure_law: law spec nests deeper ")
+
+
 def test_riemann_reports_rarefactions_for_large_draw(capsys):
     code = main(["riemann", "--law", "gamma(1,1.4)", "--left", "4,1",
                  "--right", "3,-1", "--epsilon", "3.25"])

@@ -193,9 +193,9 @@ def test_coupled_cweno_stages_solve_at_the_power_flow_extraction(monkeypatch):
     sim, grid, link = _coupled_fixture(staggering="cells")
     draws = []
 
-    def recording(rho, q, n_in, unit_ratios, epsilon, law):
+    def recording(rho, q, n_in, epsilon, law):
         draws.append(epsilon)
-        return junction_traces(rho, q, n_in, unit_ratios, epsilon, law)
+        return junction_traces(rho, q, n_in, epsilon, law)
 
     monkeypatch.setattr(gaspower.cweno, "junction_traces", recording)
     dt = 0.4 * float(np.min(sim.layout.pipe_dx)) / sim.max_wavespeed()

@@ -34,6 +34,28 @@ def _junction_sim(law, eps, n=60, length=0.25, left=(4.0, 1.0), right=(3.0, -1.0
     )
 
 
+@pytest.mark.parametrize("extraction", [constant(0.5), "0.5", None, [0.5]],
+                         ids=["callable", "string", "none", "list"])
+def test_junction_extraction_must_be_a_real_number(benchmark_law, extraction):
+    """A junction's extraction is checked at build, where the error names the
+    junction, and not at the first stage."""
+    with pytest.raises(DomainError, match=r"^junction j: extraction must be a real number, "):
+        _junction_sim(benchmark_law, extraction)
+
+
+def test_junction_extraction_is_stored_as_a_float(benchmark_law):
+    for given in (1, np.float64(0.5), np.int64(2), math.inf):
+        extraction = _junction_sim(benchmark_law, given).junctions[0].extraction
+        assert type(extraction) is float and extraction == given
+
+
+def test_nan_extraction_fails_at_the_first_stage_naming_the_junction(benchmark_law):
+    sim = _junction_sim(benchmark_law, math.nan)
+    with pytest.raises(DomainError, match=r"^t=0, junction j: extraction must be a number "
+                                          r"above -inf, got nan$"):
+        cweno3_step(sim, 1e-4)
+
+
 def test_constant_state_is_preserved(unit_isothermal):
     sim = _junction_sim(unit_isothermal, 0.0, left=(2.0, 0.2), right=(2.0, 0.2))
     for _ in range(20):
@@ -232,8 +254,8 @@ def test_junction_injection_matches_the_exact_solution(benchmark_law,
     eps, t_end, dt = -1.0, 0.1, 2e-4
     solves = []
 
-    def recording(rho, q, n_in, unit_ratios, epsilon, law):
-        found = junction_traces(rho, q, n_in, unit_ratios, epsilon, law)
+    def recording(rho, q, n_in, epsilon, law):
+        found = junction_traces(rho, q, n_in, epsilon, law)
         solves.append((n_in, epsilon, found))
         return found
 

@@ -196,11 +196,11 @@ def test_compressor_ports_keep_their_pressure_ratio(spec, incoming, outgoing, ep
                         st.tuples(st.just("supremum"), st.floats(0.0, 1e-9))))
 def test_float_junction_entry_is_the_general_solver_bit_for_bit(spec, points, n_in,
                                                                 demand):
-    """Where ``junction_traces`` answers, its rho* and trace momenta are those
-    of ``solve_multi_junction`` bit for bit; where it declines, the general
-    solver answers or raises a junction error. Non-unit ratios always
-    decline. Extractions are signed fractions of the supremum's magnitude or
-    within 1e-9 of the supremum, at or below it."""
+    """``junction_traces`` answers with the rho* and trace momenta of
+    ``solve_multi_junction`` bit for bit; where the general solver raises a
+    junction error, it raises the same class with an equal ``epsilon_max``.
+    Extractions are signed fractions of the supremum's magnitude or within
+    1e-9 of the supremum, at or below it."""
     law = LAWS[spec]
     states = _states(law, points)
     n_in = min(n_in, len(states))
@@ -208,14 +208,15 @@ def test_float_junction_entry_is_the_general_solver_bit_for_bit(spec, points, n_
     cap = junction_max_extraction(states[:n_in], states[n_in:], law)
     kind, x = demand
     eps = x * abs(cap) if kind == "fraction" else cap - x * max(abs(cap), 1.0)
-    found = junction_traces(rho, q, n_in, True, eps, law)
-    assert junction_traces(rho, q, n_in, False, eps, law) is None
     try:
         sol = solve_multi_junction(states[:n_in], states[n_in:], eps, law)
-    except (InvalidDemandError, NoSolutionError, InadmissibleError):
-        assert found is None
+    except (InvalidDemandError, NoSolutionError, InadmissibleError) as general:
+        with pytest.raises(type(general)) as lean:
+            junction_traces(rho, q, n_in, eps, law)
+        assert type(lean.value) is type(general)
+        assert getattr(lean.value, "epsilon_max", None) == getattr(general, "epsilon_max", None)
         return
-    if found is not None:
-        traces = sol.incoming_traces + sol.outgoing_traces
-        assert found[0].hex() == sol.rho_star.hex()
-        assert [m.hex() for m in found[1]] == [v.q.hex() for v in traces]
+    found = junction_traces(rho, q, n_in, eps, law)
+    traces = sol.incoming_traces + sol.outgoing_traces
+    assert found[0].hex() == sol.rho_star.hex()
+    assert [m.hex() for m in found[1]] == [v.q.hex() for v in traces]

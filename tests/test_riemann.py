@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gaspower.riemann
 from gaspower.errors import DomainError, InvalidDemandError, NoSolutionError
 from gaspower.laxcurves import GasState, WaveType, lambda1, lambda2
 from gaspower.pressure import GeneralizedGammaLaw, IsothermalLaw
@@ -346,15 +347,42 @@ def test_adversarial_states_have_no_intersection(delta):
     ([4.0, 3.0], [1.0, -1.0], math.nan, "extraction must be a number above -inf"),
     ([], [], 0.5, "junction needs at least one pipe"),
 ])
-def test_float_junction_entry_declines_what_the_general_solver_rejects(
+def test_float_junction_entry_raises_what_the_general_solver_raises(
         benchmark_law, rho, q, eps, message):
-    """The float entry declines data that the general solver, given the same
-    data as states, rejects with a ``DomainError``."""
+    """The float entry rejects data that the general solver, given the same
+    data as states, rejects with a ``DomainError``: same class, same message."""
     n_in = min(1, len(rho))
-    assert junction_traces(rho, q, n_in, True, eps, benchmark_law) is None
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match=message) as general:
         states = [GasState(*v) for v in zip(rho, q)]
         solve_multi_junction(states[:n_in], states[n_in:], eps, benchmark_law)
+    with pytest.raises(DomainError) as lean:
+        junction_traces(rho, q, n_in, eps, benchmark_law)
+    assert type(lean.value) is type(general.value)
+    assert str(lean.value) == str(general.value)
+
+
+def test_float_junction_entry_runs_newton_once_near_the_supremum(
+        benchmark_law, benchmark_states, monkeypatch):
+    """Just below the supremum Newton's method declines the benchmark junction;
+    the float entry then goes on to the bracketed search without running
+    Newton again, and answers with the general solver's rho* and trace
+    momenta bit for bit."""
+    left, right = benchmark_states
+    eps = (1.0 - 1e-7) * max_extraction(left, right, benchmark_law)
+    newton, answers = gaspower.riemann._newton, []
+
+    def counting(*args):
+        answers.append(newton(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(gaspower.riemann, "_newton", counting)
+    rho_star, momenta = junction_traces([left.rho, right.rho], [left.q, right.q], 1,
+                                        eps, benchmark_law)
+    assert answers == [None]
+    sol = solve_multi_junction([left], [right], eps, benchmark_law)
+    assert answers == [None, None]
+    assert rho_star.hex() == sol.rho_star.hex()
+    assert [m.hex() for m in momenta] == [sol.left_trace.q.hex(), sol.right_trace.q.hex()]
 
 
 def test_sampling_far_field(benchmark_law, benchmark_states):
