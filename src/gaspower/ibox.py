@@ -30,10 +30,13 @@ differences of consecutive nodes by slices; on a periodic pipe the first
 node is appended after the last, so the wrap-around pair is consecutive
 too. One selection then drops the pairs that straddle two pipes. The terms
 that only the step fixes (the old-level half sums and magnitudes, dt/dx,
-the boundary targets and extractions) are computed once per step. A step's
-first Jacobian allocates one band buffer; every Jacobian of the step writes
-its pattern entries into it in place, and the LU factors a copy, so the
-entries off the pattern stay zero without being cleared again.
+the boundary targets and extractions) are computed once per step. The
+cached layout also holds the system's work arrays: the band storage, the
+Jacobian values and the LU work array. Every Jacobian writes its pattern
+entries into the band in place, so the entries off the pattern stay zero
+without being cleared, and every solve copies the band into the work array
+and factors it there. No step allocates band-sized memory, and the package
+runs one step at a time: a Jacobian holds until the next one of its layout.
 
 Newton evaluates the residual first and builds a Jacobian only before a
 Newton step, so line-search trials and the converged iterate cost one
@@ -72,6 +75,9 @@ class _Layout:
     pair array belongs to nodes ``j`` and ``j + 1`` and variable ``k``. Pairs
     across two pipes are not box rows; their values go to the spare last
     entry of the band storage.
+
+    ``storage``, ``values`` and ``work`` are the work arrays of every box
+    system of the layout, shared by its steps and its simulations.
     """
 
     size: int
@@ -84,9 +90,13 @@ class _Layout:
     row_order: np.ndarray  # band row i holds Jacobian row row_order[i]
     col_order: np.ndarray  # band column j holds unknown col_order[j]
     pos: np.ndarray        # flat band-storage index of every Jacobian value
+    storage: np.ndarray    # band storage, spare last entry; off the pattern zero
+    values: np.ndarray     # Jacobian values in ``pos`` order; boundary rows one
+    work: np.ndarray       # (ldab, size) Fortran-ordered LU work array
 
     def __post_init__(self):
-        # One cached layout serves every step of its networks.
+        # One cached layout serves every step of its networks; its work
+        # arrays stay writable.
         for array in (self.box, self.bc_cols, self.row_order, self.col_order,
                       self.pos):
             array.flags.writeable = False
@@ -169,20 +179,24 @@ def _layout(counts: tuple, periodic: bool, boundaries: tuple,
     pos = pc * ldab + kl + ku + pr - pc
     box_pos = np.full((8, pairs.size), size * ldab)
     box_pos[:, a] = pos[:8 * a.size].reshape(8, a.size)
+    pos = np.concatenate((box_pos.ravel(), pos[8 * a.size:]))
+    values = np.empty(pos.size)
+    values[8 * pairs.size:8 * pairs.size + bc_cols.size] = 1.0
     return _Layout(
         size=size, box=(2 * a[:, None] + np.arange(2)).ravel(), bc_cols=bc_cols,
         bc_rows=slice(2 * a.size, 2 * a.size + bc_cols.size),
         junctions=tuple(ports), kl=kl, ku=ku, row_order=row_order,
-        col_order=col_order,
-        pos=np.concatenate((box_pos.ravel(), pos[8 * a.size:])))
+        col_order=col_order, pos=pos, storage=np.zeros(size * ldab + 1),
+        values=values, work=np.empty((ldab, size), order="F"))
 
 
 class BandedJacobian:
     """Newton matrix of one iterate in LAPACK band storage of its layout.
 
-    ``band`` is the storage of the assembler that built it, so the matrix
-    holds until that assembler's next ``jacobian`` call. ``unknown(column)``
-    names the pipe, node and variable of a column.
+    ``band`` is a view of the layout's band storage, so the matrix holds
+    until the next ``jacobian`` call on any assembler of the same layout;
+    the package runs one step at a time. ``unknown(column)`` names the pipe,
+    node and variable of a column.
     """
 
     def __init__(self, layout: _Layout, band: np.ndarray, unknown):
@@ -208,15 +222,17 @@ class BandedJacobian:
 def spsolve(jacobian: BandedJacobian, rhs: np.ndarray) -> np.ndarray:
     """Solve ``jacobian @ x = rhs`` by LAPACK's banded LU (partial pivoting).
 
-    The LU works on a copy, so ``jacobian`` is left as it was. A zero pivot
-    raises ``ConvergenceError`` naming the unknown of its column.
+    The band is copied into the layout's work array and factored there, so
+    ``jacobian`` is left as it was and no band-sized array is allocated. A
+    zero pivot raises ``ConvergenceError`` naming the unknown of its column.
     """
     # LAPACK is loaded on the first solve; CWENO runs never load it.
     from scipy.linalg.lapack import dgbsv
 
     lay = jacobian.layout
-    _, _, y, info = dgbsv(lay.kl, lay.ku, jacobian.band, rhs[lay.row_order],
-                          overwrite_ab=False, overwrite_b=True)
+    np.copyto(lay.work, jacobian.band)
+    _, _, y, info = dgbsv(lay.kl, lay.ku, lay.work, rhs[lay.row_order],
+                          overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise ConvergenceError(
             f"singular box-scheme Jacobian: zero pivot at "
@@ -282,16 +298,6 @@ class _Assembler:
         """Node values, ``width`` entries per node, with the first node
         appended on a periodic network, where it follows the last."""
         return np.concatenate((values, values[:width])) if self.sim.periodic else values
-
-    @functools.cached_property
-    def _buffers(self):
-        """This step's band storage, with a spare last entry, and Jacobian
-        values; entries off the pattern stay zero, boundary rows one."""
-        lay = self.layout
-        values = np.empty(lay.pos.size)
-        start = 8 * self.r.size
-        values[start:start + lay.bc_cols.size] = 1.0
-        return np.zeros(lay.size * lay.ldab + 1), values
 
     def unknown(self, column: int) -> str:
         """Time, pipe, node and variable of unknown ``column``."""
@@ -423,9 +429,10 @@ class _Assembler:
         return residual, scale
 
     def jacobian(self, x: np.ndarray) -> BandedJacobian:
-        """Analytic Jacobian at ``x``, written into this step's band storage."""
+        """Analytic Jacobian at ``x``, written into the layout's band storage."""
         law, r, h = self.sim.law, self.r, 0.5 * self.dt
-        storage, values = self._buffers
+        lay = self.layout
+        storage, values = lay.storage, lay.values
         u = self._closed(x, 2)
         rho, q = u[0::2], u[1::2]
         a21, a22 = flux_jacobian(rho, q, law)
@@ -448,9 +455,8 @@ class _Assembler:
             dp = [float(law.dp(x[c])) * k for c, k in zip(bases, ratios)]
             entries += dp[1:] + [-dp[0]] * (len(dp) - 1) + list(signs)
         values[values.size - len(entries):] = entries
-        storage[self.layout.pos] = values
-        return BandedJacobian(self.layout, storage[:-1].reshape(self.size, -1).T,
-                              self.unknown)
+        storage[lay.pos] = values
+        return BandedJacobian(lay, storage[:-1].reshape(self.size, -1).T, self.unknown)
 
 
 def _scaled(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:

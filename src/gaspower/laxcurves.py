@@ -44,6 +44,8 @@ class GasState:
     def __post_init__(self):
         if not (self.rho > 0.0):
             raise DomainError(f"density must be positive, got {self.rho!r}")
+        if self.rho == math.inf:
+            raise DomainError(f"density must be finite, got {self.rho!r}")
 
     @property
     def u(self) -> float:

@@ -227,11 +227,12 @@ def _ports(rho, q, n_in: int, epsilon: float, law: PressureLaw):
     """(density, velocity) of the ports of densities ``rho`` and momenta
     ``q``, the ``n_in`` incoming ports first and the outgoing ones mirrored;
     the ``DomainError`` that building the data as ``GasState``s and a
-    junction of them raises first: a density that is not positive, no port,
-    an extraction not above -inf, a port that is not sub-sonic."""
+    junction of them raises first: a density that is not positive and
+    finite, no port, an extraction not above -inf, a port that is not
+    sub-sonic."""
     ports, sonic = [], None  # sonic: the first port that is not sub-sonic
     for k, (rho_l, q_l) in enumerate(zip(rho, q)):
-        if not rho_l > 0.0:
+        if not 0.0 < rho_l < math.inf:
             GasState(rho_l, q_l)  # raises the DomainError of its density
         u_l = (q_l if k < n_in else 0.0 - q_l) / rho_l
         if sonic is None and not abs(u_l) < float(law.c(rho_l)):

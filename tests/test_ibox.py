@@ -6,6 +6,7 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
@@ -661,6 +662,73 @@ def test_one_band_buffer_per_step_is_rewritten_and_kept_by_the_solve(
         np.testing.assert_array_equal(solution, spsolve(fresh, rhs))
         bands.append(jac.band)
     assert all(np.shares_memory(bands[0], band) for band in bands[1:])
+
+
+def test_steps_of_a_layout_build_their_jacobians_in_its_band(monkeypatch,
+                                                            benchmark_law):
+    """The Jacobians of consecutive steps are views of one band storage,
+    the layout's, and no step allocates another."""
+    jacobians = []
+    build = _Assembler.jacobian
+
+    def recording(self, x):
+        jacobians.append(build(self, x))
+        return jacobians[-1]
+
+    monkeypatch.setattr(_Assembler, "jacobian", recording)
+    sim = _three_pipe_network(benchmark_law)
+    firsts = []
+    for _ in range(2):
+        built = len(jacobians)
+        _quiet_step(sim, 0.5)
+        firsts.append(jacobians[built])
+    layout = firsts[0].layout
+    assert firsts[1].layout is layout
+    assert np.shares_memory(firsts[0].band, firsts[1].band)
+    assert all(np.shares_memory(jac.band, layout.storage) for jac in jacobians)
+
+
+def test_the_lu_factors_in_the_layout_work_array(monkeypatch, benchmark_law):
+    """``spsolve`` copies the band into the layout's work array and LAPACK
+    factors it there in place."""
+    factors = []
+    dgbsv = scipy.linalg.lapack.dgbsv
+
+    def recording(*args, **kwargs):
+        result = dgbsv(*args, **kwargs)
+        factors.append(result[0])
+        return result
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbsv", recording)
+    asm = _Assembler(_three_pipe_network(benchmark_law), 0.5, 0.5)
+    x = asm.x_old
+    spsolve(asm.jacobian(x), -asm.residual(x)[0])
+    (lu,) = factors
+    assert np.shares_memory(lu, asm.layout.work)
+
+
+def test_simulations_of_one_layout_stepped_in_turn_match_each_run_alone(
+        benchmark_law):
+    """Two simulations of one box layout share its work arrays; stepped in
+    turn, each ends bit for bit where it ends when run alone."""
+    def pair():
+        first, second = (_three_pipe_network(benchmark_law) for _ in range(2))
+        second.state[0] *= 1.01
+        return first, second
+
+    alone = []
+    for k in range(2):
+        sim = pair()[k]
+        for _ in range(4):
+            _quiet_step(sim, 0.5)
+        alone.append(sim.state.copy())
+    in_turn = pair()
+    for _ in range(4):
+        for sim in in_turn:
+            _quiet_step(sim, 0.5)
+    for sim, state in zip(in_turn, alone):
+        np.testing.assert_array_equal(sim.state, state)
+    assert not np.array_equal(alone[0], alone[1])
 
 
 def test_every_row_names_its_place(benchmark_law):

@@ -361,6 +361,26 @@ def test_float_junction_entry_raises_what_the_general_solver_raises(
     assert str(lean.value) == str(general.value)
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a junction solve ran")
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda law: solve_multi_junction(
+        [GasState(math.inf, 1.0)], [GasState(3.0, -1.0)], 0.5, law), id="GasState"),
+    pytest.param(lambda law: junction_traces([math.inf, 3.0], [1.0, -1.0], 1, 0.5, law),
+                 id="junction_traces"),
+])
+def test_infinite_density_is_refused_before_any_solve(benchmark_law, entry,
+                                                      monkeypatch):
+    """An infinite port density is a ``DomainError`` that names it, raised
+    by the state and by the float entry's port check before any root search."""
+    monkeypatch.setattr(gaspower.riemann, "_newton", _no_solve)
+    monkeypatch.setattr(gaspower.riemann, "brentq", _no_solve)
+    with pytest.raises(DomainError, match=r"^density must be finite, got inf$"):
+        entry(benchmark_law)
+
+
 def test_float_junction_entry_runs_newton_once_near_the_supremum(
         benchmark_law, benchmark_states, monkeypatch):
     """Just below the supremum Newton's method declines the benchmark junction;
