@@ -5,15 +5,21 @@ reconstruction (linear/linear/parabolic candidates with ideal weights
 1/4, 1/2, 1/4 and regularization epsilon = dx^2, which preserves full order
 at smooth critical points), formed in one pass as v + e +- s from the
 even and odd parts of the weighted candidates; the numerical flux is local
-Lax-Friedrichs with one ``p_and_c`` call on the states of both interface
-sides, and time integration is the optimal three-stage SSP Runge-Kutta
-method.
+Lax-Friedrichs with one ``p_and_c`` call on the edge buffer, and time
+integration is the optimal three-stage SSP Runge-Kutta method.
 
 A step advances the simulation's network state in place: one ``(2, N)``
 array (row 0 density, row 1 momentum, pipe after pipe) of which the pipe
-grids are views. A layout cached per network layout holds every cell's
-neighbours, clamped at bounded pipe ends and wrapped on a periodic pipe, so
-a stage reconstructs and takes fluxes and friction once for all pipes.
+grids are views, so a stage reconstructs and takes fluxes and friction once
+for all pipes. A layout cached per network layout holds the pipe ends and
+the stage workspace. Its difference row of all N + 1 interfaces (the outer
+ones 0, or the wrapped difference on a periodic pipe) gives every cell both
+slopes, and its side weights are formed once per interface; an interface
+between two pipes only reaches end cells. Its edge buffer holds the right
+edges, a spare column and the left edges, so the plus side of every right
+interface is a shifted slice, and the flux evaluates the law once on the
+whole density row. The workspace is overwritten by every stage on the
+layout; the package runs one step at a time.
 
 Every stage solves each junction Riemann problem on the cell averages next
 to its ports, read at once through the layout: by ``junction_traces`` on
@@ -42,15 +48,19 @@ _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 
 
 class _Layout(NamedTuple):
-    """Cell indices of a network stacked pipe after pipe."""
+    """Cell indices of a network stacked pipe after pipe, and the work arrays
+    of a stage on it (see ``_reconstruct``)."""
 
-    left: np.ndarray        # left and right neighbour of every cell
-    right: np.ndarray
     first: np.ndarray       # first and last cell of every pipe
     last: np.ndarray
     ends: np.ndarray        # cells reconstructed to first order
     port_cells: np.ndarray  # cell next to every junction port, junction after junction
     junctions: tuple        # per junction: slice of port_cells, cells, n_in, ratios, unit
+    periodic: bool
+    slopes: np.ndarray      # (2, n+1): v[:, k] - v[:, k-1] at every interface k
+    weights: np.ndarray     # (2, n+1): side weight of every interface
+    edges: np.ndarray       # (2, 2n+2): right edges, spare, left edges, wrapped left edge
+    f_left: np.ndarray      # (2, n): flux through every cell's left interface
 
 
 @functools.lru_cache(maxsize=32)
@@ -59,16 +69,8 @@ def _layout(counts: tuple, periodic: bool, junctions: tuple = ()) -> _Layout:
     of the ``JunctionPort``s of every junction, incoming ports first."""
     last = np.cumsum(counts) - 1
     first = last - counts + 1
-    cells = np.arange(last[-1] + 1)
-    cell_first, cell_last = np.repeat(first, counts), np.repeat(last, counts)
-    if periodic:
-        left = np.where(cells == cell_first, cell_last, cells - 1)
-        right = np.where(cells == cell_last, cell_first, cells + 1)
-        ends = np.empty(0, dtype=np.intp)
-    else:
-        left = np.maximum(cells - 1, cell_first)
-        right = np.minimum(cells + 1, cell_last)
-        ends = np.concatenate([first, last])
+    n = int(last[-1]) + 1
+    ends = np.empty(0, dtype=np.intp) if periodic else np.concatenate([first, last])
     port_cells, ports = [], []
     for junction in junctions:
         junction = sorted(junction, key=lambda p: p.end == "start")  # incoming first
@@ -77,26 +79,55 @@ def _layout(counts: tuple, periodic: bool, junctions: tuple = ()) -> _Layout:
         ports.append((slice(len(port_cells), len(port_cells) + len(adjacent)), adjacent,
                       sum(p.end == "end" for p in junction), ratios, set(ratios) <= {1.0}))
         port_cells += adjacent
-    layout = _Layout(left, right, first, last, ends, np.array(port_cells, dtype=np.intp),
-                     tuple(ports))
-    for array in layout[:-1]:
+    # The spare and the unwrapped last column of the edges hold the state
+    # (1, 0), so that the flux may evaluate the law on the whole buffer.
+    edges = np.zeros((2, 2 * n + 2))
+    edges[0] = 1.0
+    layout = _Layout(first, last, ends, np.array(port_cells, dtype=np.intp), tuple(ports),
+                     periodic, np.zeros((2, n + 1)), np.empty((2, n + 1)), edges,
+                     np.empty((2, n)))
+    for array in layout[:4]:
         array.flags.writeable = False
     return layout
 
 
 def _reconstruct(v: np.ndarray, eps: np.ndarray, layout: _Layout):
     """Interface values (left edge, right edge) of each cell of the stacked
-    rows ``v``; ``eps`` is dx^2 per cell."""
-    sl = v - np.take(v, layout.left, axis=1)
-    sr = np.take(v, layout.right, axis=1) - v
-    p1, p2 = 0.5 * (sl + sr), 0.5 * (sr - sl)
-    # Unnormalized weights ideal / (eps + smoothness indicator)^2.
-    a_l, a_r, a_c = sl * sl, sr * sr, p1 * p1 + (13.0 / 3.0) * p2 * p2
-    for a, ideal in ((a_l, 0.25), (a_r, 0.25), (a_c, 0.5)):
-        a += eps
-        a *= a
-        np.divide(ideal, a, out=a)
-    inv = 1.0 / (a_l + a_c + a_r)
+    rows ``v``; ``eps`` is dx^2 per cell.
+
+    The edges are views of ``layout.edges``, valid until the next call on
+    that layout. Slopes and side weights are formed once per interface: the
+    difference row ``d`` gives every cell its left slope ``d[:, :-1]`` and
+    its right slope ``d[:, 1:]``. An interface between two pipes, whose
+    slope and weight mix them, only reaches end cells, which fall back to
+    first order.
+    """
+    n = v.shape[1]
+    d, a, edges = layout.slopes, layout.weights, layout.edges
+    np.subtract(v[:, 1:], v[:, :-1], out=d[:, 1:-1])
+    if layout.periodic:
+        d[:, 0] = d[:, -1] = v[:, 0] - v[:, -1]
+    sl, sr = d[:, :-1], d[:, 1:]
+    p1, p2 = sl + sr, sr - sl
+    p1 *= 0.5
+    p2 *= 0.5
+    # Unnormalized weights ideal / (eps + smoothness indicator)^2; the side
+    # ones once per interface, with the eps of the cell on its right (of the
+    # last cell at the outer right end).
+    np.multiply(d, d, out=a)
+    a[:, :-1] += eps
+    a[:, -1] += eps[-1]
+    a *= a
+    np.divide(0.25, a, out=a)
+    a_l, a_r = a[:, :-1], a[:, 1:]
+    a_c = p1 * p1
+    a_c += (13.0 / 3.0) * p2 * p2
+    a_c += eps
+    a_c *= a_c
+    np.divide(0.5, a_c, out=a_c)
+    inv = a_l + a_c
+    inv += a_r
+    np.divide(1.0, inv, out=inv)
     # The weighted candidates at the edges are v + e +- s, with s the odd
     # part (the weighted half slopes) and e the even part (w_c p2 / 3).
     s = a_l * sl
@@ -106,26 +137,40 @@ def _reconstruct(v: np.ndarray, eps: np.ndarray, layout: _Layout):
     e = a_c * p2
     e *= inv / 3.0
     e += v
-    right = e + s
-    left = np.subtract(e, s, out=e)
+    right, left = edges[:, :n], edges[:, n + 1:-1]
+    np.add(e, s, out=right)
+    np.subtract(e, s, out=left)
 
     # End cells of bounded pipes reduce to first order; their outer
     # interface is served by the junction/boundary trace state anyway.
     left[:, layout.ends] = right[:, layout.ends] = v[:, layout.ends]
+    if layout.periodic:
+        edges[:, -1] = left[:, 0]
     return left, right
 
 
-def _llf_flux(u_m, u_p, law):
-    """Local Lax-Friedrichs flux between stacked minus/plus interface states,
-    (f_m + f_p - alpha (u_p - u_m)) / 2 with f = (q, p + q u)."""
-    n = u_m.shape[1]
-    p, c = law.p_and_c(np.concatenate((u_m[0], u_p[0])))
-    p_m, p_p, c_m, c_p = p[:n], p[n:], c[:n], c[n:]
-    v_m, v_p = u_m[1] / u_m[0], u_p[1] / u_p[0]
+def _llf_flux(edges: np.ndarray, law):
+    """Local Lax-Friedrichs flux (f_m + f_p - alpha (u_p - u_m)) / 2 with
+    f = (q, p + q u) through n interfaces, whose stacked minus and plus
+    states are columns ``:n`` and ``n+2:`` of the ``(2, 2n+2)`` ``edges``.
+
+    Pressure, sound speed, velocity and wave speed are formed once on the
+    whole buffer, whose two other columns must hold admissible states.
+    """
+    n = edges.shape[1] // 2 - 1
+    p, c = law.p_and_c(edges[0])
+    v = edges[1] / edges[0]
+    lam = np.abs(v)
+    lam += c
+    qv = edges[1] * v
+    u_m, u_p = edges[:, :n], edges[:, n + 2:]
     out = u_m - u_p
-    out *= np.maximum(np.abs(v_m) + c_m, np.abs(v_p) + c_p)
+    out *= np.maximum(lam[:n], lam[n + 2:])
     out[0] += u_m[1] + u_p[1]
-    out[1] += p_m + u_m[1] * v_m + p_p + u_p[1] * v_p
+    momentum = p[:n] + qv[:n]
+    momentum += p[n + 2:]
+    momentum += qv[n + 2:]
+    out[1] += momentum
     out *= 0.5
     return out
 
@@ -166,24 +211,28 @@ def _end_fluxes(sim: GasSimulation, u: np.ndarray, layout: _Layout,
         f[0, cell], f[1, cell] = flux(trace.rho, trace.q, law)
 
 
-def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout):
+def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout,
+         eps: np.ndarray):
     """Right-hand side of the stacked state ``u`` and the net boundary mass
-    rate."""
-    law = sim.law
+    rate; ``eps`` is dx^2 per cell."""
     cells = sim.layout
     dx, x = cells.dx, cells.x
-    left, right = _reconstruct(u, dx * dx, layout)
+    _reconstruct(u, eps, layout)
     # Flux through every cell's right interface; the left one is the left
     # neighbour's, except at pipe ends, which take the flux of their trace.
-    f_right = _llf_flux(right, np.take(left, layout.right, axis=1), law)
-    f_left = np.take(f_right, layout.left, axis=1)
+    f_right = _llf_flux(layout.edges, sim.law)
+    f_left = layout.f_left
+    f_left[:, 1:] = f_right[:, :-1]
+    f_left[:, 0] = f_right[:, -1]
     _end_fluxes(sim, u, layout, t_stage, f_left, f_right)
     # Zero on a periodic pipe, whose end fluxes are those of one interface.
     mass_rate = float(np.dot(cells.pipe_area,
                              f_left[0, layout.first] - f_right[0, layout.last]))
 
-    d = -(f_right - f_left) / dx
-    d[1] += sim.friction.source(u[0], u[1], cells.diameter, cells.roughness)
+    d = f_left - f_right
+    d /= dx
+    if sim.friction.enabled:
+        d[1] += sim.friction.source(u[0], u[1], cells.diameter, cells.roughness)
     if sim.extra_source is not None:
         # Two-point Gauss average keeps smooth (x,t) sources third order.
         h = _GAUSS_OFFSET * dx
@@ -218,12 +267,13 @@ def cweno3_step(sim: GasSimulation, dt: float) -> StepRecord:
     layout = _layout(sim.layout.counts, sim.periodic,
                      tuple(tuple(j.ports) for j in sim.junctions))
     mass_before = sim.total_mass()
+    eps = sim.layout.dx * sim.layout.dx
 
-    k1, rate1 = _rhs(sim, u0, t + _STAGE_SHIFTS[0] * dt, layout)
+    k1, rate1 = _rhs(sim, u0, t + _STAGE_SHIFTS[0] * dt, layout, eps)
     u1 = u0 + dt * k1
-    k2, rate2 = _rhs(sim, u1, t + _STAGE_SHIFTS[1] * dt, layout)
+    k2, rate2 = _rhs(sim, u1, t + _STAGE_SHIFTS[1] * dt, layout, eps)
     u2 = 0.75 * u0 + 0.25 * (u1 + dt * k2)
-    k3, rate3 = _rhs(sim, u2, t + _STAGE_SHIFTS[2] * dt, layout)
+    k3, rate3 = _rhs(sim, u2, t + _STAGE_SHIFTS[2] * dt, layout, eps)
     # u0 / 3 + (2/3) (u2 + dt k3), formed in the network state itself.
     u0 /= 3.0
     u0 += (2.0 / 3.0) * (u2 + dt * k3)

@@ -127,10 +127,15 @@ def _positions(n: int, dx: float, staggering: str) -> np.ndarray:
 def _check_states(u: np.ndarray, law: PressureLaw, describe) -> None:
     """:meth:`PipeGrid.check_subsonic` of the states ``u = (rho, q)``.
 
-    Each category is checked over all states before the next one;
+    One pass decides the common case: every state is finite, of positive
+    density and sub-sonic exactly when 0 < rho < inf and |q / rho| < c hold
+    for all of them, and the law sees only densities in that range. Else
+    each category is checked over all states before the next one;
     ``describe(what, i)`` words the error of the first bad state ``i``.
     """
     rho, q = u
+    if 0.0 < rho.min() and rho.max() < math.inf and np.all(np.abs(q / rho) < law.c(rho)):
+        return
 
     def reject(bad, error, what: str) -> None:
         if bad.any():

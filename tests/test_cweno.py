@@ -1,6 +1,8 @@
 """Explicit scheme: exactness, stability guard, conservation, accuracy."""
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -319,6 +321,29 @@ def test_junction_wiring_gets_its_own_cell_layout(benchmark_law):
         assert rewired.grids[i].q.tobytes() == reference.grids[k].q.tobytes()
 
 
+class _Neighbours(NamedTuple):
+    """Every cell's left and right neighbour, clamped at bounded pipe ends
+    and wrapped on a periodic pipe, and the cells reconstructed to first
+    order."""
+
+    left: np.ndarray
+    right: np.ndarray
+    ends: np.ndarray
+
+
+def _neighbours(counts, periodic):
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    cells = np.arange(last[-1] + 1)
+    cell_first, cell_last = np.repeat(first, counts), np.repeat(last, counts)
+    if periodic:
+        return _Neighbours(np.where(cells == cell_first, cell_last, cells - 1),
+                           np.where(cells == cell_last, cell_first, cells + 1),
+                           np.empty(0, dtype=np.intp))
+    return _Neighbours(np.maximum(cells - 1, cell_first), np.minimum(cells + 1, cell_last),
+                       np.concatenate([first, last]))
+
+
 def _reconstruct_oracle(v, eps, layout):
     """The CWENO3 edges as weighted sums of the three candidates' edges."""
     vm = np.take(v, layout.left, axis=1)
@@ -344,6 +369,31 @@ def _reconstruct_oracle(v, eps, layout):
     return left, right
 
 
+def _reconstruct_gathered(v, eps, layout):
+    """The reconstruction in the operation order of ``_reconstruct``, with
+    every cell's slopes and weights formed from its gathered neighbours."""
+    sl = v - np.take(v, layout.left, axis=1)
+    sr = np.take(v, layout.right, axis=1) - v
+    p1, p2 = 0.5 * (sl + sr), 0.5 * (sr - sl)
+    a_l, a_r, a_c = sl * sl, sr * sr, p1 * p1 + (13.0 / 3.0) * p2 * p2
+    for a, ideal in ((a_l, 0.25), (a_r, 0.25), (a_c, 0.5)):
+        a += eps
+        a *= a
+        np.divide(ideal, a, out=a)
+    inv = 1.0 / (a_l + a_c + a_r)
+    s = a_l * sl
+    s += a_r * sr
+    s += a_c * p1
+    s *= 0.5 * inv
+    e = a_c * p2
+    e *= inv / 3.0
+    e += v
+    right = e + s
+    left = np.subtract(e, s, out=e)
+    left[:, layout.ends] = right[:, layout.ends] = v[:, layout.ends]
+    return left, right
+
+
 def _llf_flux_oracle(u_m, u_p, law):
     """(f_m + f_p) / 2 - alpha (u_p - u_m) / 2 with f = (q, p + q^2 / rho)."""
     lam_m = np.abs(u_m[1] / u_m[0]) + law.c(u_m[0])
@@ -354,11 +404,35 @@ def _llf_flux_oracle(u_m, u_p, law):
     return 0.5 * (f_m + f_p) - 0.5 * alpha * (u_p - u_m)
 
 
+def _two_call_flux(u_m, u_p, law):
+    """The flux of ``_llf_flux`` with one ``p_and_c`` call per side."""
+    p_m, c_m = law.p_and_c(u_m[0])
+    p_p, c_p = law.p_and_c(u_p[0])
+    v_m, v_p = u_m[1] / u_m[0], u_p[1] / u_p[0]
+    flux = u_m - u_p
+    flux *= np.maximum(np.abs(v_m) + c_m, np.abs(v_p) + c_p)
+    flux[0] += u_m[1] + u_p[1]
+    flux[1] += p_m + u_m[1] * v_m + p_p + u_p[1] * v_p
+    flux *= 0.5
+    return flux
+
+
+def _edges(u_m, u_p):
+    """The ``(2, 2n+2)`` edge buffer of ``_llf_flux`` with minus states
+    ``u_m`` and plus states ``u_p``; its two spare columns hold (1, 0)."""
+    spare = np.array([[1.0], [0.0]])
+    return np.concatenate((u_m, spare, spare, u_p), axis=1)
+
+
 def _jumpy_rows(rng, n):
     """Stacked rows, piecewise smooth with jumps of up to 1e3 between cells."""
     jumps = np.where(rng.random((2, n)) < 0.15,
                      rng.uniform(-1e3, 1e3, (2, n)), 0.0).cumsum(axis=1)
     return jumps + rng.uniform(0.5, 5.0, (2, n)) + np.sin(np.arange(n) / 3.0)
+
+
+# Cell counts of a bounded network with a one-cell pipe, and of a periodic pipe.
+_STACKS = [((17, 23, 1, 11), False), ((53,), True)]
 
 
 @pytest.mark.parametrize("periodic", [False, True])
@@ -374,8 +448,45 @@ def test_reconstruction_matches_the_weighted_candidate_sums(seed, periodic):
     scale = np.max(np.abs(v))
     assert scale > 100.0
     for got, expected in zip(gaspower.cweno._reconstruct(v, eps, layout),
-                             _reconstruct_oracle(v, eps, layout)):
+                             _reconstruct_oracle(v, eps, _neighbours(counts, periodic))):
         assert np.max(np.abs(got - expected)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("counts, periodic", _STACKS, ids=["bounded", "periodic"])
+@pytest.mark.parametrize("seed", range(5))
+def test_reconstruction_is_the_gathered_form_bit_for_bit(seed, counts, periodic):
+    """Slopes and side weights formed once per interface give every edge
+    of pipes with different dx bit for bit as when each cell gathers its
+    neighbours."""
+    rng = np.random.default_rng(seed)
+    layout = gaspower.cweno._layout(counts, periodic)
+    v = _jumpy_rows(rng, sum(counts))
+    eps = np.repeat(rng.uniform(1e-3, 1e-1, len(counts)) ** 2, counts)
+    for got, expected in zip(gaspower.cweno._reconstruct(v, eps, layout),
+                             _reconstruct_gathered(v, eps, _neighbours(counts, periodic))):
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["gamma(1.0,1.4)", "sum_gamma"])
+@pytest.mark.parametrize("counts, periodic", _STACKS, ids=["bounded", "periodic"])
+def test_stage_flux_is_the_two_call_form_bit_for_bit(counts, periodic, spec):
+    """The flux on the edge buffer equals, at every interface that is not a
+    pipe end, the two-call flux between each cell's right edge and its right
+    neighbour's left edge."""
+    law = parse_law(spec)
+    rng = np.random.default_rng(3)
+    n = sum(counts)
+    layout, neighbours = gaspower.cweno._layout(counts, periodic), _neighbours(counts, periodic)
+    rho = 1.0 + np.abs(_jumpy_rows(rng, n)[0]) / 250.0
+    v = np.array([rho, rng.uniform(-0.5, 0.5, n) * rho])
+    eps = np.repeat(rng.uniform(1e-3, 1e-1, len(counts)) ** 2, counts)
+    gaspower.cweno._reconstruct(v, eps, layout)
+    assert layout.edges[0].min() > 0.0
+    got = gaspower.cweno._llf_flux(layout.edges, law)
+    left, right = _reconstruct_gathered(v, eps, neighbours)
+    expected = _two_call_flux(right, np.take(left, neighbours.right, axis=1), law)
+    inner = np.setdiff1d(np.arange(n), [] if periodic else layout.last)
+    assert got[:, inner].tobytes() == expected[:, inner].tobytes()
 
 
 def test_reconstruction_of_constant_rows_is_exact():
@@ -402,7 +513,7 @@ def test_llf_flux_is_the_two_call_form_bit_for_bit():
     expected[0] += u_m[1] + u_p[1]
     expected[1] += p_m + u_m[1] * v_m + p_p + u_p[1] * v_p
     expected *= 0.5
-    assert gaspower.cweno._llf_flux(u_m, u_p, law).tobytes() == expected.tobytes()
+    assert gaspower.cweno._llf_flux(_edges(u_m, u_p), law).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("spec", ["gamma(1.0,1.4)", "sum_gamma", "isothermal(1.0)"])
@@ -412,6 +523,84 @@ def test_llf_flux_matches_the_flux_average_form(spec):
     rho = rng.uniform(0.5, 5.0, (2, 200))
     u_m = np.array([rho[0], rng.uniform(-0.5, 0.5, 200) * rho[0]])
     u_p = np.array([rho[1], rng.uniform(-0.5, 0.5, 200) * rho[1]])
-    got = gaspower.cweno._llf_flux(u_m, u_p, law)
+    got = gaspower.cweno._llf_flux(_edges(u_m, u_p), law)
     expected = _llf_flux_oracle(u_m, u_p, law)
     np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14)
+
+
+def _gathered_rhs(sim, u, t_stage, layout, eps):
+    """A stage with the edges of ``_reconstruct_gathered``, the flux of
+    ``_two_call_flux`` and the left fluxes gathered from the right ones."""
+    cells = sim.layout
+    dx, x = cells.dx, cells.x
+    neighbours = _neighbours(cells.counts, sim.periodic)
+    left, right = _reconstruct_gathered(u, dx * dx, neighbours)
+    f_right = _two_call_flux(right, np.take(left, neighbours.right, axis=1), sim.law)
+    f_left = np.take(f_right, neighbours.left, axis=1)
+    gaspower.cweno._end_fluxes(sim, u, layout, t_stage, f_left, f_right)
+    mass_rate = float(np.dot(cells.pipe_area,
+                             f_left[0, layout.first] - f_right[0, layout.last]))
+    d = -(f_right - f_left) / dx
+    d[1] += sim.friction.source(u[0], u[1], cells.diameter, cells.roughness)
+    if sim.extra_source is not None:
+        h = gaspower.cweno._GAUSS_OFFSET * dx
+        for row, ga, gb in zip(d, sim.extra_source(x - h, t_stage, u[0], u[1]),
+                               sim.extra_source(x + h, t_stage, u[0], u[1])):
+            row += 0.5 * (np.asarray(ga) + np.asarray(gb))
+    return d, mass_rate
+
+
+def _periodic_pipe(law, friction=True):
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0, 0.5, 1e-3), 40, law).set_profile(
+        lambda x: 2.5 + 0.3 * np.sin(2.0 * math.pi * x),
+        lambda x: 0.3 + 0.1 * np.cos(2.0 * math.pi * x))
+    return GasSimulation(grids=[grid], periodic=True,
+                         friction=FrictionModel(eta=1e-4, enabled=friction),
+                         extra_source=lambda x, t, rho, q: (0.01 * np.sin(x + t), 0.0 * x))
+
+
+@pytest.mark.parametrize("build", [
+    _periodic_pipe,
+    _unequal_network,
+    functools.partial(_unequal_network, friction=False),
+], ids=["periodic", "compressor", "compressor-no-friction"])
+@pytest.mark.parametrize("spec", ["gamma(1.0,1.4)", "sum_gamma"])
+def test_steps_match_the_gathered_stage_bit_for_bit(spec, build, monkeypatch):
+    """A periodic pipe with friction and a source, and a network with a
+    compressor, a draw and every boundary kind, end bit for bit where
+    stages that gather neighbours and take the flux per side end."""
+    law = parse_law(spec)
+    sim = build(law)
+    for _ in range(20):
+        cweno3_step(sim, 2e-3)
+    monkeypatch.setattr(gaspower.cweno, "_rhs", _gathered_rhs)
+    gathered = build(law)
+    for _ in range(20):
+        cweno3_step(gathered, 2e-3)
+    assert sim.state.tobytes() == gathered.state.tobytes()
+
+
+def test_simulations_of_one_layout_stepped_in_turn_match_each_run_alone(
+        benchmark_law):
+    """Two simulations of one cell layout share its work arrays; stepped in
+    turn, each ends bit for bit where it ends when run alone."""
+    def pair():
+        first, second = (_unequal_network(benchmark_law) for _ in range(2))
+        second.state[0] *= 1.01
+        return first, second
+
+    alone = []
+    for k in range(2):
+        sim = pair()[k]
+        for _ in range(10):
+            cweno3_step(sim, 2e-3)
+        alone.append(sim.state.copy())
+    gaspower.cweno._layout.cache_clear()
+    in_turn = pair()
+    for _ in range(10):
+        for sim in in_turn:
+            cweno3_step(sim, 2e-3)
+    assert gaspower.cweno._layout.cache_info().misses == 1
+    for sim, state in zip(in_turn, alone):
+        assert sim.state.tobytes() == state.tobytes()
+    assert not np.array_equal(alone[0], alone[1])
