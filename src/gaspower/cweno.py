@@ -15,7 +15,8 @@ for all pipes. A layout cached per network layout holds the pipe ends and
 the stage workspace. Its difference row of all N + 1 interfaces (the outer
 ones 0, or the wrapped difference on a periodic pipe) gives every cell both
 slopes, and its side weights are formed once per interface; an interface
-between two pipes only reaches end cells. Its edge buffer holds the right
+between two pipes, whose slope mixes them, only reaches end cells, which
+fall back to first order. Its edge buffer holds the right
 edges, a spare column and the left edges, so the plus side of every right
 interface is a shifted slice, and the flux evaluates the law once on the
 whole density row. The workspace is overwritten by every stage on the
@@ -93,21 +94,14 @@ def _layout(counts: tuple, periodic: bool, junctions: tuple = ()) -> _Layout:
 
 def _reconstruct(v: np.ndarray, eps: np.ndarray, layout: _Layout):
     """Interface values (left edge, right edge) of each cell of the stacked
-    rows ``v``; ``eps`` is dx^2 per cell.
-
-    The edges are views of ``layout.edges``, valid until the next call on
-    that layout. Slopes and side weights are formed once per interface: the
-    difference row ``d`` gives every cell its left slope ``d[:, :-1]`` and
-    its right slope ``d[:, 1:]``. An interface between two pipes, whose
-    slope and weight mix them, only reaches end cells, which fall back to
-    first order.
-    """
+    rows ``v``, as views of ``layout.edges`` valid until the next call on
+    that layout; ``eps`` is dx^2 per cell."""
     n = v.shape[1]
     d, a, edges = layout.slopes, layout.weights, layout.edges
     np.subtract(v[:, 1:], v[:, :-1], out=d[:, 1:-1])
     if layout.periodic:
         d[:, 0] = d[:, -1] = v[:, 0] - v[:, -1]
-    sl, sr = d[:, :-1], d[:, 1:]
+    sl, sr = d[:, :-1], d[:, 1:]  # every cell's left and right slope
     p1, p2 = sl + sr, sr - sl
     p1 *= 0.5
     p2 *= 0.5
