@@ -75,6 +75,18 @@ def test_grid_subsonic_check_rejects_non_positive_density(law, rho):
         grid.check_subsonic()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("law", [GammaLaw(1.0, 1.4), SumGammaLaw()], ids=["gamma", "sum_gamma"])
+@pytest.mark.parametrize("rho", [-0.5, 0.0, math.inf])
+def test_state_check_of_a_bad_density_raises_no_runtime_warning(law, rho):
+    """The one-pass check hands the law only densities in (0, inf), so a bad
+    density ends in its categorized error without a NumPy warning."""
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 4, law).fill(1.0, 0.1)
+    grid.rho[1] = rho
+    with pytest.raises(NumericsError, match=r"^pipe P: non-\S+ (state|density) at x=0\.375"):
+        grid.check_subsonic()
+
+
 def test_grid_subsonic_check_rejects_nan_sound_speed():
     class NanSoundSpeed(IsothermalLaw):
         def c(self, rho):
