@@ -12,13 +12,20 @@ clamped at a small floor: below it lambda is the floor value and the drag
 lambda * q * max(|q|, q_floor) is the straight line through the origin,
 which keeps S continuous and odd in q. A non-finite friction factor raises
 ``ConvergenceError``.
+
+One evaluation at an iterate yields :class:`FrictionTerms`: the clamped
+Reynolds numbers, lambda, the drag, q_floor and S. The derivatives of S at
+the same iterate need exactly these terms, so an implicit scheme that has
+evaluated the source hands them to
+:meth:`FrictionModel.source_with_derivatives`, which then solves nothing
+and recomputes none of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -47,8 +54,9 @@ def colebrook_friction_factor(reynolds, diameter, roughness):
         f = x2 - 0.2
         for _ in range(2):
             s = x1 + f
-            e = (np.log(s) + f - x2) / (1.0 + s)
-            f = f - (1.0 + s + 0.5 * e) * e * s / (1.0 + s + e * (1.0 + e / 3.0))
+            t = 1.0 + s
+            e = (np.log(s) + f - x2) / t
+            f = f - (t + 0.5 * e) * e * s / (t + e * (1.0 + e / 3.0))
         lam = (0.5 * _LN10 / f) ** 2
     if not np.all(np.isfinite(lam)):
         d, k = ("/".join(f"{v:g}" for v in np.unique(a)) for a in (diameter, roughness))
@@ -79,6 +87,16 @@ def friction_source(rho, q, pipe, model: "FrictionModel | None" = None):
     return model.source(rho, q, pipe.diameter, pipe.roughness)
 
 
+class FrictionTerms(NamedTuple):
+    """The friction terms of one iterate, in the shapes of its nodes."""
+
+    reynolds: np.ndarray   # Re = |q| d/eta, clamped at the floor
+    lam: np.ndarray        # Colebrook friction factor at ``reynolds``
+    drag: np.ndarray       # lambda * q * max(|q|, q_floor)
+    q_floor: np.ndarray    # momentum at the Reynolds floor
+    source: np.ndarray     # S = -drag/(2 d rho)
+
+
 @dataclass
 class FrictionModel:
     """Momentum friction source with Reynolds-floor regularization.
@@ -95,48 +113,36 @@ class FrictionModel:
             raise DomainError(
                 f"viscosity must be positive and finite, got {self.eta}")
 
-    def _reynolds(self, q, diameter):
-        return np.maximum(np.abs(q) * diameter / self.eta, self.re_floor)
-
-    def factor(self, q, diameter, roughness):
-        """lambda at Re = |q| d/eta clamped at the floor: one Colebrook solve."""
-        return colebrook_friction_factor(
-            self._reynolds(np.asarray(q, dtype=float), diameter), diameter, roughness)
-
-    def _drag(self, q, diameter, lam):
-        """lambda * q * max(|q|, q_floor) and q_floor, the momentum at the
-        Reynolds floor."""
-        q_floor = self.re_floor * self.eta / diameter
-        return lam * q * np.maximum(np.abs(q), q_floor), q_floor
-
-    def source(self, rho, q, diameter, roughness, lam=None):
-        """S(rho, q); zero when friction is disabled.
-
-        ``lam``, when given, is ``factor(q, diameter, roughness)`` of an
-        earlier call and saves the Colebrook solve.
-        """
+    def terms(self, rho, q, diameter, roughness) -> FrictionTerms:
+        """The terms of S(rho, q) with friction enabled: one Colebrook solve."""
         rho = np.asarray(rho, dtype=float)
-        if not self.enabled:
-            return np.zeros_like(rho)
         q = np.asarray(q, dtype=float)
-        if lam is None:
-            lam = self.factor(q, diameter, roughness)
-        drag = self._drag(q, diameter, lam)[0]
-        return -drag / (2.0 * diameter * rho)
+        re = np.maximum(np.abs(q) * diameter / self.eta, self.re_floor)
+        lam = colebrook_friction_factor(re, diameter, roughness)
+        q_floor = self.re_floor * self.eta / diameter
+        drag = lam * q * np.maximum(np.abs(q), q_floor)
+        return FrictionTerms(re, lam, drag, q_floor, -drag / (2.0 * diameter * rho))
 
-    def source_with_derivatives(self, rho, q, diameter, roughness, lam=None):
-        """(S, dS/drho, dS/dq) for implicit time integration; ``lam`` as in
-        :meth:`source`."""
+    def source(self, rho, q, diameter, roughness):
+        """S(rho, q); zero when friction is disabled."""
+        if not self.enabled:
+            return np.zeros_like(np.asarray(rho, dtype=float))
+        return self.terms(rho, q, diameter, roughness).source
+
+    def source_with_derivatives(self, rho, q, diameter, roughness, terms=None):
+        """(S, dS/drho, dS/dq) for implicit time integration.
+
+        ``terms``, when given, are ``terms(rho, q, diameter, roughness)`` of
+        an earlier call at the same iterate and save their evaluation.
+        """
         rho = np.asarray(rho, dtype=float)
         q = np.asarray(q, dtype=float)
         if not self.enabled:
             z = np.zeros_like(rho)
             return z, z.copy(), z.copy()
-        re = self._reynolds(q, diameter)
-        if lam is None:
-            lam = colebrook_friction_factor(re, diameter, roughness)
-        drag, q_floor = self._drag(q, diameter, lam)
-        s = -drag / (2.0 * diameter * rho)
+        if terms is None:
+            terms = self.terms(rho, q, diameter, roughness)
+        re, lam, _, q_floor, s = terms
         ds_drho = -s / rho
 
         dlam_dre = _colebrook_dlambda_dre(lam, re, diameter, roughness)

@@ -40,10 +40,11 @@ runs one step at a time: a Jacobian holds until the next one of its layout.
 
 Newton evaluates the residual first and builds a Jacobian only before a
 Newton step, so line-search trials and the converged iterate cost one
-residual each, and the Jacobian reuses the friction factor of the residual
-at its iterate. The Jacobian is the analytic flux and friction one; rows are
-normalized by the magnitude of their constituent terms so the convergence
-test is meaningful in SI units.
+residual each, and the Jacobian reuses the friction terms of the residual
+at its iterate. The junction rows work on Python floats: one gather takes
+the density and momentum of every junction port. The Jacobian is the
+analytic flux and friction one; rows are normalized by the magnitude of
+their constituent terms so the convergence test is meaningful in SI units.
 
 The scheme is unconditionally stable for sub-sonic flow but is meant to run
 *above* the usual CFL limit: steps below dx/min|lambda| trigger a warning
@@ -84,7 +85,8 @@ class _Layout:
     box: np.ndarray        # pair-array entry of every mass/momentum row
     bc_cols: np.ndarray    # column of every boundary row
     bc_rows: slice
-    junctions: tuple       # per junction: first row, port columns, port signs
+    junctions: tuple       # per junction: first row, its slice of ports, port signs
+    ports: np.ndarray      # (rho, q) columns of every junction port, in order
     kl: int                # sub- and super-diagonals of the ordered matrix
     ku: int
     row_order: np.ndarray  # band row i holds Jacobian row row_order[i]
@@ -97,8 +99,8 @@ class _Layout:
     def __post_init__(self):
         # One cached layout serves every step of its networks; its work
         # arrays stay writable.
-        for array in (self.box, self.bc_cols, self.row_order, self.col_order,
-                      self.pos):
+        for array in (self.box, self.bc_cols, self.ports, self.row_order,
+                      self.col_order, self.pos):
             array.flags.writeable = False
 
     @property
@@ -145,13 +147,15 @@ def _layout(counts: tuple, periodic: bool, boundaries: tuple,
     rows = [rr] * 4 + [rr + 1] * 4 + [2 * a.size + np.arange(bc_cols.size)]
     cols = [ra, ra + 1, rb, rb + 1] * 2 + [bc_cols]
     row = 2 * a.size + bc_cols.size
-    ports = []
+    ports, port_cols = [], []
     for ends in junctions:
         bases = np.array([end_cols[end][i] for i, end in ends])
         n = bases.size
         rows += [row + np.arange(n - 1)] * 2 + [np.full(n, row + n - 1)]
         cols += [bases[1:], np.full(n - 1, bases[0]), bases + 1]
-        ports.append((row, tuple(bases.tolist()),
+        first = len(port_cols)
+        port_cols += [(c, c + 1) for c in bases.tolist()]
+        ports.append((row, slice(first, len(port_cols)),
                       tuple(1.0 if end == "end" else -1.0 for _, end in ends)))
         row += n
     if row != size:
@@ -185,7 +189,9 @@ def _layout(counts: tuple, periodic: bool, boundaries: tuple,
     return _Layout(
         size=size, box=(2 * a[:, None] + np.arange(2)).ravel(), bc_cols=bc_cols,
         bc_rows=slice(2 * a.size, 2 * a.size + bc_cols.size),
-        junctions=tuple(ports), kl=kl, ku=ku, row_order=row_order,
+        junctions=tuple(ports),
+        ports=np.array(port_cols, dtype=np.intp).reshape(-1, 2), kl=kl, ku=ku,
+        row_order=row_order,
         col_order=col_order, pos=pos, storage=np.zeros(size * ldab + 1),
         values=values, work=np.empty((ldab, size), order="F"))
 
@@ -273,18 +279,18 @@ class _Assembler:
         self.x_old[0::2], self.x_old[1::2] = sim.state[:, :self.active]
         self.bc_targets = np.array(targets)
         self._bc_scale = np.abs(self.bc_targets)
-        # Junctions: first row, port columns, ratios, signs and extraction.
+        # Junctions: first row, slice of ports, ratios, signs and extraction.
         self.junctions = [
-            (row, bases, [p.pressure_ratio for p in junction.ports], signs,
+            (row, ports, [p.pressure_ratio for p in junction.ports], signs,
              junction.extraction)
-            for (row, bases, signs), junction in zip(lay.junctions, sim.junctions)
+            for (row, ports, signs), junction in zip(lay.junctions, sim.junctions)
         ]
         # Per-node geometry of the stacked network, for one friction call.
         self.x_nodes = self._closed(nodes.x[:self.active], 1)
         self.diameter = nodes.diameter
         self.roughness = nodes.roughness
         self._sourced = sim.friction.enabled or sim.extra_source is not None
-        # The last residual's q and friction factor, for the Jacobian there.
+        # The last residual's iterate and friction terms, for the Jacobian there.
         self._friction_at = (None, None)
         # Terms of the pair rows that the step fixes.
         u_old = self._closed(self.x_old, 2)
@@ -318,9 +324,10 @@ class _Assembler:
             (idx, end), column = list(self.sim.boundaries)[k], int(lay.bc_cols[k])
             return (f"pipe {self.sim.grids[idx].pipe.id} {end} "
                     f"({'q' if column % 2 else 'rho'} boundary)")
-        for (first, bases, *_), junction in zip(self.junctions, self.sim.junctions):
-            if row < first + len(bases):
-                kind = "mass" if row == first + len(bases) - 1 else "pressure"
+        for (first, _, ratios, *_), junction in zip(self.junctions,
+                                                    self.sim.junctions):
+            if row < first + len(ratios):
+                kind = "mass" if row == first + len(ratios) - 1 else "pressure"
                 return f"junction {junction.node} ({kind})"
         raise IndexError(f"row {row} is not a row of the box system")
 
@@ -356,25 +363,28 @@ class _Assembler:
         g = self.sim.extra_source(self.x_nodes, self.t_new, rho, q)
         return [np.asarray(v, dtype=float) for v in g]
 
-    def _sources(self, rho, q):
-        """(G_rho, G_q) at the new time level."""
+    def _sources(self, x, rho, q):
+        """(G_rho, G_q) at the new time level, at iterate ``x``."""
         friction = self.sim.friction
-        lam = (friction.factor(q, self.diameter, self.roughness)
-               if friction.enabled else None)
-        self._friction_at = (q.copy(), lam)
-        s = friction.source(rho, q, self.diameter, self.roughness, lam)
+        if friction.enabled:
+            terms = friction.terms(rho, q, self.diameter, self.roughness)
+            self._friction_at = (x.copy(), terms)
+            s = terms.source
+        else:
+            s = np.zeros_like(rho)
         if self.sim.extra_source is None:
             return np.zeros_like(rho), s
         e_r, e_q = self._extra(rho, q)
         return e_r, s + e_q
 
-    def _source_derivatives(self, rho, q):
-        """((dG_rho/drho, dG_rho/dq), (dG_q/drho, dG_q/dq)) at the new time level."""
-        q_known, lam = self._friction_at
-        if not np.array_equal(q, q_known):
-            lam = None
+    def _source_derivatives(self, x, rho, q):
+        """((dG_rho/drho, dG_rho/dq), (dG_q/drho, dG_q/dq)) at the new time
+        level, at iterate ``x``."""
+        x_known, terms = self._friction_at
+        if not np.array_equal(x, x_known):
+            terms = None
         _, ds_drho, ds_dq = self.sim.friction.source_with_derivatives(
-            rho, q, self.diameter, self.roughness, lam
+            rho, q, self.diameter, self.roughness, terms
         )
         if self.sim.extra_source is None:
             zero = np.zeros_like(rho)
@@ -404,7 +414,7 @@ class _Assembler:
                       + r * (af[:-2] + af[2:]))
         if self._sourced:
             g = np.empty_like(u)
-            g[0::2], g[1::2] = self._sources(rho, q)
+            g[0::2], g[1::2] = self._sources(x, rho, q)
             ag = np.abs(g)
             pair_res -= h * (g[:-2] + g[2:])
             pair_scale += h * (ag[:-2] + ag[2:])
@@ -417,12 +427,13 @@ class _Assembler:
         residual[lay.bc_rows] = x_bc - self.bc_targets
         scale[lay.bc_rows] = np.abs(x_bc) + self._bc_scale
         # Junctions: pressure equality (with compressor ratios), then mass.
-        for row, bases, ratios, signs, eps in self.junctions:
-            p = [float(law.p(x[c])) * k for c, k in zip(bases, ratios)]
+        ports = x[lay.ports].tolist()
+        for row, at, ratios, signs, eps in self.junctions:
+            p = [float(law.p(rho)) * k for (rho, _), k in zip(ports[at], ratios)]
             total, s = -eps, abs(eps)
-            for c, sign in zip(bases, signs):
-                total += sign * x[c + 1]
-                s += abs(x[c + 1])
+            for (_, q), sign in zip(ports[at], signs):
+                total += sign * q
+                s += abs(q)
             end = row + len(p)
             residual[row:end] = [pk - p[0] for pk in p[1:]] + [total]
             scale[row:end] = [abs(pk) + abs(p[0]) for pk in p[1:]] + [s]
@@ -447,12 +458,13 @@ class _Assembler:
         np.multiply(r, a21[1:], out=mom_b[0])
         np.add(0.5, r * a22[1:], out=mom_b[1])
         if self._sourced:
-            dg = np.array(self._source_derivatives(rho, q))
+            dg = np.array(self._source_derivatives(x, rho, q))
             box[:, 0] -= h * dg[..., :-1]
             box[:, 1] -= h * dg[..., 1:]
         entries = []
-        for _, bases, ratios, signs, _ in self.junctions:
-            dp = [float(law.dp(x[c])) * k for c, k in zip(bases, ratios)]
+        rhos = x[lay.ports[:, 0]].tolist()
+        for _, at, ratios, signs, _ in self.junctions:
+            dp = [float(law.dp(rho)) * k for rho, k in zip(rhos[at], ratios)]
             entries += dp[1:] + [-dp[0]] * (len(dp) - 1) + list(signs)
         values[values.size - len(entries):] = entries
         storage[lay.pos] = values

@@ -65,6 +65,15 @@ class TransmissionLine:
 
 @dataclass
 class PowerGrid:
+    """Buses and lines of a power grid, fixed at build.
+
+    Building the grid forms what its topology determines, once: the bus ids
+    and their positions, the slack index, the admittance and the positions
+    of the non-slack (``pvpq``) and PQ (``pq``) buses, whose order is that
+    of the mismatch rows. The set-points P, Q, |V| and phi of the buses stay
+    mutable and are read at every solve.
+    """
+
     buses: list[Bus]
     lines: list[TransmissionLine]
 
@@ -72,7 +81,7 @@ class PowerGrid:
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise DomainError("duplicate bus ids")
-        slack = [b for b in self.buses if b.kind == "slack"]
+        slack = [k for k, b in enumerate(self.buses) if b.kind == "slack"]
         if len(slack) != 1:
             raise DomainError(f"need exactly one slack bus, found {len(slack)}")
         known = set(ids)
@@ -81,16 +90,27 @@ class PowerGrid:
                 raise DomainError(
                     f"line {line.from_bus}-{line.to_bus} references unknown bus"
                 )
+        self.bus_ids = tuple(ids)
+        self._positions = {bus_id: k for k, bus_id in enumerate(ids)}
+        self.slack_index = slack[0]
+        self.admittance = build_admittance(self.buses, self.lines)
+        pvpq = [k for k, b in enumerate(self.buses) if b.kind != "slack"]
+        pq = [k for k, b in enumerate(self.buses) if b.kind == "PQ"]
+        self.pvpq, self.pq = np.array(pvpq, dtype=np.intp), np.array(pq, dtype=np.intp)
+        self._pvpq_buses = [self.buses[k] for k in pvpq]
+        self._pq_buses = [self.buses[k] for k in pq]
 
     def index(self, bus_id: str) -> int:
-        for k, b in enumerate(self.buses):
-            if b.id == bus_id:
-                return k
-        raise DomainError(f"unknown bus {bus_id!r}")
+        try:
+            return self._positions[bus_id]
+        except KeyError:
+            raise DomainError(f"unknown bus {bus_id!r}") from None
 
-    @property
-    def slack_index(self) -> int:
-        return next(k for k, b in enumerate(self.buses) if b.kind == "slack")
+    def set_points(self) -> np.ndarray:
+        """The set-points the mismatch rows meet, as they are now: P at the
+        non-slack buses, then Q at the PQ buses."""
+        return np.array([b.P for b in self._pvpq_buses]
+                        + [b.Q for b in self._pq_buses], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -151,18 +171,15 @@ def injections(y: np.ndarray, vmag: np.ndarray, phi: np.ndarray):
     return s.real, s.imag
 
 
-def mismatch(state: tuple[np.ndarray, np.ndarray], grid: PowerGrid,
-             y: np.ndarray | None = None) -> np.ndarray:
+def mismatch(state: tuple[np.ndarray, np.ndarray], grid: PowerGrid) -> np.ndarray:
     """Residual vector [dP at non-slack buses, dQ at PQ buses]."""
     vmag, phi = state
-    if y is None:
-        y = build_admittance(grid.buses, grid.lines)
-    p_calc, q_calc = injections(y, vmag, phi)
-    dp = [p_calc[k] - grid.buses[k].P
-          for k, b in enumerate(grid.buses) if b.kind != "slack"]
-    dq = [q_calc[k] - grid.buses[k].Q
-          for k, b in enumerate(grid.buses) if b.kind == "PQ"]
-    return np.array(dp + dq)
+    return _mismatch(grid, vmag, phi, grid.set_points())
+
+
+def _mismatch(grid: PowerGrid, vmag, phi, set_points: np.ndarray) -> np.ndarray:
+    p_calc, q_calc = injections(grid.admittance, vmag, phi)
+    return np.concatenate((p_calc[grid.pvpq], q_calc[grid.pq])) - set_points
 
 
 def _jacobian(y, vmag, phi, pvpq, pq):
@@ -191,14 +208,14 @@ def solve_newton(grid: PowerGrid, initial="flat") -> PowerFlowSolution:
     the injection equations afterwards.
     """
     n = len(grid.buses)
-    y = build_admittance(grid.buses, grid.lines)
-    kinds = [b.kind for b in grid.buses]
-    pvpq = [k for k in range(n) if kinds[k] != "slack"]
-    pq = [k for k in range(n) if kinds[k] == "PQ"]
-
+    y, pvpq, pq = grid.admittance, grid.pvpq, grid.pq
     vmag = np.ones(n)
     phi = np.zeros(n)
     if isinstance(initial, PowerFlowSolution):
+        if initial.bus_ids != grid.bus_ids:
+            raise DomainError(
+                f"warm start from a solution on buses {list(initial.bus_ids)} "
+                f"for a grid on buses {list(grid.bus_ids)}")
         vmag = initial.V.copy()
         phi = initial.phi.copy()
     for k, b in enumerate(grid.buses):
@@ -207,16 +224,17 @@ def solve_newton(grid: PowerGrid, initial="flat") -> PowerFlowSolution:
         if b.kind == "slack":
             phi[k] = b.phi
 
-    residual = mismatch((vmag, phi), grid, y)
+    set_points = grid.set_points()
+    residual = _mismatch(grid, vmag, phi, set_points)
     norm = float(np.max(np.abs(residual))) if residual.size else 0.0
     iterations = 0
     while not norm <= NEWTON_TOL:
         if not np.isfinite(norm):
             # Residual rows are the non-slack P equations, then the PQ Q ones.
-            bus = (pvpq + pq)[int(np.argmax(~np.isfinite(residual)))]
+            bus = np.concatenate((pvpq, pq))[int(np.argmax(~np.isfinite(residual)))]
             raise ConvergenceError(
                 f"power flow mismatch is not finite at bus "
-                f"{grid.buses[bus].id} after {iterations} iterations"
+                f"{grid.bus_ids[bus]} after {iterations} iterations"
             )
         if iterations >= NEWTON_MAX_ITER:
             raise ConvergenceError(
@@ -230,19 +248,18 @@ def solve_newton(grid: PowerGrid, initial="flat") -> PowerFlowSolution:
             raise ConvergenceError(
                 f"power flow Jacobian is singular in iteration {iterations + 1}"
             ) from None
-        phi[pvpq] += step[:len(pvpq)]
-        vmag[pq] += step[len(pvpq):]
-        residual = mismatch((vmag, phi), grid, y)
+        phi[pvpq] += step[:pvpq.size]
+        vmag[pq] += step[pvpq.size:]
+        residual = _mismatch(grid, vmag, phi, set_points)
         norm = float(np.max(np.abs(residual)))
         iterations += 1
 
+    # Set-points as given; the slack's P and Q and the PV buses' Q computed.
     p_calc, q_calc = injections(y, vmag, phi)
-    p_out = np.array([b.P if b.kind != "slack" else p_calc[k]
-                      for k, b in enumerate(grid.buses)], dtype=float)
-    q_out = np.array([b.Q if b.kind == "PQ" else q_calc[k]
-                      for k, b in enumerate(grid.buses)], dtype=float)
+    p_out, q_out = p_calc.copy(), q_calc.copy()
+    p_out[pvpq] = set_points[:pvpq.size]
+    q_out[pq] = set_points[pvpq.size:]
     return PowerFlowSolution(
-        bus_ids=tuple(b.id for b in grid.buses),
-        P=p_out, Q=q_out, V=vmag.copy(), phi=phi.copy(),
+        bus_ids=grid.bus_ids, P=p_out, Q=q_out, V=vmag.copy(), phi=phi.copy(),
         iterations=iterations, mismatch_norm=norm,
     )

@@ -496,25 +496,40 @@ def test_junction_port_rejects_bad_compressor_ratios(ratio):
 def test_jacobian_reuses_the_friction_factor_of_the_same_iterate(
         monkeypatch, benchmark_law):
     """After a residual at the same iterate the Jacobian skips its Colebrook
-    solve and is bit for bit the one built from scratch; after a residual
-    elsewhere it solves again."""
+    solve, computes no Reynolds numbers and no drag, and is bit for bit the
+    one built from scratch. After a residual elsewhere, also at the same
+    momenta but other densities (S depends on them), it evaluates again."""
     asm = _Assembler(_three_pipe_network(benchmark_law), 0.5, 0.5)
     x = asm.x_old
     y = x * (1.0 + 1e-3 * np.cos(np.arange(asm.size)))
     fresh = asm.jacobian(y).toarray()
-    calls = []
+    same_q = y.copy()
+    same_q[0::2] = x[0::2]
+    assert np.all(same_q[0::2] != y[0::2])
+    calls, evaluations = [], []
 
     def counted(*args):
         calls.append(1)
         return colebrook_friction_factor(*args)
 
+    terms = FrictionModel.terms
+
+    def counted_terms(self, *args):
+        # The Reynolds numbers, the drag and S of one iterate.
+        evaluations.append(1)
+        return terms(self, *args)
+
     monkeypatch.setattr(gaspower.friction, "colebrook_friction_factor", counted)
+    monkeypatch.setattr(FrictionModel, "terms", counted_terms)
     asm.residual(x)
     np.testing.assert_array_equal(asm.jacobian(y).toarray(), fresh)
-    assert len(calls) == 2
+    assert len(calls) == len(evaluations) == 2
     asm.residual(y)
     np.testing.assert_array_equal(asm.jacobian(y).toarray(), fresh)
-    assert len(calls) == 3
+    assert len(calls) == len(evaluations) == 3
+    asm.residual(same_q)
+    np.testing.assert_array_equal(asm.jacobian(y).toarray(), fresh)
+    assert len(calls) == len(evaluations) == 5
 
 
 def _reference_assembly(sim, dt, x):

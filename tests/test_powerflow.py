@@ -15,6 +15,7 @@ from gaspower.powerflow import (
     PowerGrid,
     TransmissionLine,
     build_admittance,
+    injections,
     mismatch,
     solve_newton,
 )
@@ -76,6 +77,13 @@ def test_duplicate_line_rejected():
                          + [TransmissionLine("N4", "N1", 0.0, 1.0)])
 
 
+def test_duplicate_line_is_rejected_when_the_grid_is_built():
+    with pytest.raises(DomainError,
+                       match="duplicate transmission line between N4 and N1"):
+        PowerGrid([Bus(**vars(b)) for b in NINE_BUS],
+                  NINE_LINES + [TransmissionLine("N4", "N1", 0.0, 1.0)])
+
+
 # -- grid validation -------------------------------------------------------------
 
 
@@ -108,6 +116,29 @@ def test_flat_two_bus_network_has_zero_mismatch():
     assert np.max(np.abs(residual)) < 1e-14
 
 
+def _listed_mismatch(state, grid):
+    """The mismatch formed bus by bus from the bus records, as an oracle."""
+    vmag, phi = state
+    y = build_admittance(grid.buses, grid.lines)
+    p_calc, q_calc = injections(y, vmag, phi)
+    dp = [p_calc[k] - grid.buses[k].P
+          for k, b in enumerate(grid.buses) if b.kind != "slack"]
+    dq = [q_calc[k] - grid.buses[k].Q
+          for k, b in enumerate(grid.buses) if b.kind == "PQ"]
+    return np.array(dp + dq)
+
+
+def test_mismatch_matches_the_bus_by_bus_form_bit_for_bit():
+    grid = nine_bus_grid()
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        vmag = 1.0 + 0.1 * rng.uniform(-1, 1, 9)
+        phi = 0.3 * rng.uniform(-1, 1, 9)
+        grid.buses[int(rng.integers(1, 9))].P = float(rng.uniform(-2, 2))
+        fast = mismatch((vmag, phi), grid)
+        assert fast.tobytes() == _listed_mismatch((vmag, phi), grid).tobytes()
+
+
 def test_converged_solution_has_tiny_mismatch():
     grid = nine_bus_grid()
     sol = solve_newton(grid)
@@ -132,7 +163,7 @@ def test_jacobian_matches_finite_differences():
         ph = phi.copy()
         ph[pvpq] = x[:len(pvpq)]
         v[pq] = x[len(pvpq):]
-        return mismatch((v, ph), grid, y)
+        return mismatch((v, ph), grid)
 
     x0 = np.concatenate([phi[pvpq], vmag[pq]])
     fd = np.empty_like(jac)
@@ -189,6 +220,39 @@ def test_warm_start_reuses_previous_solution():
     warm = solve_newton(grid, initial=cold)
     assert warm.iterations <= 1
     assert np.allclose(warm.phi, cold.phi, atol=1e-10)
+
+
+def test_set_points_changed_between_solves_are_honoured():
+    """P and Q of a PQ bus and |V| of a PV bus set after a solve are met by
+    the next one, bit for bit as on a grid built with them."""
+    grid = nine_bus_grid()
+    first = solve_newton(grid)
+    n5, n2 = grid.buses[4], grid.buses[1]
+    n5.P, n5.Q, n2.V = -1.4, -0.45, 1.02
+    changed = solve_newton(grid)
+    built = nine_bus_grid()
+    built.buses[4].P, built.buses[4].Q, built.buses[1].V = -1.4, -0.45, 1.02
+    reference = solve_newton(built)
+    assert (changed.P[4], changed.Q[4], changed.V[1]) == (-1.4, -0.45, 1.02)
+    assert changed.P[0] > first.P[0]
+    for name in ("P", "Q", "V", "phi"):
+        assert getattr(changed, name).tobytes() == getattr(reference, name).tobytes()
+    assert np.max(np.abs(mismatch((changed.V, changed.phi), grid))) <= NEWTON_TOL
+
+
+def test_warm_start_from_another_grid_is_a_domain_error():
+    two = PowerGrid([Bus("S", "slack", V=1.0, G=0.0, B=-4.0),
+                     Bus("A", "PQ", P=-0.5, Q=-0.1, G=0.0, B=-4.0)],
+                    [TransmissionLine("S", "A", 0.0, 4.0)])
+    three = PowerGrid([Bus("S", "slack", V=1.0, G=0.0, B=-8.0),
+                       Bus("A", "PQ", P=-0.5, Q=-0.1, G=0.0, B=-7.0),
+                       Bus("B", "PQ", P=-0.2, Q=0.0, G=0.0, B=-3.0)],
+                      [TransmissionLine("S", "A", 0.0, 4.0),
+                       TransmissionLine("A", "B", 0.0, 3.0),
+                       TransmissionLine("S", "B", 0.0, 4.0)])
+    with pytest.raises(DomainError,
+                       match=r"buses \['S', 'A'\] .* buses \['S', 'A', 'B'\]"):
+        solve_newton(three, initial=solve_newton(two))
 
 
 def test_global_angle_shift_preserves_the_flows():
