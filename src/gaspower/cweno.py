@@ -27,7 +27,8 @@ to its ports, read at once through the layout: by ``junction_traces`` on
 floats, or by ``solve_multi_junction`` where a port has a compressor ratio
 other than 1. The trace fluxes are the end fluxes of those cells, whose
 reconstruction falls back to first order. Physical boundaries enter the
-same way through wave-curve compatible states.
+same way: ``apply_boundary`` takes the end cell's density and momentum as
+floats and returns the trace's.
 """
 
 from __future__ import annotations
@@ -197,12 +198,11 @@ def _end_fluxes(sim: GasSimulation, u: np.ndarray, layout: _Layout,
     for (idx, end), bc in sim.boundaries.items():
         f, cell = (f_left, layout.first[idx]) if end == "start" else (f_right, layout.last[idx])
         try:
-            trace = apply_boundary(GasState(float(u[0, cell]), float(u[1, cell])),
-                                   bc, t_stage, law, end)
+            rho_b, q_b = apply_boundary(*u[:, cell].tolist(), bc, t_stage, law, end)
         except GasPowerError as exc:
             exc.args = (f"t={t_stage:g}, pipe {sim.grids[idx].pipe.id} {end}: {exc}",)
             raise
-        f[0, cell], f[1, cell] = flux(trace.rho, trace.q, law)
+        f[0, cell], f[1, cell] = flux(rho_b, q_b, law)
 
 
 def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout,

@@ -26,6 +26,7 @@ from .network import (
     JunctionPort,
     Pipe,
     PipeGrid,
+    constant,
 )
 from .output import ProfileOutput, TimeSeriesOutput
 from .powerflow import Bus, PowerGrid, TransmissionLine, solve_newton
@@ -35,11 +36,9 @@ from .scenario import Scenario
 def _series_function(value: tuple):
     """Turn a boundary value spec into a function of time."""
     if len(value) >= 1 and isinstance(value[0], tuple):
-        times = np.array([t for t, _ in value])
-        vals = np.array([v for _, v in value])
+        times, vals = map(np.array, zip(*value))
         return lambda t: float(np.interp(t, times, vals))
-    v = float(value[0])
-    return lambda t: v
+    return constant(float(value[0]))
 
 
 def build_gas_simulation(scenario: Scenario) -> GasSimulation:
@@ -110,14 +109,9 @@ def build_gas_simulation(scenario: Scenario) -> GasSimulation:
 
     boundaries = {}
     for bc in scenario.boundaries:
-        ports = ends_at[bc.node]
-        port = ports[0]
-        if bc.kind == "state":
-            rho0, q0 = bc.value
-            condition = BoundaryCondition("state", lambda t, s=(rho0, q0): s)
-        else:
-            condition = BoundaryCondition(bc.kind, _series_function(bc.value))
-        boundaries[(port.pipe_index, port.end)] = condition
+        port = ends_at[bc.node][0]
+        value = constant(bc.value) if bc.kind == "state" else _series_function(bc.value)
+        boundaries[(port.pipe_index, port.end)] = BoundaryCondition(bc.kind, value)
 
     return GasSimulation(
         grids=grids,

@@ -60,8 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GasPowerError, InvalidDemandError
-from .network import GasSimulation, StepRecord, flux_jacobian
-from .riemann import junction_max_extraction
+from .network import GasSimulation, StepRecord, apply_boundary, flux_jacobian
 
 NEWTON_TOL = 1e-10
 NEWTON_MAXITER = 50
@@ -333,7 +332,8 @@ class _Assembler:
 
     def unreachable_demand(self) -> InvalidDemandError | None:
         """The first junction extraction or ``flow`` outflow of the step at or
-        above its maximum for the step's starting states, or None."""
+        above its maximum for the step's starting states, or None. An outflow
+        is checked by its one-port solve in ``apply_boundary``."""
         # Imported here because the coupling module imports this one.
         from .coupling import link_max_extraction
 
@@ -344,19 +344,15 @@ class _Assembler:
                 return InvalidDemandError(
                     f"t={t:g}, junction {junction.node}: extraction {eps:g} is at "
                     f"or above the junction maximum {eps_max:g}", epsilon_max=eps_max)
-        for ((idx, end), bc), q_b in zip(sim.boundaries.items(), self.bc_targets):
+        for (idx, end), bc in sim.boundaries.items():
             if bc.kind != "flow":
                 continue
-            # A one-port junction, mirrored at a pipe start (see apply_boundary).
-            interior = sim.grids[idx].end_state(end)
-            if end == "start":
-                interior, q_b = interior.mirrored(), -q_b
-            eps_max = junction_max_extraction([interior], [], sim.law)
-            if q_b >= eps_max:
-                return InvalidDemandError(
-                    f"t={t:g}, pipe {sim.grids[idx].pipe.id} {end}: outflow {q_b:g} "
-                    f"is at or above the boundary maximum {eps_max:g}",
-                    epsilon_max=eps_max)
+            state = sim.grids[idx].end_state(end)
+            try:
+                apply_boundary(state.rho, state.q, bc, t, sim.law, end)
+            except InvalidDemandError as exc:
+                return InvalidDemandError(f"t={t:g}, pipe {sim.grids[idx].pipe.id} {end}: "
+                                          f"{exc}", epsilon_max=exc.epsilon_max)
         return None
 
     def _extra(self, rho, q):

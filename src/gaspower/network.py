@@ -4,14 +4,14 @@ A :class:`GasSimulation` owns one state array of the network (cell averages
 for the explicit scheme, node values for the box scheme, pipe after pipe;
 the pipe grids are views of it), junction topology with optional compressors
 and extractions, and boundary conditions. Its grids and pressure law are
-fixed when it is built; a junction's extraction is a number. Boundary values
-are completed through wave-curve compatibility with the adjacent interior
-state: a prescribed pressure fixes the boundary density and the momentum
-follows from the wave curve through the neighbouring state. A prescribed
-momentum makes the pipe end a one-port junction: the outflow plays the part
-of the extraction, and the junction solver of :mod:`gaspower.riemann` finds
-the boundary density. A left boundary is the mirror image of a right one
-(see the mirror convention in :mod:`gaspower.laxcurves`).
+fixed when it is built; a junction's extraction is a number. Boundaries enter
+through :func:`apply_boundary`, on floats: a far-field state is the trace; a
+prescribed pressure fixes the boundary density and the momentum follows from
+the wave curve through the neighbouring state. A prescribed momentum makes
+the pipe end a one-port junction: the outflow plays the part of the
+extraction, and the junction solver of :mod:`gaspower.riemann` finds the
+boundary density. A left boundary is the mirror image of a right one (see
+the mirror convention in :mod:`gaspower.laxcurves`).
 """
 
 from __future__ import annotations
@@ -89,13 +89,16 @@ class PipeGrid:
         self._u = np.empty((2, self.x.size))
 
     def fill(self, rho: float, q: float) -> "PipeGrid":
-        self.rho[:] = rho
-        self.q[:] = q
-        return self
+        return self.set_profile(lambda x: rho, lambda x: q)
 
     def set_profile(self, rho_of_x, q_of_x) -> "PipeGrid":
-        self.rho[:] = rho_of_x(self.x)
-        self.q[:] = q_of_x(self.x)
+        """Write values at ``x``; a non-finite one is a ``DomainError``."""
+        rho, q = rho_of_x(self.x), q_of_x(self.x)
+        for what, v in (("density", rho), ("momentum", q)):
+            if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+                raise DomainError(f"pipe {self.pipe.id}: {what} must be finite, "
+                                  f"got {float(np.extract(~np.isfinite(v), v)[0])}")
+        self.rho[:], self.q[:] = rho, q
         return self
 
     def end_state(self, end: str) -> GasState:
@@ -278,38 +281,44 @@ def ramp(t0: float, t1: float, v0: float, v1: float):
     return f
 
 
-def apply_boundary(adjacent: GasState, bc: BoundaryCondition, t: float,
-                   law: PressureLaw, end: str) -> GasState:
-    """Complete a boundary state from prescribed data and the interior.
+def apply_boundary(rho: float, q: float, bc: BoundaryCondition, t: float,
+                   law: PressureLaw, end: str) -> tuple[float, float]:
+    """Trace ``(rho_b, q_b)`` at a pipe end from prescribed data and the
+    adjacent interior density and momentum, all floats.
 
     ``end`` is the pipe end the condition acts on ('start' = left boundary).
-    At a right boundary the interior is reached through a 1-wave; a left
-    boundary, reached through a 2-wave, is solved as the mirrored right one
-    (see the mirror convention in :mod:`gaspower.laxcurves`). A prescribed
-    momentum makes the pipe end a one-port junction whose extraction is the
-    outflow; an unreachable outflow is an ``InvalidDemandError``.
+    A far-field ``state`` is the trace. At a right boundary the interior is
+    reached through a 1-wave; a left one, through a 2-wave, is solved as the
+    mirrored right one (see the mirror convention in :mod:`gaspower.laxcurves`).
+    A prescribed momentum makes the pipe end a one-port junction whose
+    extraction is the outflow; an unreachable one is an ``InvalidDemandError``.
     """
     if bc.kind == "state":
-        rho, q = bc.value(t)
-        return GasState(float(rho), float(q))
+        rho_b, q_b = bc.value(t)
+        rho_b, q_b = float(rho_b), float(q_b)
+        if not 0.0 < rho_b < math.inf:
+            GasState(rho_b, q_b)  # raises the DomainError of its density
+        return rho_b, q_b
 
     mirror = end == "start"
-    interior = adjacent.mirrored() if mirror else adjacent
+    if mirror:
+        q = 0.0 - q
     if bc.kind == "flow":
         q_b = float(bc.value(t))
         outflow = -q_b if mirror else q_b
         try:
-            rho_b = junction_traces([interior.rho], [interior.q], 1, outflow, law)[0]
+            rho_b = junction_traces([rho], [q], 1, outflow, law)[0]
         except InvalidDemandError as exc:
             raise InvalidDemandError(
                 f"outflow {outflow:g} is at or above the boundary maximum "
                 f"{exc.epsilon_max:g}", epsilon_max=exc.epsilon_max) from None
-        return GasState(rho_b, q_b)
+        return rho_b, q_b
+    interior = GasState(rho, q)
     target = bc.value(t)
     rho_b = (law.rho_from_pressure(target)
              if bc.kind == "pressure" else float(target))
     state = GasState(rho_b, lax_left(rho_b, interior, law))
-    return state.mirrored() if mirror else state
+    return state.rho, (0.0 - state.q if mirror else state.q)
 
 
 @dataclass(frozen=True)

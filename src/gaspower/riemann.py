@@ -6,7 +6,8 @@ with a prescribed extraction ``epsilon`` drawn at the node. The extraction is
 signed: a negative value is an injection, and any number above -inf is
 accepted (+inf is an ``InvalidDemandError`` like every demand at or above
 the supremum). A pipe end with a prescribed outflow is the one-port junction
-whose extraction is that outflow (see :func:`gaspower.network.apply_boundary`).
+whose extraction is that outflow: :func:`gaspower.network.apply_boundary`
+solves it on floats for both schemes.
 
 Outgoing pipes follow the mirror convention of :mod:`gaspower.laxcurves`:
 their data are mirrored once per solve, so that every port is an incoming one

@@ -15,6 +15,7 @@ Time is in the same unit as ``numerics.dt``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -35,21 +36,25 @@ else:
 
 
 def _value_with_unit(raw, path: str) -> float:
-    """Parse a scalar that may carry a 'bar' suffix."""
+    """Parse a finite scalar that may carry a 'bar' suffix."""
+    value = None
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
-    if isinstance(raw, str):
-        text = raw.strip()
-        if text.endswith("bar"):
-            try:
-                return float(text[:-3].strip()) * BAR
-            except ValueError:
-                pass
         try:
-            return float(text)
+            value = float(raw)
+        except OverflowError:
+            value = math.inf if raw > 0 else -math.inf
+    elif isinstance(raw, str):
+        text = raw.strip()
+        number, scale = (text[:-3], BAR) if text.endswith("bar") else (text, 1.0)
+        try:
+            value = float(number) * scale
         except ValueError:
             pass
-    raise SchemaError(f"{path}: expected a number (optionally '<x> bar'), got {raw!r}")
+    if value is None:
+        raise SchemaError(f"{path}: expected a number (optionally '<x> bar'), got {raw!r}")
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}: expected a finite number, got {value!r}")
+    return value
 
 
 class _Section:
@@ -541,18 +546,12 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.initial:
         out["initial"] = [asdict(i) for i in s.initial]
     if s.boundaries:
-        entries = []
-        for b in s.boundaries:
-            if b.kind == "state":
-                entries.append({"node": b.node, "kind": b.kind,
-                                "rho": b.value[0], "q": b.value[1]})
-            elif len(b.value) == 1:
-                entries.append({"node": b.node, "kind": b.kind,
-                                "value": b.value[0]})
-            else:
-                entries.append({"node": b.node, "kind": b.kind,
-                                "value": [[t, v] for t, v in b.value]})
-        out["boundary"] = entries
+        out["boundary"] = [
+            {"node": b.node, "kind": b.kind,
+             **({"rho": b.value[0], "q": b.value[1]} if b.kind == "state" else
+                {"value": b.value[0] if len(b.value) == 1 else [list(p) for p in b.value]})}
+            for b in s.boundaries
+        ]
     if s.extractions:
         out["extraction"] = [asdict(e) for e in s.extractions]
     if s.compressors:

@@ -30,7 +30,7 @@ from gaspower.network import (
     flux,
 )
 from gaspower.powerflow import Bus, PowerGrid, TransmissionLine
-from gaspower.riemann import solve_gas_power_junction
+from gaspower.riemann import junction_max_extraction, solve_gas_power_junction
 from gaspower.scenario import load_scenario
 
 
@@ -147,6 +147,28 @@ def test_newton_failure_is_reported(unit_isothermal):
         for _ in range(5):
             _quiet_step(sim, 0.5)
     assert info.value.epsilon_max == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+def test_newton_failure_at_a_pipe_start_outflow_is_reported(unit_isothermal):
+    """An outflow through a pipe start is the one-port junction of the
+    mirrored end state: the stalled step names it with that junction's
+    maximum for the step's starting state."""
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 10, unit_isothermal,
+                    staggering="nodes").fill(1.0, 0.2)
+    sim = GasSimulation(
+        grids=[grid],
+        boundaries={(0, "start"): BoundaryCondition("flow", constant(-0.99)),
+                    (0, "end"): BoundaryCondition("density", constant(1.0))},
+    )
+    with pytest.raises(InvalidDemandError) as info:
+        for _ in range(5):
+            _quiet_step(sim, 0.5)
+    # A failed step leaves the network at its starting state.
+    rho, q = float(grid.rho[0]), float(grid.q[0])
+    eps_max = junction_max_extraction([GasState(rho, 0.0 - q)], [], unit_isothermal)
+    assert info.value.epsilon_max == eps_max
+    assert str(info.value) == (f"t={sim.t + 0.5:g}, pipe P start: outflow 0.99 is at "
+                               f"or above the boundary maximum {eps_max:g}")
 
 
 def test_a_stall_below_the_outflow_maximum_stays_a_convergence_failure(unit_isothermal):

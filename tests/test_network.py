@@ -5,8 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaspower.errors import DomainError, InvalidDemandError, NumericsError
+from gaspower.errors import DomainError, GasPowerError, InvalidDemandError, NumericsError
 from gaspower.laxcurves import GasState, Side, lax_left, lax_right, rho_min
 from gaspower.network import (
     BoundaryCondition,
@@ -22,6 +24,7 @@ from gaspower.network import (
     ramp,
 )
 from gaspower.pressure import GammaLaw, IsothermalLaw, SumGammaLaw
+from gaspower.riemann import junction_traces
 
 
 def test_pipe_geometry():
@@ -49,6 +52,24 @@ def test_grid_staggering_layouts():
     assert cells.x.size == 10 and nodes.x.size == 11
     assert cells.x[0] == pytest.approx(0.05)
     assert nodes.x[0] == 0.0 and nodes.x[-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("what, assign", [
+    ("density", lambda g, v: g.fill(v, 0.1)),
+    ("momentum", lambda g, v: g.fill(1.0, v)),
+    ("density", lambda g, v: g.set_profile(lambda x: np.where(x > 0.5, v, 1.0),
+                                           lambda x: 0.1 * x)),
+    ("momentum", lambda g, v: g.set_profile(lambda x: 1.0 + x,
+                                            lambda x: np.where(x > 0.5, v, 0.1))),
+], ids=["fill-rho", "fill-q", "profile-rho", "profile-q"])
+def test_grid_assignment_refuses_non_finite_values(what, assign, value):
+    """``fill`` and ``set_profile`` refuse a non-finite density or momentum
+    with a ``DomainError`` naming the pipe, and leave the grid as it was."""
+    grid = PipeGrid(Pipe("P", "a", "b", 1.0), 4, IsothermalLaw(1.0)).fill(2.0, 0.5)
+    with pytest.raises(DomainError, match=rf"^pipe P: {what} must be finite, got {value}$"):
+        assign(grid, value)
+    assert np.all(grid.rho == 2.0) and np.all(grid.q == 0.5)
 
 
 def test_grid_subsonic_check():
@@ -117,12 +138,14 @@ def test_stationary_boundary_reproduces_cell_state():
     law = GammaLaw(1.0, 1.4)
     interior = GasState(2.0, 0.4)
     p_match = float(law.p(2.0))
-    left = apply_boundary(interior, BoundaryCondition("pressure", constant(p_match)),
-                          0.0, law, end="start")
+    left = GasState(*apply_boundary(interior.rho, interior.q,
+                                    BoundaryCondition("pressure", constant(p_match)),
+                                    0.0, law, end="start"))
     assert left.rho == pytest.approx(2.0, rel=1e-12)
     assert left.q == pytest.approx(0.4, abs=1e-12)
-    right = apply_boundary(interior, BoundaryCondition("flow", constant(0.4)),
-                           0.0, law, end="end")
+    right = GasState(*apply_boundary(interior.rho, interior.q,
+                                     BoundaryCondition("flow", constant(0.4)),
+                                     0.0, law, end="end"))
     assert right.rho == pytest.approx(2.0, rel=1e-10)
     assert right.q == pytest.approx(0.4, abs=1e-14)
 
@@ -130,11 +153,13 @@ def test_stationary_boundary_reproduces_cell_state():
 def test_boundary_states_lie_on_the_wave_curves():
     law = GammaLaw(1.0, 1.4)
     interior = GasState(2.0, 0.4)
-    left = apply_boundary(interior, BoundaryCondition("density", constant(2.5)),
-                          0.0, law, end="start")
+    left = GasState(*apply_boundary(interior.rho, interior.q,
+                                    BoundaryCondition("density", constant(2.5)),
+                                    0.0, law, end="start"))
     assert left.q == pytest.approx(lax_right(2.5, interior, law), rel=1e-12)
-    right = apply_boundary(interior, BoundaryCondition("flow", constant(-0.3)),
-                           0.0, law, end="end")
+    right = GasState(*apply_boundary(interior.rho, interior.q,
+                                     BoundaryCondition("flow", constant(-0.3)),
+                                     0.0, law, end="end"))
     assert lax_left(right.rho, interior, law) == pytest.approx(-0.3, abs=1e-12)
 
 
@@ -151,7 +176,7 @@ def test_unreachable_boundary_outflow_is_an_invalid_demand(law, end):
     top = lax_left(rho_min(seen, Side.IN, law), seen, law)
     bc = BoundaryCondition("flow", constant(sign * 1.01 * top))
     with pytest.raises(InvalidDemandError) as info:
-        apply_boundary(interior, bc, 0.0, law, end)
+        apply_boundary(interior.rho, interior.q, bc, 0.0, law, end)
     assert info.value.epsilon_max == pytest.approx(top, rel=1e-14)
 
 
@@ -162,7 +187,7 @@ def test_outflow_ramp_values():
     assert bc.value(0.2) == pytest.approx(0.2)
     law = GammaLaw(1.0 / 1.4, 1.4)
     interior = GasState(1.0, 0.05)
-    state = apply_boundary(interior, bc, 0.05, law, end="end")
+    state = GasState(*apply_boundary(interior.rho, interior.q, bc, 0.05, law, end="end"))
     assert state.q == pytest.approx(0.1, abs=1e-14)
     assert state.rho < interior.rho  # outflow rarefies the pipe end
 
@@ -176,15 +201,100 @@ def test_network_scale_boundary_values():
     q_out = 100.0 * 0.785 / area
     assert q_out == pytest.approx(277.637, abs=1e-3)
     interior = GasState(rho_in, q_out)
-    state = apply_boundary(interior, BoundaryCondition("pressure", constant(60e5)),
-                           0.0, law, end="start")
+    state = GasState(*apply_boundary(interior.rho, interior.q,
+                                     BoundaryCondition("pressure", constant(60e5)),
+                                     0.0, law, end="start"))
     assert state.rho == pytest.approx(rho_in, rel=1e-14)
 
 
 def test_state_boundary_passthrough():
     bc = BoundaryCondition("state", constant((3.0, -1.0)))
-    state = apply_boundary(GasState(1.0, 0.0), bc, 0.0, IsothermalLaw(1.0), "end")
+    state = GasState(*apply_boundary(1.0, 0.0, bc, 0.0, IsothermalLaw(1.0), "end"))
     assert (state.rho, state.q) == (3.0, -1.0)
+
+
+def _apply_boundary_of_states(adjacent: GasState, bc: BoundaryCondition, t: float,
+                              law, end: str) -> GasState:
+    """The ``GasState`` form of :func:`apply_boundary` that the float entry
+    replaced, kept as its reference."""
+    if bc.kind == "state":
+        rho, q = bc.value(t)
+        return GasState(float(rho), float(q))
+
+    mirror = end == "start"
+    interior = adjacent.mirrored() if mirror else adjacent
+    if bc.kind == "flow":
+        q_b = float(bc.value(t))
+        outflow = -q_b if mirror else q_b
+        try:
+            rho_b = junction_traces([interior.rho], [interior.q], 1, outflow, law)[0]
+        except InvalidDemandError as exc:
+            raise InvalidDemandError(
+                f"outflow {outflow:g} is at or above the boundary maximum "
+                f"{exc.epsilon_max:g}", epsilon_max=exc.epsilon_max) from None
+        return GasState(rho_b, q_b)
+    target = bc.value(t)
+    rho_b = (law.rho_from_pressure(target)
+             if bc.kind == "pressure" else float(target))
+    state = GasState(rho_b, lax_left(rho_b, interior, law))
+    return state.mirrored() if mirror else state
+
+
+BOUNDARY_LAWS = {"gamma": GammaLaw(1.0, 1.4), "isothermal": IsothermalLaw(1.0),
+                 "sum_gamma": SumGammaLaw()}
+
+
+def _outcome(solve):
+    """The bits of a trace, or the class, message and supremum of the error."""
+    try:
+        rho, q = solve()
+    except GasPowerError as exc:
+        return type(exc), str(exc), getattr(exc, "epsilon_max", None)
+    return float(rho).hex(), float(q).hex()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(law_id=st.sampled_from(sorted(BOUNDARY_LAWS)),
+       kind=st.sampled_from(["pressure", "density", "flow", "state"]),
+       end=st.sampled_from(["start", "end"]), rho=st.floats(0.2, 5.0),
+       mach=st.floats(-0.9, 0.9), ratio=st.floats(0.5, 2.0),
+       value_mach=st.floats(-2.0, 2.0))
+def test_float_boundary_entry_matches_the_state_form(law_id, kind, end, rho, mach,
+                                                     ratio, value_mach):
+    """Over every kind, both ends and three laws, the float entry returns the
+    traces of the ``GasState`` form bit for bit, and raises what it raises;
+    outflows reach past the boundary maximum."""
+    law = BOUNDARY_LAWS[law_id]
+    scale = rho * float(law.c(rho))
+    rho_b = ratio * rho
+    value = {"pressure": float(law.p(rho_b)), "density": rho_b,
+             "flow": value_mach * scale,
+             "state": (rho_b, 0.5 * value_mach * rho_b * float(law.c(rho_b)))}[kind]
+    bc = BoundaryCondition(kind, constant(value))
+    q = mach * scale
+
+    def reference():
+        state = _apply_boundary_of_states(GasState(rho, q), bc, 0.5, law, end)
+        return state.rho, state.q
+
+    assert _outcome(lambda: apply_boundary(rho, q, bc, 0.5, law, end)) == _outcome(reference)
+
+
+@pytest.mark.parametrize("rho_b", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["state", "density"])
+def test_bad_boundary_density_raises_what_the_state_form_raises(kind, rho_b):
+    """A prescribed density that is not positive and finite is the
+    ``DomainError`` that building it as a ``GasState`` raises."""
+    law = GammaLaw(1.0, 1.4)
+    bc = BoundaryCondition(kind, constant((rho_b, 0.5) if kind == "state" else rho_b))
+
+    def reference():
+        state = _apply_boundary_of_states(GasState(2.0, 0.4), bc, 0.0, law, "end")
+        return state.rho, state.q
+
+    outcome = _outcome(lambda: apply_boundary(2.0, 0.4, bc, 0.0, law, "end"))
+    assert outcome[0] is DomainError
+    assert outcome == _outcome(reference)
 
 
 def test_unknown_boundary_kind_rejected():
@@ -377,9 +487,11 @@ def test_left_boundary_is_the_mirrored_right_boundary(law, kind):
         value = {"pressure": float(law.p(rho_b)), "density": rho_b,
                  "flow": lax_right(rho_b, interior, law)}[kind]
         mirrored_value = -value if kind == "flow" else value
-        left = apply_boundary(interior, BoundaryCondition(kind, constant(value)),
-                              0.0, law, "start")
-        right = apply_boundary(interior.mirrored(),
-                               BoundaryCondition(kind, constant(mirrored_value)),
-                               0.0, law, "end")
+        left = GasState(*apply_boundary(interior.rho, interior.q,
+                                        BoundaryCondition(kind, constant(value)),
+                                        0.0, law, "start"))
+        mirrored = interior.mirrored()
+        right = GasState(*apply_boundary(mirrored.rho, mirrored.q,
+                                         BoundaryCondition(kind, constant(mirrored_value)),
+                                         0.0, law, "end"))
         assert left == right.mirrored()

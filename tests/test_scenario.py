@@ -126,6 +126,40 @@ def test_schema_errors_name_the_field(tmp_path):
     assert "pipes[0]" in str(info.value)
 
 
+@pytest.mark.parametrize("raw, shown", [
+    (".inf", "inf"), ("-.inf", "-inf"), (".nan", "nan"), ("1e400", "inf"),
+    ("'inf bar'", "inf"),
+])
+@pytest.mark.parametrize("field, old, new", [
+    ("initial[0].rho", "{pipe: LEFT, rho: 4.0,", "{pipe: LEFT, rho: RAW,"),
+    ("boundary[0].rho", "{node: INLET, kind: state, rho: 4.0,",
+     "{node: INLET, kind: state, rho: RAW,"),
+    ("boundary[1].value", "{node: OUTLET, kind: state, rho: 3.0, q: -1.0}",
+     "{node: OUTLET, kind: flow, value: RAW}"),
+    ("extraction[0].epsilon", "epsilon: 1.75", "epsilon: RAW"),
+    ("pipes[0].length", "to: JUNCTION, length: 0.25", "to: JUNCTION, length: RAW"),
+])
+def test_non_finite_numbers_are_refused_with_the_field(tmp_path, raw, shown, field,
+                                                       old, new):
+    """NaN and +-inf, whether YAML's, too large for a float or in bar, are a
+    schema error that names the field, before any run."""
+    text = (BUNDLED / "validation.scn").read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(old, new.replace("RAW", raw)))
+    with pytest.raises(SchemaError) as info:
+        load_scenario(bad)
+    assert str(info.value) == f"{bad}.{field}: expected a finite number, got {shown}"
+
+
+def test_an_integer_too_large_for_a_float_is_refused_as_infinite():
+    raw = yaml.safe_load((BUNDLED / "validation.scn").read_text())
+    raw["initial"][1]["q"] = -10**400
+    with pytest.raises(SchemaError, match=r"^<dict>\.initial\[1\]\.q: expected a "
+                                          r"finite number, got -inf$"):
+        scenario_from_dict(raw)
+
+
 def test_unknown_references_are_rejected():
     base = {
         "name": "x",
