@@ -41,82 +41,63 @@ def _series_function(value: tuple):
     return constant(float(value[0]))
 
 
+def _stationary_seed(scenario: Scenario) -> float:
+    """Seed of the steady-state steps: the first pressure or density boundary."""
+    for bc in scenario.boundaries:
+        if bc.kind == "pressure":
+            return scenario.law.rho_from_pressure(_series_function(bc.value)(0.0))
+        if bc.kind == "density":
+            return _series_function(bc.value)(0.0)
+    return 1.0
+
+
 def build_gas_simulation(scenario: Scenario) -> GasSimulation:
-    """Instantiate grids, junction topology and boundaries for a scenario."""
-    staggering = "cells" if scenario.numerics.scheme == "cweno3" else "nodes"
+    """Instantiate grids, junction topology and boundaries for a scenario.
+
+    Checks are the parse's: a pipe end at no boundary, junction or draw is
+    left uncovered, and ``GasSimulation`` refuses it."""
+    num = scenario.numerics
+    staggering = "cells" if num.scheme == "cweno3" else "nodes"
+    initial = {i.pipe: i for i in scenario.initial}
+    rho_seed = _stationary_seed(scenario) if scenario.stationary_init else None
+    ratio = {(c.node, c.pipe): c.ratio for c in scenario.compressors}
+    draw = {e.node: e.epsilon for e in scenario.extractions}
+    if scenario.coupling is not None:
+        draw.setdefault(scenario.coupling.gas_node, 0.0)
+    boundary_nodes = {b.node for b in scenario.boundaries}
 
     grids = []
-    for spec in scenario.pipes:
+    ends_at: dict[str, list[JunctionPort]] = {}    # junction ports by node
+    boundary_end: dict[str, tuple[int, str]] = {}  # the first end at a boundary node
+    for k, spec in enumerate(scenario.pipes):
         pipe = Pipe(spec.id, spec.from_node, spec.to_node,
                     spec.length, spec.diameter, spec.roughness)
-        if scenario.numerics.n_cells is not None:
-            n = scenario.numerics.n_cells
-        else:
-            n = max(2, int(round(spec.length / scenario.numerics.dx)))
-        grids.append(PipeGrid(pipe, n, scenario.law, staggering=staggering))
-
-    for init in scenario.initial:
-        for grid in grids:
-            if grid.pipe.id == init.pipe:
-                grid.fill(init.rho, init.q)
-    if scenario.stationary_init:
-        # Seed the steady-state steps from the first pressure-type boundary.
-        rho_seed = 1.0
-        for bc in scenario.boundaries:
-            if bc.kind == "pressure":
-                rho_seed = scenario.law.rho_from_pressure(
-                    _series_function(bc.value)(0.0))
-                break
-            if bc.kind == "density":
-                rho_seed = _series_function(bc.value)(0.0)
-                break
-        for grid in grids:
-            if scenario.initial and any(i.pipe == grid.pipe.id
-                                        for i in scenario.initial):
-                continue
+        n = (num.n_cells if num.n_cells is not None
+             else max(2, int(round(spec.length / num.dx))))
+        grid = PipeGrid(pipe, n, scenario.law, staggering=staggering)
+        init = initial.get(spec.id)
+        if init is not None:
+            grid.fill(init.rho, init.q)
+        elif rho_seed is not None:
             grid.fill(rho_seed, 0.0)
-
-    ratio = {(c.node, c.pipe): c.ratio for c in scenario.compressors}
-
-    # Every node with at least two pipe ends (or an extraction) is a junction.
-    ends_at: dict[str, list[JunctionPort]] = {}
-    for k, g in enumerate(grids):
-        ends_at.setdefault(g.pipe.node_from, []).append(
-            JunctionPort(k, "start", ratio.get((g.pipe.node_from, g.pipe.id), 1.0))
-        )
-        ends_at.setdefault(g.pipe.node_to, []).append(
-            JunctionPort(k, "end", ratio.get((g.pipe.node_to, g.pipe.id), 1.0))
-        )
-    extraction_nodes = {e.node: e.epsilon for e in scenario.extractions}
-    if scenario.coupling is not None:
-        extraction_nodes.setdefault(scenario.coupling.gas_node, 0.0)
-
-    junctions = []
-    boundary_nodes = {b.node for b in scenario.boundaries}
-    for node, ports in sorted(ends_at.items()):
-        if node in boundary_nodes:
-            if len(ports) > 1:
-                raise SchemaError(
-                    f"node {node}: boundary conditions only apply to nodes "
-                    f"with a single pipe end"
-                )
-            continue
-        if len(ports) >= 2 or node in extraction_nodes:
-            junctions.append(Junction(node, ports,
-                                      extraction=extraction_nodes.get(node, 0.0)))
-        else:
-            raise SchemaError(f"node {node}: dangling pipe end without boundary")
-
-    boundaries = {}
-    for bc in scenario.boundaries:
-        port = ends_at[bc.node][0]
-        value = constant(bc.value) if bc.kind == "state" else _series_function(bc.value)
-        boundaries[(port.pipe_index, port.end)] = BoundaryCondition(bc.kind, value)
+        grids.append(grid)
+        for node, end in ((spec.from_node, "start"), (spec.to_node, "end")):
+            if node in boundary_nodes:
+                boundary_end.setdefault(node, (k, end))
+            else:
+                ends_at.setdefault(node, []).append(
+                    JunctionPort(k, end, ratio.get((node, spec.id), 1.0)))
 
     return GasSimulation(
         grids=grids,
-        junctions=junctions,
-        boundaries=boundaries,
+        junctions=[Junction(node, ports, extraction=draw.get(node, 0.0))
+                   for node, ports in sorted(ends_at.items())
+                   if len(ports) >= 2 or node in draw],
+        boundaries={
+            boundary_end[bc.node]: BoundaryCondition(
+                bc.kind, constant(bc.value) if bc.kind == "state"
+                else _series_function(bc.value))
+            for bc in scenario.boundaries if bc.node in boundary_end},
         friction=FrictionModel(eta=scenario.friction.eta,
                                enabled=scenario.friction.enabled),
     )

@@ -11,6 +11,9 @@ lines carry from/to/G/B).
 Units: gas quantities are SI; pressures may be given as the string
 "<number> bar" and are converted to Pa. Power quantities are per-unit.
 Time is in the same unit as ``numerics.dt``.
+
+Each field is checked where it is read, and a bad one is a ``SchemaError``
+that names its path, such as ``<file>.initial[1]``.
 """
 
 from __future__ import annotations
@@ -336,34 +339,99 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         law = parse_law(top.string("pressure_law"))
     except Exception as exc:
         raise SchemaError(f"{origin}.pressure_law: {exc}") from exc
+    stationary_init = top.flag("stationary_init")
 
     pipes = tuple(_parse_pipe(e) for e in top.sections("pipes", required=True))
-    if len({p.id for p in pipes}) != len(pipes):
+    by_id = {p.id: p for p in pipes}
+    if len(by_id) != len(pipes):
         raise SchemaError(f"{origin}.pipes: duplicate pipe ids")
+    ends: dict[str, int] = {}     # pipe ends at each node
+    for node in [n for p in pipes for n in (p.from_node, p.to_node)]:
+        ends[node] = ends.get(node, 0) + 1
+    gas_nodes = tuple(str(n) for n in top.sequence("gas_nodes"))
+    if gas_nodes and not ends.keys() <= set(gas_nodes):
+        raise SchemaError(f"{origin}.gas_nodes: pipes reference undeclared nodes "
+                          f"{sorted(ends.keys() - set(gas_nodes))}")
 
-    initial = tuple(
-        InitialSpec(pipe=e.string("pipe"), rho=e.number("rho"), q=e.number("q"))
-        for e in top.sections("initial")
-    )
-    boundaries = tuple(_parse_boundary(e) for e in top.sections("boundary"))
-    extractions = tuple(
-        ExtractionSpec(node=e.string("node"), epsilon=e.number("epsilon"))
-        for e in top.sections("extraction")
-    )
-    compressors = tuple(
-        CompressorSpec(node=e.string("node"), pipe=e.string("pipe"),
-                       ratio=e.number("ratio"))
-        for e in top.sections("compressors")
-    )
+    initial: dict[str, InitialSpec] = {}
+    for sec in top.sections("initial"):
+        init = InitialSpec(sec.string("pipe"), sec.number("rho"), sec.number("q"))
+        if init.pipe not in by_id:
+            raise SchemaError(f"{sec.path}: unknown pipe {init.pipe!r}")
+        if init.rho <= 0.0:
+            raise SchemaError(f"{sec.path}: density must be positive")
+        if init.pipe in initial:
+            raise SchemaError(f"{sec.path}: second entry for pipe {init.pipe!r}")
+        initial[init.pipe] = init
+
+    boundaries: dict[str, BoundarySpec] = {}
+    for sec in top.sections("boundary"):
+        b = _parse_boundary(sec)
+        if b.node not in ends:
+            raise SchemaError(f"{sec.path}: unknown node {b.node!r}")
+        if b.kind not in ("pressure", "density", "flow", "state"):
+            raise SchemaError(f"{sec.path}: unknown kind {b.kind!r}")
+        if ends[b.node] > 1:
+            raise SchemaError(f"{sec.path}: node {b.node!r}: boundary conditions "
+                              f"only apply to nodes with a single pipe end")
+        if b.node in boundaries:
+            raise SchemaError(f"{sec.path}: second boundary at node {b.node!r}")
+        # The stationary start steps far past t_end and would settle at the
+        # last value of a varying series.
+        if (stationary_init and isinstance(b.value[0], tuple)
+                and len({v for _, v in b.value}) > 1):
+            raise SchemaError(f"{sec.path}: node {b.node!r}: stationary_init needs a "
+                              f"constant boundary value, got a varying series")
+        boundaries[b.node] = b
+
+    draws: dict[str, ExtractionSpec] = {}
+    for sec in top.sections("extraction"):
+        e = ExtractionSpec(node=sec.string("node"), epsilon=sec.number("epsilon"))
+        if e.node not in ends:
+            raise SchemaError(f"{sec.path}: unknown node {e.node!r}")
+        if e.node in boundaries:
+            raise SchemaError(f"{sec.path}: node {e.node!r} is a boundary node")
+        if e.node in draws:
+            raise SchemaError(f"{sec.path}: second extraction at node {e.node!r}")
+        draws[e.node] = e
+
+    compressors: dict[tuple[str, str], CompressorSpec] = {}
+    for sec in top.sections("compressors"):
+        comp = CompressorSpec(sec.string("node"), sec.string("pipe"), sec.number("ratio"))
+        if comp.node not in ends:
+            raise SchemaError(f"{sec.path}: unknown node {comp.node!r}")
+        if comp.pipe not in by_id:
+            raise SchemaError(f"{sec.path}: unknown pipe {comp.pipe!r}")
+        if comp.ratio <= 0.0:
+            raise SchemaError(f"{sec.path}: ratio must be positive")
+        if comp.node in boundaries:
+            raise SchemaError(f"{sec.path}: node {comp.node!r} is a boundary node")
+        if comp.node not in (by_id[comp.pipe].from_node, by_id[comp.pipe].to_node):
+            raise SchemaError(f"{sec.path}: pipe {comp.pipe!r} has no end at node "
+                              f"{comp.node!r}")
+        if (comp.node, comp.pipe) in compressors:
+            raise SchemaError(f"{sec.path}: second compressor on pipe {comp.pipe!r} "
+                              f"at node {comp.node!r}")
+        compressors[comp.node, comp.pipe] = comp
 
     buses = tuple(_parse_bus(e) for e in top.sections("buses"))
-    lines = tuple(
-        LineSpec(id=e.string("id"), from_bus=e.string("from"),
-                 to_bus=e.string("to"), G=e.number("G"), B=e.number("B"))
-        for e in top.sections("lines")
-    )
+    bus_ids = {b.id for b in buses}
+    if buses:
+        if len(bus_ids) != len(buses):
+            raise SchemaError(f"{origin}.buses: duplicate ids")
+        n_slack = sum(b.type == "slack" for b in buses)
+        if n_slack != 1:
+            raise SchemaError(f"{origin}.buses: need exactly one slack bus, "
+                              f"found {n_slack}")
+    lines = []
+    for sec in top.sections("lines"):
+        line = LineSpec(id=sec.string("id"), from_bus=sec.string("from"),
+                        to_bus=sec.string("to"), G=sec.number("G"), B=sec.number("B"))
+        if buses and (line.from_bus not in bus_ids or line.to_bus not in bus_ids):
+            raise SchemaError(f"{sec.path}: unknown bus reference")
+        lines.append(line)
 
-    coupling = None
+    coupling = link_node = None
     if top.get("coupling") is not None:
         c = _Section(top.get("coupling"), f"{origin}.coupling")
         coupling = CouplingSpec(
@@ -372,14 +440,37 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
             a0=c.number("a0"), a1=c.number("a1"), a2=c.number("a2"),
             rho0=c.number("rho0"),
         )
+        link_node = coupling.gas_node
+        if not buses:
+            raise SchemaError(f"{origin}.coupling: no power grid in scenario")
+        if link_node not in ends:
+            raise SchemaError(f"{c.path}.gas_node: unknown node {link_node!r}")
+        if link_node in boundaries:
+            raise SchemaError(f"{c.path}.gas_node: node {link_node!r} is a boundary node")
+        if coupling.power_bus not in bus_ids:
+            raise SchemaError(f"{c.path}.power_bus: unknown bus {coupling.power_bus!r}")
+
+    # Every pipe starts from an initial state, and each of its ends meets a
+    # boundary, another pipe end or a draw (the coupled node draws too).
+    for k, p in enumerate(pipes):
+        if not stationary_init and p.id not in initial:
+            raise SchemaError(f"{origin}.pipes[{k}]: pipe {p.id!r} has no initial "
+                              f"state and stationary_init is off")
+        for node in (p.from_node, p.to_node):
+            if (ends[node] == 1 and node not in boundaries and node not in draws
+                    and node != link_node):
+                raise SchemaError(f"{origin}.pipes[{k}]: node {node!r}: dangling "
+                                  f"pipe end without boundary")
 
     schedules = []
     for sec in top.sections("schedules"):
         times, p_vals, q_vals = sec.numbers("times"), sec.numbers("P"), sec.numbers("Q")
         if len(times) != len(p_vals) or len(times) != len(q_vals):
             raise SchemaError(f"{sec.path}: length mismatch")
-        schedules.append(ScheduleSpec(bus=sec.string("bus"), times=times,
-                                      P=p_vals, Q=q_vals))
+        bus = sec.string("bus")
+        if buses and bus not in bus_ids:
+            raise SchemaError(f"{sec.path}: unknown bus {bus!r}")
+        schedules.append(ScheduleSpec(bus=bus, times=times, P=p_vals, Q=q_vals))
 
     num = _Section(top.require("numerics"), f"{origin}.numerics")
     scheme = num.string("scheme")
@@ -403,121 +494,48 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     if numerics.dt <= 0.0 or numerics.t_end <= 0.0:
         raise SchemaError(f"{origin}.numerics: dt and t_end must be positive")
 
-    series, profiles = (), ()
+    series, profiles = (), []
     if top.get("outputs") is not None:
         out = _Section(top.get("outputs"), f"{origin}.outputs")
         series = tuple(str(s) for s in out.sequence("series"))
-        profiles = tuple(
-            ProfileSpec(time=e.number("time"),
-                        pipe=e.string("pipe") if "pipe" in e.data else None)
-            for e in out.sections("profiles")
-        )
+        for sec in out.sections("profiles"):
+            prof = ProfileSpec(time=sec.number("time"),
+                               pipe=sec.string("pipe") if "pipe" in sec.data else None)
+            if prof.pipe is not None and prof.pipe not in by_id:
+                raise SchemaError(f"{sec.path}: unknown pipe {prof.pipe!r}")
+            if not 0.0 <= prof.time <= numerics.t_end:
+                raise SchemaError(f"{sec.path}: time {prof.time!r} is outside "
+                                  f"[0, t_end] = [0, {numerics.t_end!r}]")
+            profiles.append(prof)
 
     friction = FrictionSpec()
     if top.get("friction") is not None:
         f = _Section(top.get("friction"), f"{origin}.friction")
-        friction = FrictionSpec(
-            enabled=f.flag("enabled"),
-            eta=f.number("eta", 1e-5),
-        )
+        friction = FrictionSpec(enabled=f.flag("enabled"), eta=f.number("eta", 1e-5))
 
-    scenario = Scenario(
+    return Scenario(
         name=top.string("name", path_default_name(origin)),
         law=law,
         pipes=pipes,
-        initial=initial,
-        boundaries=boundaries,
-        extractions=extractions,
-        compressors=compressors,
+        initial=tuple(initial.values()),
+        boundaries=tuple(boundaries.values()),
+        extractions=tuple(draws.values()),
+        compressors=tuple(compressors.values()),
         buses=buses,
-        lines=lines,
+        lines=tuple(lines),
         coupling=coupling,
         schedules=tuple(schedules),
         numerics=numerics,
-        outputs=OutputsSpec(series=series, profiles=profiles),
+        outputs=OutputsSpec(series=series, profiles=tuple(profiles)),
         friction=friction,
-        gas_nodes=tuple(str(n) for n in top.sequence("gas_nodes")),
-        stationary_init=top.flag("stationary_init"),
+        gas_nodes=gas_nodes,
+        stationary_init=stationary_init,
     )
-    _validate(scenario, origin)
-    return scenario
 
 
 def path_default_name(origin: str) -> str:
     stem = Path(origin).stem
     return stem if stem and stem != "<dict>" else "scenario"
-
-
-def _validate(s: Scenario, origin: str) -> None:
-    nodes = {p.from_node for p in s.pipes} | {p.to_node for p in s.pipes}
-    if s.gas_nodes:
-        missing = nodes - set(s.gas_nodes)
-        if missing:
-            raise SchemaError(
-                f"{origin}.gas_nodes: pipes reference undeclared nodes {sorted(missing)}"
-            )
-    pipe_ids = {p.id for p in s.pipes}
-    for k, init in enumerate(s.initial):
-        if init.pipe not in pipe_ids:
-            raise SchemaError(f"{origin}.initial[{k}]: unknown pipe {init.pipe!r}")
-        if init.rho <= 0.0:
-            raise SchemaError(f"{origin}.initial[{k}]: density must be positive")
-    for k, b in enumerate(s.boundaries):
-        if b.node not in nodes:
-            raise SchemaError(f"{origin}.boundary[{k}]: unknown node {b.node!r}")
-        if b.kind not in ("pressure", "density", "flow", "state"):
-            raise SchemaError(f"{origin}.boundary[{k}]: unknown kind {b.kind!r}")
-        # The stationary start steps far past t_end and would settle at the
-        # last value of a varying series.
-        if (s.stationary_init and isinstance(b.value[0], tuple)
-                and len({v for _, v in b.value}) > 1):
-            raise SchemaError(
-                f"{origin}.boundary[{k}]: node {b.node!r}: stationary_init "
-                f"needs a constant boundary value, got a varying series"
-            )
-    for k, e in enumerate(s.extractions):
-        if e.node not in nodes:
-            raise SchemaError(f"{origin}.extraction[{k}]: unknown node {e.node!r}")
-    for k, comp in enumerate(s.compressors):
-        if comp.node not in nodes:
-            raise SchemaError(f"{origin}.compressors[{k}]: unknown node {comp.node!r}")
-        if comp.pipe not in pipe_ids:
-            raise SchemaError(f"{origin}.compressors[{k}]: unknown pipe {comp.pipe!r}")
-        if comp.ratio <= 0.0:
-            raise SchemaError(f"{origin}.compressors[{k}]: ratio must be positive")
-
-    if s.buses:
-        ids = [b.id for b in s.buses]
-        if len(set(ids)) != len(ids):
-            raise SchemaError(f"{origin}.buses: duplicate ids")
-        slack = [b for b in s.buses if b.type == "slack"]
-        if len(slack) != 1:
-            raise SchemaError(
-                f"{origin}.buses: need exactly one slack bus, found {len(slack)}"
-            )
-        known = set(ids)
-        for k, line in enumerate(s.lines):
-            if line.from_bus not in known or line.to_bus not in known:
-                raise SchemaError(f"{origin}.lines[{k}]: unknown bus reference")
-    if s.coupling is not None:
-        if not s.buses:
-            raise SchemaError(f"{origin}.coupling: no power grid in scenario")
-        if s.coupling.gas_node not in nodes:
-            raise SchemaError(
-                f"{origin}.coupling.gas_node: unknown node {s.coupling.gas_node!r}"
-            )
-        if s.coupling.power_bus not in {b.id for b in s.buses}:
-            raise SchemaError(
-                f"{origin}.coupling.power_bus: unknown bus {s.coupling.power_bus!r}"
-            )
-    for k, sched in enumerate(s.schedules):
-        if s.buses and sched.bus not in {b.id for b in s.buses}:
-            raise SchemaError(f"{origin}.schedules[{k}]: unknown bus {sched.bus!r}")
-
-    if not s.initial and not s.stationary_init:
-        raise SchemaError(
-            f"{origin}: scenario needs an initial section or stationary_init"
-        )
 
 
 def scenario_to_dict(s: Scenario) -> dict:

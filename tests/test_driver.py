@@ -16,7 +16,7 @@ from gaspower.driver import (
 from gaspower.errors import DomainError, InvalidDemandError, SchemaError
 from gaspower.laxcurves import GasState
 from gaspower.riemann import junction_max_extraction
-from gaspower.scenario import load_scenario, scenario_from_dict
+from gaspower.scenario import BoundarySpec, load_scenario, scenario_from_dict
 
 BUNDLED = files("gaspower") / "scenarios"
 
@@ -77,10 +77,22 @@ def test_scheme_selects_the_staggering():
 
 
 def test_boundary_on_interior_node_rejected():
-    scn = _mini(boundary=[{"node": "n1", "kind": "flow", "value": 0.0},
-                          {"node": "n0", "kind": "density", "value": 1.0},
-                          {"node": "n2", "kind": "flow", "value": 0.0}])
     with pytest.raises(SchemaError):
+        _mini(boundary=[{"node": "n1", "kind": "flow", "value": 0.0},
+                        {"node": "n0", "kind": "density", "value": 1.0},
+                        {"node": "n2", "kind": "flow", "value": 0.0}])
+
+
+@pytest.mark.parametrize("boundaries, message", [
+    ((), "pipe A: no boundary or junction at its start"),
+    ((BoundarySpec("n1", "flow", (0.0,)), BoundarySpec("n0", "density", (1.0,)),
+      BoundarySpec("n2", "flow", (0.0,))), "pipe B: no boundary or junction at its start"),
+], ids=["no-boundaries", "boundary-on-interior-node"])
+def test_hand_built_uncovered_pipe_end_is_a_domain_error(boundaries, message):
+    """A ``Scenario`` built without the parse gets no invented junction: a
+    pipe end at no boundary, second pipe end or draw is left uncovered."""
+    scn = dataclasses.replace(_mini(), boundaries=boundaries)
+    with pytest.raises(DomainError, match=f"^{message}$"):
         build_gas_simulation(scn)
 
 

@@ -166,18 +166,88 @@ def test_unknown_references_are_rejected():
         "pressure_law": "log",
         "pipes": [{"id": "A", "from": "a", "to": "b", "length": 1.0}],
         "initial": [{"pipe": "A", "rho": 1.0, "q": 0.0}],
+        "boundary": [{"node": "a", "kind": "density", "value": 1.0},
+                     {"node": "b", "kind": "flow", "value": 0.0}],
         "numerics": {"scheme": "cweno3", "dt": 1e-3, "dx": 0.1, "t_end": 1.0},
     }
-    with pytest.raises(SchemaError):
-        scenario_from_dict({**base,
-                            "boundary": [{"node": "zz", "kind": "flow",
-                                          "value": 0.0}]})
-    with pytest.raises(SchemaError):
-        scenario_from_dict({**base, "initial": [{"pipe": "B", "rho": 1, "q": 0}]})
-    with pytest.raises(SchemaError):
-        scenario_from_dict({**base,
-                            "numerics": {"scheme": "magic", "dt": 1e-3,
-                                         "dx": 0.1, "t_end": 1.0}})
+    scenario_from_dict(base)
+    cases = [
+        ({"boundary": [*base["boundary"], {"node": "zz", "kind": "flow", "value": 0.0}]},
+         "boundary[2]: unknown node 'zz'"),
+        ({"initial": [{"pipe": "B", "rho": 1, "q": 0}]}, "initial[0]: unknown pipe 'B'"),
+        ({"numerics": {"scheme": "magic", "dt": 1e-3, "dx": 0.1, "t_end": 1.0}},
+         "numerics.scheme: unknown scheme 'magic'"),
+    ]
+    for change, message in cases:
+        with pytest.raises(SchemaError, match="^" + re.escape(f"<dict>.{message}") + "$"):
+            scenario_from_dict({**base, **change})
+
+
+# case -> (bundled file, text in it, its replacement, field, rest of the message)
+REFUSALS = {
+    "missing-initial": (
+        "validation.scn", "  - {pipe: RIGHT, rho: 3.0, q: -1.0}\n", "",
+        "pipes[1]", "pipe 'RIGHT' has no initial state and stationary_init is off"),
+    "second-initial": (
+        "validation.scn", "q: -1.0}\nboundary:",
+        "q: -1.0}\n  - {pipe: LEFT, rho: 1.0, q: 0.0}\nboundary:",
+        "initial[2]", "second entry for pipe 'LEFT'"),
+    "second-boundary": (
+        "validation.scn", "extraction:\n",
+        "  - {node: INLET, kind: density, value: 4.0}\nextraction:\n",
+        "boundary[2]", "second boundary at node 'INLET'"),
+    "second-extraction": (
+        "validation.scn", "epsilon: 1.75}\n",
+        "epsilon: 1.75}\n  - {node: JUNCTION, epsilon: 0.5}\n",
+        "extraction[1]", "second extraction at node 'JUNCTION'"),
+    "second-compressor": (
+        "gaslib9.scn", "ratio: 1.05}\n",
+        "ratio: 1.05}\n  - {node: S17, pipe: P20, ratio: 1.1}\n",
+        "compressors[1]", "second compressor on pipe 'P20' at node 'S17'"),
+    "extraction-on-boundary": (
+        "validation.scn", "{node: JUNCTION, epsilon", "{node: OUTLET, epsilon",
+        "extraction[0]", "node 'OUTLET' is a boundary node"),
+    "compressor-on-boundary": (
+        "gaslib9.scn", "{node: S17, pipe: P20", "{node: S5, pipe: P20",
+        "compressors[0]", "node 'S5' is a boundary node"),
+    "compressor-off-its-pipe": (
+        "gaslib9.scn", "{node: S17, pipe: P20", "{node: S17, pipe: P10",
+        "compressors[0]", "pipe 'P10' has no end at node 'S17'"),
+    "profile-of-unknown-pipe": (
+        "validation.scn", "{time: 0.1}", "{time: 0.1, pipe: MIDDLE}",
+        "outputs.profiles[0]", "unknown pipe 'MIDDLE'"),
+    "profile-after-t-end": (
+        "validation.scn", "{time: 0.1}", "{time: 0.2}",
+        "outputs.profiles[0]", "time 0.2 is outside [0, t_end] = [0, 0.1]"),
+    "profile-before-start": (
+        "validation.scn", "{time: 0.1}", "{time: -0.1}",
+        "outputs.profiles[0]", "time -0.1 is outside [0, t_end] = [0, 0.1]"),
+    "coupling-on-boundary": (
+        "gaslib9.scn", "gas_node: S4", "gas_node: S5",
+        "coupling.gas_node", "node 'S5' is a boundary node"),
+    "boundary-on-interior-node": (
+        "validation.scn", "{node: INLET, kind: state", "{node: JUNCTION, kind: state",
+        "boundary[0]",
+        "node 'JUNCTION': boundary conditions only apply to nodes with a single pipe end"),
+    "dangling-pipe-end": (
+        "validation.scn", "  - {node: OUTLET, kind: state, rho: 3.0, q: -1.0}\n", "",
+        "pipes[1]", "node 'OUTLET': dangling pipe end without boundary"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_entries_that_repeat_or_attach_to_nothing_are_refused(tmp_path, case):
+    """A missing initial state, a second entry for the same pipe, node or
+    port, and an entry that attaches to nothing are schema errors at load
+    that name the field of the offending entry."""
+    name, old, new, field, rest = REFUSALS[case]
+    text = (BUNDLED / name).read_text()
+    assert text.count(old) == 1
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    with pytest.raises(SchemaError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}.{field}: {rest}"
 
 
 def test_round_trip_through_save_and_load(tmp_path):
@@ -290,7 +360,11 @@ def perturbed(raw, data):
             return f"{kind}@{rename.get(where, where)}"
         return value
 
-    return rewrite(raw, None)
+    out = rewrite(raw, None)
+    # A profile is taken within the horizon: its time is a drawn share of t_end.
+    for profile in out.get("outputs", {}).get("profiles", ()):
+        profile["time"] = out["numerics"]["t_end"] * data.draw(st.floats(0.0, 1.0))
+    return out
 
 
 BUNDLED_DICTS = {name: scenario_to_dict(load_scenario(BUNDLED / name)) for name in NAMES}
