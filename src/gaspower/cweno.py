@@ -226,7 +226,8 @@ def _rhs(sim: GasSimulation, u: np.ndarray, t_stage: float, layout: _Layout,
     d = f_left - f_right
     d /= dx
     if sim.friction.enabled:
-        d[1] += sim.friction.source(u[0], u[1], cells.diameter, cells.roughness)
+        d[1] += sim.friction.source(u[0], u[1], cells.diameter, cells.roughness,
+                                    sim.friction_constants)
     if sim.extra_source is not None:
         # Two-point Gauss average keeps smooth (x,t) sources third order.
         h = _GAUSS_OFFSET * dx

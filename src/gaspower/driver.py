@@ -55,7 +55,9 @@ def build_gas_simulation(scenario: Scenario) -> GasSimulation:
     """Instantiate grids, junction topology and boundaries for a scenario.
 
     Checks are the parse's: a pipe end at no boundary, junction or draw is
-    left uncovered, and ``GasSimulation`` refuses it."""
+    left uncovered, and ``GasSimulation`` refuses it. A ``Scenario`` built
+    without the parse that leaves a pipe with no initial state and
+    stationary_init off is a ``SchemaError`` naming the pipe."""
     num = scenario.numerics
     staggering = "cells" if num.scheme == "cweno3" else "nodes"
     initial = {i.pipe: i for i in scenario.initial}
@@ -80,6 +82,9 @@ def build_gas_simulation(scenario: Scenario) -> GasSimulation:
             grid.fill(init.rho, init.q)
         elif rho_seed is not None:
             grid.fill(rho_seed, 0.0)
+        else:
+            raise SchemaError(f"pipe {spec.id!r} has no initial state and "
+                              f"stationary_init is off")
         grids.append(grid)
         for node, end in ((spec.from_node, "start"), (spec.to_node, "end")):
             if node in boundary_nodes:

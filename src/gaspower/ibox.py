@@ -30,7 +30,11 @@ differences of consecutive nodes by slices; on a periodic pipe the first
 node is appended after the last, so the wrap-around pair is consecutive
 too. One selection then drops the pairs that straddle two pipes. The terms
 that only the step fixes (the old-level half sums and magnitudes, dt/dx,
-the boundary targets and extractions) are computed once per step. The
+the boundary targets and extractions) are computed once per step, and no
+step forms those that the network fixes: the port pressure ratios are part
+of the cached layout, and the simulation holds the per-node friction
+constants. Friction alone is a momentum source, so it enters the momentum
+rows only; the mass rows get a source term only from an extra source. The
 cached layout also holds the system's work arrays: the band storage, the
 Jacobian values and the LU work array. Every Jacobian writes its pattern
 entries into the band in place, so the entries off the pattern stay zero
@@ -84,7 +88,8 @@ class _Layout:
     box: np.ndarray        # pair-array entry of every mass/momentum row
     bc_cols: np.ndarray    # column of every boundary row
     bc_rows: slice
-    junctions: tuple       # per junction: first row, its slice of ports, port signs
+    junctions: tuple       # per junction: first row, its slice of ports,
+                           # port pressure ratios and port signs
     ports: np.ndarray      # (rho, q) columns of every junction port, in order
     kl: int                # sub- and super-diagonals of the ordered matrix
     ku: int
@@ -112,8 +117,8 @@ class _Layout:
 def _layout(counts: tuple, periodic: bool, boundaries: tuple,
             junctions: tuple) -> _Layout:
     """Layout of the box system for the node counts of the pipes, the
-    ``(pipe, end, kind)`` of every boundary and the ``(pipe, end)`` of every
-    port of every junction.
+    ``(pipe, end, kind)`` of every boundary and the ``(pipe, end, pressure
+    ratio)`` of every port of every junction.
 
     The Jacobian values come, in the order ``_Assembler.jacobian`` fills
     them, as 8 box entries per consecutive node pair (row kind, node, then
@@ -148,14 +153,15 @@ def _layout(counts: tuple, periodic: bool, boundaries: tuple,
     row = 2 * a.size + bc_cols.size
     ports, port_cols = [], []
     for ends in junctions:
-        bases = np.array([end_cols[end][i] for i, end in ends])
+        bases = np.array([end_cols[end][i] for i, end, _ in ends])
         n = bases.size
         rows += [row + np.arange(n - 1)] * 2 + [np.full(n, row + n - 1)]
         cols += [bases[1:], np.full(n - 1, bases[0]), bases + 1]
         first = len(port_cols)
         port_cols += [(c, c + 1) for c in bases.tolist()]
         ports.append((row, slice(first, len(port_cols)),
-                      tuple(1.0 if end == "end" else -1.0 for _, end in ends)))
+                      tuple(ratio for *_, ratio in ends),
+                      tuple(1.0 if end == "end" else -1.0 for _, end, _ in ends)))
         row += n
     if row != size:
         raise AssertionError(f"system is not square: {row} rows, {size} unknowns")
@@ -270,7 +276,7 @@ class _Assembler:
         nodes = sim.layout
         self.layout = lay = _layout(
             nodes.counts, sim.periodic, tuple(boundaries),
-            tuple(tuple((p.pipe_index, p.end) for p in j.ports)
+            tuple(tuple((p.pipe_index, p.end, p.pressure_ratio) for p in j.ports)
                   for j in sim.junctions))
         self.size = lay.size
         self.active = lay.size // 2
@@ -279,16 +285,13 @@ class _Assembler:
         self.bc_targets = np.array(targets)
         self._bc_scale = np.abs(self.bc_targets)
         # Junctions: first row, slice of ports, ratios, signs and extraction.
-        self.junctions = [
-            (row, ports, [p.pressure_ratio for p in junction.ports], signs,
-             junction.extraction)
-            for (row, ports, signs), junction in zip(lay.junctions, sim.junctions)
-        ]
+        self.junctions = [(*entry, junction.extraction)
+                          for entry, junction in zip(lay.junctions, sim.junctions)]
         # Per-node geometry of the stacked network, for one friction call.
-        self.x_nodes = self._closed(nodes.x[:self.active], 1)
         self.diameter = nodes.diameter
         self.roughness = nodes.roughness
-        self._sourced = sim.friction.enabled or sim.extra_source is not None
+        if sim.extra_source is not None:
+            self.x_nodes = self._closed(nodes.x[:self.active], 1)
         # The last residual's iterate and friction terms, for the Jacobian there.
         self._friction_at = (None, None)
         # Terms of the pair rows that the step fixes.
@@ -359,32 +362,40 @@ class _Assembler:
         g = self.sim.extra_source(self.x_nodes, self.t_new, rho, q)
         return [np.asarray(v, dtype=float) for v in g]
 
+    def _friction_source(self, x, rho, q):
+        """Friction source S at iterate ``x``; its terms are kept for the
+        Jacobian there."""
+        sim = self.sim
+        terms = sim.friction.terms(rho, q, self.diameter, self.roughness,
+                                   sim.friction_constants)
+        self._friction_at = (x.copy(), terms)
+        return terms.source
+
+    def _friction_derivatives(self, x, rho, q):
+        """(dS/drho, dS/dq) at iterate ``x``, on the last residual's terms
+        when that residual was at ``x``; zero with friction off."""
+        sim = self.sim
+        x_known, terms = self._friction_at
+        if not np.array_equal(x, x_known):
+            terms = None
+        _, ds_drho, ds_dq = sim.friction.source_with_derivatives(
+            rho, q, self.diameter, self.roughness, terms, sim.friction_constants)
+        return ds_drho, ds_dq
+
     def _sources(self, x, rho, q):
-        """(G_rho, G_q) at the new time level, at iterate ``x``."""
-        friction = self.sim.friction
-        if friction.enabled:
-            terms = friction.terms(rho, q, self.diameter, self.roughness)
-            self._friction_at = (x.copy(), terms)
-            s = terms.source
+        """(G_rho, G_q) of friction and the extra source at the new time
+        level, at iterate ``x``."""
+        if self.sim.friction.enabled:
+            s = self._friction_source(x, rho, q)
         else:
             s = np.zeros_like(rho)
-        if self.sim.extra_source is None:
-            return np.zeros_like(rho), s
         e_r, e_q = self._extra(rho, q)
         return e_r, s + e_q
 
     def _source_derivatives(self, x, rho, q):
-        """((dG_rho/drho, dG_rho/dq), (dG_q/drho, dG_q/dq)) at the new time
-        level, at iterate ``x``."""
-        x_known, terms = self._friction_at
-        if not np.array_equal(x, x_known):
-            terms = None
-        _, ds_drho, ds_dq = self.sim.friction.source_with_derivatives(
-            rho, q, self.diameter, self.roughness, terms
-        )
-        if self.sim.extra_source is None:
-            zero = np.zeros_like(rho)
-            return (zero, zero), (ds_drho, ds_dq)
+        """((dG_rho/drho, dG_rho/dq), (dG_q/drho, dG_q/dq)) of friction and
+        the extra source at the new time level, at iterate ``x``."""
+        ds_drho, ds_dq = self._friction_derivatives(x, rho, q)
         # State dependence of the extra source enters by differences.
         hr = 1e-7 * np.maximum(1.0, np.abs(rho))
         hq = 1e-7 * np.maximum(1.0, np.abs(q))
@@ -396,7 +407,8 @@ class _Assembler:
 
     def residual(self, x: np.ndarray):
         """Residual and row scale (sum of the terms' magnitudes) at ``x``."""
-        law, r, h = self.sim.law, self._r2, 0.5 * self.dt
+        sim = self.sim
+        law, r, h = sim.law, self._r2, 0.5 * self.dt
         lay = self.layout
         # Node values (rho, q), fluxes and sources, then their pair sums.
         u = self._closed(x, 2)
@@ -408,12 +420,18 @@ class _Assembler:
         pair_res = 0.5 * (u[:-2] + u[2:]) - self._old_half + r * (f[2:] - f[:-2])
         pair_scale = (0.5 * (au[:-2] + au[2:] + ao[:-2] + ao[2:])
                       + r * (af[:-2] + af[2:]))
-        if self._sourced:
+        if sim.extra_source is not None:
             g = np.empty_like(u)
             g[0::2], g[1::2] = self._sources(x, rho, q)
             ag = np.abs(g)
             pair_res -= h * (g[:-2] + g[2:])
             pair_scale += h * (ag[:-2] + ag[2:])
+        elif sim.friction.enabled:
+            # Friction alone is a momentum source: the mass rows have none.
+            s = self._friction_source(x, rho, q)
+            a_s = np.abs(s)
+            pair_res[1::2] -= h * (s[:-1] + s[1:])
+            pair_scale[1::2] += h * (a_s[:-1] + a_s[1:])
         residual = np.empty(self.size)
         scale = np.empty(self.size)
         # The pairs within pipes, in row order.
@@ -437,7 +455,8 @@ class _Assembler:
 
     def jacobian(self, x: np.ndarray) -> BandedJacobian:
         """Analytic Jacobian at ``x``, written into the layout's band storage."""
-        law, r, h = self.sim.law, self.r, 0.5 * self.dt
+        sim = self.sim
+        law, r, h = sim.law, self.r, 0.5 * self.dt
         lay = self.layout
         storage, values = lay.storage, lay.values
         u = self._closed(x, 2)
@@ -453,10 +472,17 @@ class _Assembler:
         np.subtract(0.5, r * a22[:-1], out=mom_a[1])
         np.multiply(r, a21[1:], out=mom_b[0])
         np.add(0.5, r * a22[1:], out=mom_b[1])
-        if self._sourced:
+        if sim.extra_source is not None:
             dg = np.array(self._source_derivatives(x, rho, q))
             box[:, 0] -= h * dg[..., :-1]
             box[:, 1] -= h * dg[..., 1:]
+        elif sim.friction.enabled:
+            # Friction alone: the momentum entries only.
+            for derivative, a, b in zip(self._friction_derivatives(x, rho, q),
+                                        mom_a, mom_b):
+                hd = h * derivative
+                a -= hd[:-1]
+                b -= hd[1:]
         entries = []
         rhos = x[lay.ports[:, 0]].tolist()
         for _, at, ratios, signs, _ in self.junctions:

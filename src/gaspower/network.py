@@ -3,14 +3,14 @@
 A :class:`GasSimulation` owns one state array of the network (cell averages
 for the explicit scheme, node values for the box scheme, pipe after pipe;
 the pipe grids are views of it), junction topology with optional compressors
-and extractions, and boundary conditions. Its grids and pressure law are
-fixed when it is built; a junction's extraction is a number. Boundaries enter
-through :func:`apply_boundary`, on floats: a far-field state is the trace; a
-prescribed pressure fixes the boundary density and the momentum follows from
-the wave curve through the neighbouring state. A prescribed momentum makes
-the pipe end a one-port junction: the outflow plays the part of the
-extraction, and the junction solver of :mod:`gaspower.riemann` finds the
-boundary density. A left boundary is the mirror image of a right one (see
+and extractions, and boundary conditions. Its grids, pressure law and
+friction model are fixed when it is built; a junction's extraction is a
+number. Boundaries enter through :func:`apply_boundary`, on floats: a
+far-field state is the trace; a prescribed pressure fixes the boundary
+density and the momentum follows from the wave curve through the
+neighbouring state. A prescribed momentum makes the pipe end a one-port
+junction: the outflow plays the part of the extraction, and the junction
+solver of :mod:`gaspower.riemann` finds the boundary density. A left boundary is the mirror image of a right one (see
 the mirror convention in :mod:`gaspower.laxcurves`).
 """
 
@@ -344,7 +344,9 @@ class GasSimulation:
 
     The network is fixed at build: ``grids`` becomes a tuple whose grids are
     views of :attr:`state`, laid out as :attr:`layout` says, and all pipes
-    share one pressure law.
+    share one pressure law. With friction enabled,
+    :attr:`friction_constants` holds the per-entry constants of ``friction``
+    on the layout's geometry.
     """
 
     grids: tuple[PipeGrid, ...]
@@ -382,6 +384,9 @@ class GasSimulation:
                         raise DomainError(f"pipe {grid.pipe.id}: no boundary or "
                                           f"junction at its {end}")
         self._stack()
+        self.friction_constants = (
+            self.friction.constants(self.layout.diameter, self.layout.roughness)
+            if self.friction.enabled else None)
 
     def _stack(self) -> None:
         """Gather the grids' values into one network state, ``state``: row 0

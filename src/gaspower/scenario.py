@@ -310,6 +310,29 @@ def _parse_bus(sec: _Section) -> BusSpec:
     )
 
 
+def _check_probe(probe: str, path: str, ends: dict, boundaries: dict,
+                 bus_ids: set) -> None:
+    """Refuse an output probe ``kind@where`` that names no gas node, junction
+    or bus of the scenario. Every pipe end of a parsed scenario is at a
+    boundary or a junction, so the nodes that are no boundary are junctions."""
+    kind, at, where = probe.partition("@")
+    if not at:
+        raise SchemaError(f"{path}: output quantity {probe!r} is not kind@where")
+    if kind in ("pressure", "rho", "q", "inflow"):
+        if where not in ends:
+            raise SchemaError(f"{path}: no gas node {where!r} for probe {probe!r}")
+    elif kind == "epsilon":
+        if where not in ends or where in boundaries:
+            raise SchemaError(f"{path}: no junction {where!r} for probe {probe!r}")
+    elif kind in ("P", "Q", "V", "phi"):
+        if not bus_ids:
+            raise SchemaError(f"{path}: probe {probe!r} needs a power grid")
+        if where != "slack" and where not in bus_ids:
+            raise SchemaError(f"{path}: no bus {where!r} for probe {probe!r}")
+    else:
+        raise SchemaError(f"{path}: unknown probe kind {kind!r} in {probe!r}")
+
+
 def load_scenario(path) -> Scenario:
     """Load and fully validate a scenario file.
 
@@ -480,11 +503,14 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     if n_cells is not None and (type(n_cells) is not int or n_cells < 1):
         raise SchemaError(
             f"{origin}.numerics.n_cells: expected a positive integer, got {n_cells!r}")
+    dx = num.number("dx") if "dx" in num.data else None
+    if dx is not None and not dx > 0.0:
+        raise SchemaError(f"{origin}.numerics.dx: expected a positive number, got {dx!r}")
     numerics = NumericsSpec(
         scheme=scheme,
         dt=num.number("dt"),
         t_end=num.number("t_end"),
-        dx=num.number("dx") if "dx" in num.data else None,
+        dx=dx,
         n_cells=n_cells,
         sample_every=(num.number("sample_every")
                       if "sample_every" in num.data else None),
@@ -498,6 +524,8 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     if top.get("outputs") is not None:
         out = _Section(top.get("outputs"), f"{origin}.outputs")
         series = tuple(str(s) for s in out.sequence("series"))
+        for k, probe in enumerate(series):
+            _check_probe(probe, f"{out.path}.series[{k}]", ends, boundaries, bus_ids)
         for sec in out.sections("profiles"):
             prof = ProfileSpec(time=sec.number("time"),
                                pipe=sec.string("pipe") if "pipe" in sec.data else None)

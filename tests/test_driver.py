@@ -1,6 +1,7 @@
 """Scenario-to-simulation wiring: topology derivation, probes, schemes."""
 
 import dataclasses
+import warnings
 from importlib.resources import files
 
 import pytest
@@ -105,9 +106,20 @@ def test_probe_series_are_recorded():
 
 
 def test_unknown_probe_is_a_schema_error():
-    scn = _mini(outputs={"series": ["rho@nowhere"]})
-    with pytest.raises(SchemaError):
-        run_gas_simulation(scn)
+    with pytest.raises(SchemaError, match=r"^<dict>\.outputs\.series\[0\]: "):
+        run_gas_simulation(_mini(outputs={"series": ["rho@nowhere"]}))
+
+
+def test_hand_built_pipe_without_initial_state_is_refused():
+    """A ``Scenario`` built without the parse that gives a pipe no initial
+    state, with stationary_init off, is refused before any grid is read."""
+    scn = load_scenario(BUNDLED / "validation.scn")
+    scn = dataclasses.replace(scn, initial=scn.initial[:1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="^pipe 'RIGHT' has no initial state "
+                                              "and stationary_init is off$"):
+            run_gas_simulation(scn)
 
 
 def test_link_area_comes_from_the_junction_pipes():

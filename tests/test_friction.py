@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaspower.friction
 from gaspower.errors import ConvergenceError, DomainError
 from gaspower.friction import (
     FrictionModel,
+    FrictionTerms,
     colebrook_friction_factor,
     friction_source,
 )
@@ -155,3 +158,50 @@ def test_reynolds_floor_is_not_a_constructor_field():
     assert FrictionModel.re_floor == 100.0
     with pytest.raises(TypeError):
         FrictionModel(re_floor=50.0)
+
+
+def _per_call(model, rho, q, d, k):
+    """The terms and (S, dS/drho, dS/dq) with every per-node constant formed
+    in the call, as the source was evaluated before a network held them."""
+    re = np.maximum(np.abs(q) * d / model.eta, model.re_floor)
+    lam = colebrook_friction_factor(re, d, k)
+    q_floor = model.re_floor * model.eta / d
+    drag = lam * q * np.maximum(np.abs(q), q_floor)
+    s = -drag / (2.0 * d * rho)
+    x = 1.0 / np.sqrt(lam)
+    u = 2.51 * x / re + k / (3.71 * d)
+    a = 2.0 / math.log(10.0)
+    dlam_dre = -2.0 / x**3 * ((a * 2.51 * x / (u * re * re)) / (1.0 + a * 2.51 / (u * re)))
+    ddrag_dq = (dlam_dre * (d / model.eta * np.sign(q)) * q * np.abs(q)
+                + 2.0 * lam * np.abs(q))
+    ddrag_dq = np.where(np.abs(q) < q_floor, lam * q_floor, ddrag_dq)
+    return (FrictionTerms(re, lam, drag, q_floor, s),
+            (s, -s / rho, -ddrag_dq / (2.0 * d * rho)))
+
+
+NODES = st.lists(st.tuples(
+    st.floats(0.05, 1.5),                                   # diameter
+    st.one_of(st.just(0.0), st.floats(1e-7, 1e-2)),         # roughness
+    st.floats(0.5, 100.0),                                  # density
+    # |q| in units of q_floor: zero, below, at and above the Reynolds floor
+    st.one_of(st.just(0.0), st.floats(1e-3, 0.999), st.just(1.0), st.floats(1.001, 1e7)),
+    st.sampled_from((-1.0, 1.0)),                           # direction
+), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(nodes=NODES, eta=st.sampled_from((1e-5, 1e-3)))
+def test_held_constants_match_the_per_call_form_bit_for_bit(nodes, eta):
+    """Terms and derivatives on a network's held constants equal those with
+    the constants formed in the call."""
+    model = FrictionModel(eta=eta)
+    d, k, rho, share, sign = map(np.array, zip(*nodes))
+    q = sign * share * (model.re_floor * eta / d)
+    terms, derivatives = _per_call(model, rho, q, d, k)
+    constants = model.constants(d, k)
+    for got in (model.terms(rho, q, d, k, constants), model.terms(rho, q, d, k)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, terms))
+    for got in (model.source_with_derivatives(rho, q, d, k, None, constants),
+                model.source_with_derivatives(rho, q, d, k, terms, constants),
+                model.source_with_derivatives(rho, q, d, k)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, derivatives))

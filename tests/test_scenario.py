@@ -232,14 +232,39 @@ REFUSALS = {
     "dangling-pipe-end": (
         "validation.scn", "  - {node: OUTLET, kind: state, rho: 3.0, q: -1.0}\n", "",
         "pipes[1]", "node 'OUTLET': dangling pipe end without boundary"),
+    "zero-dx": (
+        "validation.scn", "dx: 5.0e-4", "dx: 0",
+        "numerics.dx", "expected a positive number, got 0.0"),
+    "negative-dx": (
+        "validation.scn", "dx: 5.0e-4", "dx: -5.0e-4",
+        "numerics.dx", "expected a positive number, got -0.0005"),
+    "probe-at-no-node": (
+        "validation.scn", "outputs:\n", "outputs:\n  series: [rho@nowhere]\n",
+        "outputs.series[0]", "no gas node 'nowhere' for probe 'rho@nowhere'"),
+    "probe-of-no-kind": (
+        "gaslib9.scn", "    - q@S5\n", "    - mass@S5\n",
+        "outputs.series[3]", "unknown probe kind 'mass' in 'mass@S5'"),
+    "probe-without-at": (
+        "gaslib9.scn", "    - q@S5\n", "    - S5\n",
+        "outputs.series[3]", "output quantity 'S5' is not kind@where"),
+    "draw-probe-at-a-boundary": (
+        "gaslib9.scn", "epsilon@S4", "epsilon@S5",
+        "outputs.series[2]", "no junction 'S5' for probe 'epsilon@S5'"),
+    "probe-at-no-bus": (
+        "gaslib9.scn", "Q@slack", "Q@N10",
+        "outputs.series[1]", "no bus 'N10' for probe 'Q@N10'"),
+    "power-probe-without-grid": (
+        "validation.scn", "outputs:\n", "outputs:\n  series: [rho@INLET, P@slack]\n",
+        "outputs.series[1]", "probe 'P@slack' needs a power grid"),
 }
 
 
 @pytest.mark.parametrize("case", REFUSALS)
 def test_entries_that_repeat_or_attach_to_nothing_are_refused(tmp_path, case):
     """A missing initial state, a second entry for the same pipe, node or
-    port, and an entry that attaches to nothing are schema errors at load
-    that name the field of the offending entry."""
+    port, an entry that attaches to nothing (an output probe included) and a
+    grid spacing that is not positive are schema errors at load, before any
+    network is built, that name the field of the offending entry."""
     name, old, new, field, rest = REFUSALS[case]
     text = (BUNDLED / name).read_text()
     assert text.count(old) == 1
@@ -248,6 +273,13 @@ def test_entries_that_repeat_or_attach_to_nothing_are_refused(tmp_path, case):
     with pytest.raises(SchemaError) as info:
         load_scenario(path)
     assert str(info.value) == f"{path}.{field}: {rest}"
+
+
+def test_probes_of_every_kind_pass_the_load():
+    raw = scenario_to_dict(load_scenario(BUNDLED / "gaslib9.scn"))
+    raw["outputs"]["series"] = ["pressure@S5", "rho@S25", "q@S17", "inflow@S8",
+                                "epsilon@S20", "P@N2", "Q@slack", "V@N5", "phi@N9"]
+    assert scenario_from_dict(raw).outputs.series == tuple(raw["outputs"]["series"])
 
 
 def test_round_trip_through_save_and_load(tmp_path):
