@@ -4,14 +4,15 @@ A :class:`GasSimulation` owns one state array of the network (cell averages
 for the explicit scheme, node values for the box scheme, pipe after pipe;
 the pipe grids are views of it), junction topology with optional compressors
 and extractions, and boundary conditions. Its grids, pressure law and
-friction model are fixed when it is built; a junction's extraction is a
-number. Boundaries enter through :func:`apply_boundary`, on floats: a
-far-field state is the trace; a prescribed pressure fixes the boundary
-density and the momentum follows from the wave curve through the
+per-node friction constants are fixed when it is built; a junction's
+extraction is a number. Boundaries enter through :func:`apply_boundary`, on
+floats: a far-field state is the trace; a prescribed pressure fixes the
+boundary density and the momentum follows from the wave curve through the
 neighbouring state. A prescribed momentum makes the pipe end a one-port
 junction: the outflow plays the part of the extraction, and the junction
-solver of :mod:`gaspower.riemann` finds the boundary density. A left boundary is the mirror image of a right one (see
-the mirror convention in :mod:`gaspower.laxcurves`).
+solver of :mod:`gaspower.riemann` finds the boundary density. A left
+boundary is the mirror image of a right one (see the mirror convention in
+:mod:`gaspower.laxcurves`).
 """
 
 from __future__ import annotations
