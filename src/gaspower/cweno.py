@@ -11,16 +11,16 @@ integration is the optimal three-stage SSP Runge-Kutta method.
 A step advances the simulation's network state in place: one ``(2, N)``
 array (row 0 density, row 1 momentum, pipe after pipe) of which the pipe
 grids are views, so a stage reconstructs and takes fluxes and friction once
-for all pipes. A layout cached per network layout holds the pipe ends and
-the stage workspace. Its difference row of all N + 1 interfaces (the outer
-ones 0, or the wrapped difference on a periodic pipe) gives every cell both
-slopes, and its side weights are formed once per interface; an interface
-between two pipes, whose slope mixes them, only reaches end cells, which
-fall back to first order. Its edge buffer holds the right
-edges, a spare column and the left edges, so the plus side of every right
-interface is a shifted slice, and the flux evaluates the law once on the
-whole density row. The workspace is overwritten by every stage on the
-layout; the package runs one step at a time.
+for all pipes. The simulation's first step builds its layout, which holds
+the pipe ends and the stage workspace, and keeps it as the simulation's
+``scheme_layout`` for every later step. Its difference row of all N + 1
+interfaces (the outer ones 0, or the wrapped difference on a periodic pipe)
+gives every cell both slopes, and its side weights are formed once per
+interface; an interface between two pipes, whose slope mixes them, only
+reaches end cells, which fall back to first order. Its edge buffer holds
+the right edges, a spare column and the left edges, so the plus side of
+every right interface is a shifted slice, and the flux evaluates the law
+once on the whole density row. Every stage overwrites the workspace.
 
 Every stage solves each junction Riemann problem on the cell averages next
 to its ports, read at once through the layout: by ``junction_traces`` on
@@ -33,7 +33,6 @@ floats and returns the trace's.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +64,7 @@ class _Layout(NamedTuple):
     f_left: np.ndarray      # (2, n): flux through every cell's left interface
 
 
-@functools.lru_cache(maxsize=32)
-def _layout(counts: tuple, periodic: bool, junctions: tuple = ()) -> _Layout:
+def _layout(counts: tuple, periodic: bool, junctions=()) -> _Layout:
     """Layout of pipes with ``counts`` cells, wrapped when ``periodic``, and
     of the ``JunctionPort``s of every junction, incoming ports first."""
     last = np.cumsum(counts) - 1
@@ -95,8 +93,7 @@ def _layout(counts: tuple, periodic: bool, junctions: tuple = ()) -> _Layout:
 
 def _reconstruct(v: np.ndarray, eps: np.ndarray, layout: _Layout):
     """Interface values (left edge, right edge) of each cell of the stacked
-    rows ``v``, as views of ``layout.edges`` valid until the next call on
-    that layout; ``eps`` is dx^2 per cell."""
+    rows ``v``, as views of ``layout.edges``; ``eps`` is dx^2 per cell."""
     n = v.shape[1]
     d, a, edges = layout.slopes, layout.weights, layout.edges
     np.subtract(v[:, 1:], v[:, :-1], out=d[:, 1:-1])
@@ -259,8 +256,10 @@ def cweno3_step(sim: GasSimulation, dt: float) -> StepRecord:
 
     t = sim.t
     u0 = sim.state
-    layout = _layout(sim.layout.counts, sim.periodic,
-                     tuple(tuple(j.ports) for j in sim.junctions))
+    layout = sim.scheme_layout
+    if layout is None:
+        layout = sim.scheme_layout = _layout(sim.layout.counts, sim.periodic,
+                                             [j.ports for j in sim.junctions])
     mass_before = sim.total_mass()
     eps = sim.layout.dx * sim.layout.dx
 

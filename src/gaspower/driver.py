@@ -30,7 +30,7 @@ from .network import (
 )
 from .output import ProfileOutput, TimeSeriesOutput
 from .powerflow import Bus, PowerGrid, TransmissionLine, solve_newton
-from .scenario import Scenario
+from .scenario import POWER_PROBES, Scenario
 
 
 def _series_function(value: tuple):
@@ -74,9 +74,8 @@ def build_gas_simulation(scenario: Scenario) -> GasSimulation:
     for k, spec in enumerate(scenario.pipes):
         pipe = Pipe(spec.id, spec.from_node, spec.to_node,
                     spec.length, spec.diameter, spec.roughness)
-        n = (num.n_cells if num.n_cells is not None
-             else max(2, int(round(spec.length / num.dx))))
-        grid = PipeGrid(pipe, n, scenario.law, staggering=staggering)
+        grid = PipeGrid(pipe, num.intervals(spec.length), scenario.law,
+                        staggering=staggering)
         init = initial.get(spec.id)
         if init is not None:
             grid.fill(init.rho, init.q)
@@ -173,7 +172,7 @@ class _ProbeSet:
                 if junction.node == where:
                     return junction.extraction
             raise SchemaError(f"no junction {where!r} for probe {quantity!r}")
-        if kind in ("P", "Q", "V", "phi"):
+        if kind in POWER_PROBES:
             if self.grid is None or self.pf is None:
                 raise SchemaError(f"probe {quantity!r} needs a power grid")
             if where == "slack":
@@ -248,7 +247,13 @@ def _run(scenario: Scenario, sim: GasSimulation, probes: _ProbeSet,
 
 
 def run_gas_simulation(scenario: Scenario) -> RunResult:
-    """Gas-only run of a scenario with the configured scheme."""
+    """Gas-only run of a scenario with the configured scheme. A probe of the
+    power flow, which this run does not solve, is a ``SchemaError`` naming
+    it before anything is built."""
+    for k, probe in enumerate(scenario.outputs.series):
+        if probe.partition("@")[0] in POWER_PROBES:
+            raise SchemaError(f"{scenario.name}.outputs.series[{k}]: probe {probe!r} "
+                              f"needs a power grid, and a gas-only run solves none")
     sim = build_gas_simulation(scenario)
     if scenario.stationary_init:
         find_stationary_state(sim)

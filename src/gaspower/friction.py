@@ -117,11 +117,12 @@ class FrictionTerms(NamedTuple):
     source: np.ndarray     # S = -drag/(2 d rho)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrictionModel:
     """Momentum friction source with Reynolds-floor regularization.
 
-    Diameter and roughness are scalars or per-node arrays.
+    Diameter and roughness are scalars or per-node arrays. The model is
+    frozen, so constants formed from it stay its own.
     """
 
     eta: float = 1e-5          # dynamic viscosity [kg/(m s)]

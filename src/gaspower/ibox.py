@@ -15,14 +15,16 @@ piece. The rows are, in this order: the mass (even) and momentum (odd) rows
 of every neighbour pair of the stacked pipes, one row per boundary, and per
 junction its pressure rows followed by its mass row.
 
-The sparsity pattern of the Jacobian is fixed by the network layout: the
-node counts of the pipes, periodicity and the columns of the boundary rows
-and junction ports. Its band layout is built once per network layout and
-cached: reverse Cuthill-McKee orders the columns and the rows follow their
-first column, which leaves a narrow band for any topology (2/2 sub/super-
-diagonals for a chain of pipes, 5/7 for the bundled gaslib9 network with
-its loop). The linear solver is LAPACK's banded LU with partial pivoting;
-a zero pivot raises ``ConvergenceError`` naming the time, pipe and node.
+The sparsity pattern of the Jacobian is fixed by the network, which cannot
+be re-wired once built: the node counts of the pipes, periodicity and the
+columns of the boundary rows and junction ports. The first step of a
+simulation builds its band layout and keeps it as the simulation's
+``scheme_layout`` for every later step: reverse Cuthill-McKee orders the
+columns and the rows follow their first column, which leaves a narrow band
+for any topology (2/2 sub/super-diagonals for a chain of pipes, 5/7 for the
+bundled gaslib9 network with its loop). The linear solver is LAPACK's
+banded LU with partial pivoting; a zero pivot raises ``ConvergenceError``
+naming the time, pipe and node.
 
 Assembly works on node arrays. Each iterate forms every node quantity once
 (flux, sources and their magnitudes) and takes the pair sums and
@@ -32,15 +34,14 @@ too. One selection then drops the pairs that straddle two pipes. The terms
 that only the step fixes (the old-level half sums and magnitudes, dt/dx,
 the boundary targets and extractions) are computed once per step, and no
 step forms those that the network fixes: the port pressure ratios are part
-of the cached layout, and the simulation holds the per-node friction
-constants. Friction alone is a momentum source, so it enters the momentum
-rows only; the mass rows get a source term only from an extra source. The
-cached layout also holds the system's work arrays: the band storage, the
-Jacobian values and the LU work array. Every Jacobian writes its pattern
-entries into the band in place, so the entries off the pattern stay zero
-without being cleared, and every solve copies the band into the work array
-and factors it there. No step allocates band-sized memory, and the package
-runs one step at a time: a Jacobian holds until the next one of its layout.
+of the layout, and the simulation holds the per-node friction constants.
+Friction alone is a momentum source, so it enters the momentum rows only;
+the mass rows get a source term only from an extra source. The layout also
+holds the system's work arrays: the band storage, the Jacobian values and
+the LU work array. Every Jacobian writes its pattern entries into the band
+in place, so the entries off the pattern stay zero without being cleared,
+and every solve copies the band into the work array and factors it there.
+No step allocates band-sized memory.
 
 Newton evaluates the residual first and builds a Jacobian only before a
 Newton step, so line-search trials and the converged iterate cost one
@@ -57,7 +58,6 @@ The scheme is unconditionally stable for sub-sonic flow but is meant to run
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -81,7 +81,7 @@ class _Layout:
     entry of the band storage.
 
     ``storage``, ``values`` and ``work`` are the work arrays of every box
-    system of the layout, shared by its steps and its simulations.
+    system of one simulation.
     """
 
     size: int
@@ -101,8 +101,7 @@ class _Layout:
     work: np.ndarray       # (ldab, size) Fortran-ordered LU work array
 
     def __post_init__(self):
-        # One cached layout serves every step of its networks; its work
-        # arrays stay writable.
+        # The index arrays are read-only; the work arrays stay writable.
         for array in (self.box, self.bc_cols, self.ports, self.row_order,
                       self.col_order, self.pos):
             array.flags.writeable = False
@@ -113,12 +112,9 @@ class _Layout:
         return 2 * self.kl + self.ku + 1
 
 
-@functools.lru_cache(maxsize=32)
-def _layout(counts: tuple, periodic: bool, boundaries: tuple,
-            junctions: tuple) -> _Layout:
-    """Layout of the box system for the node counts of the pipes, the
-    ``(pipe, end, kind)`` of every boundary and the ``(pipe, end, pressure
-    ratio)`` of every port of every junction.
+def _layout(sim: GasSimulation) -> _Layout:
+    """Layout of the box system of ``sim``: the node counts of its pipes, the
+    kind of every boundary and the ports of every junction.
 
     The Jacobian values come, in the order ``_Assembler.jacobian`` fills
     them, as 8 box entries per consecutive node pair (row kind, node, then
@@ -133,7 +129,8 @@ def _layout(counts: tuple, periodic: bool, boundaries: tuple,
 
     # A periodic network is one pipe whose last node is an alias of its
     # first, so that its last pair closes the loop.
-    offsets = np.cumsum((0,) + counts)
+    periodic = sim.periodic
+    offsets = np.cumsum((0,) + sim.layout.counts)
     active = int(offsets[-1]) - periodic
     size = 2 * active
     pairs = np.arange(offsets[-1] - 1)
@@ -143,8 +140,8 @@ def _layout(counts: tuple, periodic: bool, boundaries: tuple,
     # A boundary row fixes the momentum of its end node for a flow and at
     # the right end of a far-field state, else the density.
     bc_cols = np.array(
-        [end_cols[end][i] + (kind == "flow" or (kind == "state" and end == "end"))
-         for i, end, kind in boundaries], dtype=np.intp)
+        [end_cols[end][i] + (bc.kind == "flow" or (bc.kind == "state" and end == "end"))
+         for (i, end), bc in sim.boundaries.items()], dtype=np.intp)
 
     rr = 2 * np.arange(a.size)
     ra, rb = 2 * a, 2 * ((a + 1) % active)
@@ -152,16 +149,17 @@ def _layout(counts: tuple, periodic: bool, boundaries: tuple,
     cols = [ra, ra + 1, rb, rb + 1] * 2 + [bc_cols]
     row = 2 * a.size + bc_cols.size
     ports, port_cols = [], []
-    for ends in junctions:
-        bases = np.array([end_cols[end][i] for i, end, _ in ends])
+    for junction in sim.junctions:
+        ends = junction.ports
+        bases = np.array([end_cols[p.end][p.pipe_index] for p in ends])
         n = bases.size
         rows += [row + np.arange(n - 1)] * 2 + [np.full(n, row + n - 1)]
         cols += [bases[1:], np.full(n - 1, bases[0]), bases + 1]
         first = len(port_cols)
         port_cols += [(c, c + 1) for c in bases.tolist()]
         ports.append((row, slice(first, len(port_cols)),
-                      tuple(ratio for *_, ratio in ends),
-                      tuple(1.0 if end == "end" else -1.0 for _, end, _ in ends)))
+                      tuple(p.pressure_ratio for p in ends),
+                      tuple(1.0 if p.end == "end" else -1.0 for p in ends)))
         row += n
     if row != size:
         raise AssertionError(f"system is not square: {row} rows, {size} unknowns")
@@ -204,10 +202,9 @@ def _layout(counts: tuple, periodic: bool, boundaries: tuple,
 class BandedJacobian:
     """Newton matrix of one iterate in LAPACK band storage of its layout.
 
-    ``band`` is a view of the layout's band storage, so the matrix holds
-    until the next ``jacobian`` call on any assembler of the same layout;
-    the package runs one step at a time. ``unknown(column)`` names the pipe,
-    node and variable of a column.
+    ``band`` is a view of the layout's band storage, which the next
+    Jacobian of the same simulation overwrites. ``unknown(column)`` names
+    the pipe, node and variable of a column.
     """
 
     def __init__(self, layout: _Layout, band: np.ndarray, unknown):
@@ -255,7 +252,8 @@ def spsolve(jacobian: BandedJacobian, rhs: np.ndarray) -> np.ndarray:
 
 
 class _Assembler:
-    """Per-step data and row assembly of one box step in a cached layout."""
+    """Per-step data and row assembly of one box step in its simulation's
+    layout."""
 
     def __init__(self, sim: GasSimulation, dt: float, t_new: float):
         sim.require_staggering("nodes", "the box scheme")
@@ -264,20 +262,19 @@ class _Assembler:
         self.t_new = t_new
         # Boundary rows fix the density or the momentum of the end node.
         law = sim.law
-        boundaries, targets = [], []
+        targets = []
         for (idx, end), bc in sim.boundaries.items():
             value = bc.value(t_new)
             if bc.kind == "pressure":
                 value = law.rho_from_pressure(value)
             elif bc.kind == "state":  # density at a left end, momentum at a right end
                 value = value[0 if end == "start" else 1]
-            boundaries.append((idx, end, bc.kind))
             targets.append(float(value))
         nodes = sim.layout
-        self.layout = lay = _layout(
-            nodes.counts, sim.periodic, tuple(boundaries),
-            tuple(tuple((p.pipe_index, p.end, p.pressure_ratio) for p in j.ports)
-                  for j in sim.junctions))
+        lay = sim.scheme_layout
+        if lay is None:
+            lay = sim.scheme_layout = _layout(sim)
+        self.layout = lay
         self.size = lay.size
         self.active = lay.size // 2
         self.x_old = np.empty(self.size)

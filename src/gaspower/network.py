@@ -4,15 +4,16 @@ A :class:`GasSimulation` owns one state array of the network (cell averages
 for the explicit scheme, node values for the box scheme, pipe after pipe;
 the pipe grids are views of it), junction topology with optional compressors
 and extractions, and boundary conditions. Its grids, pressure law and
-per-node friction constants are fixed when it is built; a junction's
-extraction is a number. Boundaries enter through :func:`apply_boundary`, on
-floats: a far-field state is the trace; a prescribed pressure fixes the
-boundary density and the momentum follows from the wave curve through the
-neighbouring state. A prescribed momentum makes the pipe end a one-port
-junction: the outflow plays the part of the extraction, and the junction
-solver of :mod:`gaspower.riemann` finds the boundary density. A left
-boundary is the mirror image of a right one (see the mirror convention in
-:mod:`gaspower.laxcurves`).
+per-node friction constants are fixed when it is built, and its wiring
+cannot be re-bound afterwards; a junction's extraction is a number. The
+scheme that steps it keeps its layout on the simulation. Boundaries enter
+through :func:`apply_boundary`, on floats: a far-field state is the trace;
+a prescribed pressure fixes the boundary density and the momentum follows
+from the wave curve through the neighbouring state. A prescribed momentum
+makes the pipe end a one-port junction: the outflow plays the part of the
+extraction, and the junction solver of :mod:`gaspower.riemann` finds the
+boundary density. A left boundary is the mirror image of a right one (see
+the mirror convention in :mod:`gaspower.laxcurves`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, dataclass, field
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -196,6 +199,17 @@ def _layout(grids: tuple) -> _Layout:
     return layout
 
 
+def _fixed_at_build(*names: str):
+    """A ``__setattr__`` that refuses to re-bind the fields ``names`` once
+    they are set, naming the field."""
+    def __setattr__(self, name, value):
+        if name in names and name in self.__dict__:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}: the "
+                                      f"network is fixed at build")
+        object.__setattr__(self, name, value)
+    return __setattr__
+
+
 @dataclass(frozen=True)
 class JunctionPort:
     """One pipe end meeting a junction.
@@ -220,15 +234,19 @@ class JunctionPort:
 class Junction:
     """Pipe ends meeting at ``node`` and the gas drawn there.
 
+    ``ports`` becomes a tuple, and ``node`` and ``ports`` cannot be re-bound.
     ``extraction`` is a number in momentum-flux units (negative injects gas);
     a step reads it as it is, and the co-simulation sets it before each step.
     """
 
     node: str
-    ports: list[JunctionPort]
+    ports: tuple[JunctionPort, ...]
     extraction: float = 0.0
 
+    __setattr__ = _fixed_at_build("node", "ports")
+
     def __post_init__(self):
+        object.__setattr__(self, "ports", tuple(self.ports))
         if not isinstance(self.extraction, numbers.Real):
             raise DomainError(f"junction {self.node}: extraction must be a real "
                               f"number, got {self.extraction!r}")
@@ -344,25 +362,36 @@ class GasSimulation:
     """Network state advanced in place by one of the two schemes.
 
     The network is fixed at build: ``grids`` becomes a tuple whose grids are
-    views of :attr:`state`, laid out as :attr:`layout` says, and all pipes
-    share one pressure law. With friction enabled,
-    :attr:`friction_constants` holds the per-entry constants of ``friction``
-    on the layout's geometry.
+    views of :attr:`state`, laid out as :attr:`layout` says, ``junctions``
+    a tuple and ``boundaries`` a read-only mapping, and all pipes share one
+    pressure law. ``grids``, ``junctions``, ``boundaries``, ``friction``
+    (itself frozen) and ``periodic`` cannot be re-bound, so what is derived
+    from them at build or at the first step stays true. With friction
+    enabled, :attr:`friction_constants` holds the per-entry constants of
+    ``friction`` on the layout's geometry. :attr:`scheme_layout` is None at
+    build; the first step fills it with the layout of its scheme (indices
+    and work arrays), which every later step of this simulation reuses.
     """
 
     grids: tuple[PipeGrid, ...]
-    junctions: list[Junction] = field(default_factory=list)
-    boundaries: dict[tuple[int, str], BoundaryCondition] = field(default_factory=dict)
+    junctions: tuple[Junction, ...] = ()
+    boundaries: Mapping[tuple[int, str], BoundaryCondition] = field(default_factory=dict)
     friction: FrictionModel = field(default_factory=lambda: FrictionModel(enabled=False))
     extra_source: Callable | None = None  # (x, t, rho, q) -> (g_rho, g_q)
     periodic: bool = False
     t: float = 0.0
+    scheme_layout: object = field(default=None, init=False, repr=False, compare=False)
+
+    __setattr__ = _fixed_at_build("grids", "junctions", "boundaries", "friction",
+                                  "periodic")
 
     def __post_init__(self):
         if self.periodic and (self.junctions or self.boundaries
                               or len(self.grids) != 1):
             raise DomainError("periodic runs support exactly one isolated pipe")
-        self.grids = tuple(self.grids)
+        object.__setattr__(self, "grids", tuple(self.grids))
+        object.__setattr__(self, "junctions", tuple(self.junctions))
+        object.__setattr__(self, "boundaries", MappingProxyType(dict(self.boundaries)))
         self.law = self.grids[0].law
         for grid in self.grids:
             if grid.law != self.law:

@@ -29,6 +29,14 @@ from .pressure import PressureLaw, parse_law
 
 BAR = 1e5  # Pa
 
+# The largest grid a scenario may ask for: cells (CWENO3) or nodes (box
+# scheme) of all pipes together. The largest grid of the bundled scenarios,
+# the tests and the benchmark workloads has 10,002 nodes.
+MAX_GRID_ENTRIES = 1_000_000
+
+# Probe kinds that read the power flow.
+POWER_PROBES = ("P", "Q", "V", "phi")
+
 # libyaml's scanner and emitter when PyYAML was built with them; the
 # constructor, resolver and representer are the same Python classes either
 # way, so both pairs read and write the same values.
@@ -206,6 +214,13 @@ class NumericsSpec:
     n_cells: int | None = None
     sample_every: float | None = None
 
+    def intervals(self, length: float) -> int:
+        """Intervals of a pipe of ``length``: ``n_cells``, else length/dx
+        rounded, and at least 2."""
+        if self.n_cells is not None:
+            return self.n_cells
+        return max(2, int(round(length / self.dx)))
+
 
 @dataclass(frozen=True)
 class ProfileSpec:
@@ -324,7 +339,7 @@ def _check_probe(probe: str, path: str, ends: dict, boundaries: dict,
     elif kind == "epsilon":
         if where not in ends or where in boundaries:
             raise SchemaError(f"{path}: no junction {where!r} for probe {probe!r}")
-    elif kind in ("P", "Q", "V", "phi"):
+    elif kind in POWER_PROBES:
         if not bus_ids:
             raise SchemaError(f"{path}: probe {probe!r} needs a power grid")
         if where != "slack" and where not in bus_ids:
@@ -517,6 +532,17 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     )
     if numerics.dx is None and numerics.n_cells is None:
         raise SchemaError(f"{origin}.numerics: need dx or n_cells")
+    try:
+        entries = float(sum(numerics.intervals(p.length) + (scheme == "ibox")
+                            for p in pipes))
+    except OverflowError:  # more intervals than the largest float
+        entries = math.inf
+    if entries > MAX_GRID_ENTRIES:
+        what = "n_cells" if n_cells is not None else "dx"
+        raise SchemaError(
+            f"{origin}.numerics.{what}: {getattr(numerics, what)!r} gives "
+            f"{entries:.7g} grid {'nodes' if scheme == 'ibox' else 'cells'}, "
+            f"more than the {MAX_GRID_ENTRIES:,} allowed")
     if numerics.dt <= 0.0 or numerics.t_end <= 0.0:
         raise SchemaError(f"{origin}.numerics: dt and t_end must be positive")
 

@@ -1,7 +1,9 @@
 """Explicit scheme: exactness, stability guard, conservation, accuracy."""
 
 import functools
+import gc
 import math
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -281,20 +283,49 @@ def test_junction_injection_matches_the_exact_solution(benchmark_law,
     assert float(np.sum(np.abs(rho - rho_exact)) * sim.grids[0].dx) <= 2e-2
 
 
+_WORK_ARRAYS = ("slopes", "weights", "edges", "f_left")
+
+
+def _assert_no_shared_work_array(first, second):
+    for name in _WORK_ARRAYS:
+        assert not np.shares_memory(getattr(first, name), getattr(second, name))
+
+
 def test_cell_layout_is_built_once_per_network_layout(benchmark_law):
-    gaspower.cweno._layout.cache_clear()
-    for _ in range(2):
-        sim = _unequal_network(benchmark_law)
+    """A simulation builds its cell layout at its first step and keeps that
+    one object for every later step; two simulations of one network layout
+    share no work array, and a finished simulation that is dropped frees
+    its layout with it, with no garbage collection needed."""
+    def run(sim):
+        assert sim.scheme_layout is None
+        layouts = []
         for _ in range(3):
             cweno3_step(sim, 2e-3)
-    info = gaspower.cweno._layout.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
+            layouts.append(sim.scheme_layout)
+        assert all(layout is layouts[0] for layout in layouts)
+        return layouts[0]
+
+    _assert_no_shared_work_array(*(run(_unequal_network(benchmark_law))
+                                   for _ in range(2)))
+
+    def run_and_drop():
+        sim = _unequal_network(benchmark_law)
+        layout = run(sim)
+        return [weakref.ref(sim)] + [weakref.ref(getattr(layout, name))
+                                     for name in _WORK_ARRAYS]
+
+    gc.disable()
+    try:
+        refs = run_and_drop()
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_junction_wiring_gets_its_own_cell_layout(benchmark_law):
-    """Networks with the same cell counts but other junction wiring take
-    their own layout: each solves its own junction. The wired network is
-    the reference one with its pipes listed in another order."""
+    """Networks with the same cell counts but other junction wiring each
+    build their own layout and solve their own junction. The wired network
+    is the reference one with its pipes listed in another order."""
     def network(order):
         # Pipe 0 feeds pipe 1 at a junction with a draw; pipe 2 stands alone.
         at = {k: i for i, k in enumerate(order)}
@@ -310,12 +341,14 @@ def test_junction_wiring_gets_its_own_cell_layout(benchmark_law):
             boundaries={(at[k], end): BoundaryCondition("state", constant((2.5, 0.3)))
                         for k, end in ends})
 
-    gaspower.cweno._layout.cache_clear()
     reference, rewired = network((0, 1, 2)), network((2, 0, 1))
     for _ in range(10):
         cweno3_step(reference, 2e-3)
         cweno3_step(rewired, 2e-3)
-    assert gaspower.cweno._layout.cache_info().misses == 2
+    assert reference.layout.counts == rewired.layout.counts
+    assert (reference.scheme_layout.port_cells.tolist()
+            != rewired.scheme_layout.port_cells.tolist())
+    _assert_no_shared_work_array(reference.scheme_layout, rewired.scheme_layout)
     for i, k in enumerate((2, 0, 1)):
         assert rewired.grids[i].rho.tobytes() == reference.grids[k].rho.tobytes()
         assert rewired.grids[i].q.tobytes() == reference.grids[k].q.tobytes()
@@ -582,8 +615,9 @@ def test_steps_match_the_gathered_stage_bit_for_bit(spec, build, monkeypatch):
 
 def test_simulations_of_one_layout_stepped_in_turn_match_each_run_alone(
         benchmark_law):
-    """Two simulations of one cell layout share its work arrays; stepped in
-    turn, each ends bit for bit where it ends when run alone."""
+    """Two simulations of one network layout each hold their own work
+    arrays; stepped in turn, each ends bit for bit where it ends when run
+    alone."""
     def pair():
         first, second = (_unequal_network(benchmark_law) for _ in range(2))
         second.state[0] *= 1.01
@@ -595,12 +629,11 @@ def test_simulations_of_one_layout_stepped_in_turn_match_each_run_alone(
         for _ in range(10):
             cweno3_step(sim, 2e-3)
         alone.append(sim.state.copy())
-    gaspower.cweno._layout.cache_clear()
     in_turn = pair()
     for _ in range(10):
         for sim in in_turn:
             cweno3_step(sim, 2e-3)
-    assert gaspower.cweno._layout.cache_info().misses == 1
+    _assert_no_shared_work_array(*(sim.scheme_layout for sim in in_turn))
     for sim, state in zip(in_turn, alone):
         assert sim.state.tobytes() == state.tobytes()
     assert not np.array_equal(alone[0], alone[1])

@@ -7,6 +7,7 @@ from importlib.resources import files
 import pytest
 import yaml
 
+import gaspower.driver
 from gaspower.coupling import find_stationary_state
 from gaspower.driver import (
     build_gas_simulation,
@@ -108,6 +109,19 @@ def test_probe_series_are_recorded():
 def test_unknown_probe_is_a_schema_error():
     with pytest.raises(SchemaError, match=r"^<dict>\.outputs\.series\[0\]: "):
         run_gas_simulation(_mini(outputs={"series": ["rho@nowhere"]}))
+
+
+def test_gas_only_run_refuses_power_probes_before_the_build(monkeypatch):
+    """The bundled coupled scenario run gas-only names its first power-flow
+    probe as a schema error before any network is built."""
+    def build(scenario):
+        raise AssertionError("the network was built")
+
+    monkeypatch.setattr(gaspower.driver, "build_gas_simulation", build)
+    with pytest.raises(SchemaError, match=r"^gaslib9\.outputs\.series\[0\]: probe "
+                                          r"'P@slack' needs a power grid, and a "
+                                          r"gas-only run solves none$"):
+        run_gas_simulation(load_scenario(BUNDLED / "gaslib9.scn"))
 
 
 def test_hand_built_pipe_without_initial_state_is_refused():

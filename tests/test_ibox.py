@@ -1,7 +1,9 @@
 """Implicit box scheme: fixed points, the discrete relation, ODE limit."""
 
+import gc
 import math
 import warnings
+import weakref
 from importlib.resources import files
 
 import numpy as np
@@ -453,23 +455,47 @@ def test_step_record_closes_the_mass_balance(network, benchmark_law):
         assert (record.expected_mass_change == 0.0) == periodic
 
 
+def _assert_no_shared_work_array(first, second):
+    for name in ("storage", "values", "work"):
+        assert not np.shares_memory(getattr(first, name), getattr(second, name))
+
+
 def test_layout_is_built_once_per_network_layout(benchmark_law):
-    """Steps and simulations of one network layout share one band layout;
-    changing a boundary column builds a new one."""
+    """A simulation builds its band layout at its first step, and every
+    later step and assembler of it reuses that one object; two simulations
+    of one network layout share no work array, another boundary kind gives
+    another boundary column, and a finished simulation that is dropped
+    frees its layout with it, with no garbage collection needed."""
     def two_pipes(outflow="flow"):
         return _random_network(np.random.default_rng(3), benchmark_law,
                                **_chain(2), ends={(0, "start"): "density",
                                                   (1, "end"): outflow})
 
-    gaspower.ibox._layout.cache_clear()
-    for _ in range(2):
-        sim = two_pipes()
+    def run(sim):
+        assert sim.scheme_layout is None
+        layouts = []
         for _ in range(3):
             _quiet_step(sim, 0.5)
-    info = gaspower.ibox._layout.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
-    _Assembler(two_pipes("density"), 0.5, 0.5)
-    assert gaspower.ibox._layout.cache_info().misses == 2
+            layouts.append(sim.scheme_layout)
+        layouts.append(_Assembler(sim, 0.5, sim.t + 0.5).layout)
+        assert all(layout is layouts[0] for layout in layouts)
+        return layouts[0]
+
+    first = run(two_pipes())
+    _assert_no_shared_work_array(first, run(two_pipes()))
+    density_end = _Assembler(two_pipes("density"), 0.5, 0.5).layout
+    assert density_end.bc_cols.tolist() != first.bc_cols.tolist()
+
+    def run_and_drop():
+        sim = two_pipes()
+        return weakref.ref(sim), weakref.ref(run(sim))
+
+    gc.disable()
+    try:
+        refs = run_and_drop()
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_bandwidth_of_the_bundled_and_benchmark_networks(benchmark_law):
@@ -746,8 +772,9 @@ def test_the_lu_factors_in_the_layout_work_array(monkeypatch, benchmark_law):
 
 def test_simulations_of_one_layout_stepped_in_turn_match_each_run_alone(
         benchmark_law):
-    """Two simulations of one box layout share its work arrays; stepped in
-    turn, each ends bit for bit where it ends when run alone."""
+    """Two simulations of one network layout each hold their own work
+    arrays; stepped in turn, each ends bit for bit where it ends when run
+    alone."""
     def pair():
         first, second = (_three_pipe_network(benchmark_law) for _ in range(2))
         second.state[0] *= 1.01
@@ -766,6 +793,7 @@ def test_simulations_of_one_layout_stepped_in_turn_match_each_run_alone(
     for sim, state in zip(in_turn, alone):
         np.testing.assert_array_equal(sim.state, state)
     assert not np.array_equal(alone[0], alone[1])
+    _assert_no_shared_work_array(*(sim.scheme_layout for sim in in_turn))
 
 
 def test_every_row_names_its_place(benchmark_law):

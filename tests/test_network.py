@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaspower.errors import DomainError, GasPowerError, InvalidDemandError, NumericsError
+from gaspower.friction import FrictionModel
 from gaspower.laxcurves import GasState, Side, lax_left, lax_right, rho_min
 from gaspower.network import (
     BoundaryCondition,
@@ -471,6 +473,54 @@ def test_grids_are_views_of_the_network_state(staggering):
                    a.law, staggering=staggering).fill(1.25, 0.05)
     with pytest.raises(TypeError):
         sim.grids[1] = new
+
+
+def test_a_built_network_cannot_be_rewired():
+    """Re-binding the grids, junctions, boundaries, friction model or
+    periodicity of a built network is refused with the field's name, and
+    neither the friction model nor the boundary mapping can be changed in
+    place, so the friction constants and a step's layout stay those of the
+    network; the time and the extra source stay assignable."""
+    law = IsothermalLaw(1.0)
+    grid = PipeGrid(Pipe("P", "a", "b", 1000.0, diameter=0.5, roughness=1e-4), 8,
+                    law, staggering="nodes").fill(1.0, 0.1)
+    sim = GasSimulation(
+        grids=[grid],
+        boundaries={(0, "start"): BoundaryCondition("density", constant(1.0)),
+                    (0, "end"): BoundaryCondition("flow", constant(0.1))},
+        friction=FrictionModel(eta=1e-5))
+    constants = sim.friction_constants
+    for name, value in (("grids", (grid,)), ("junctions", ()),
+                        ("boundaries", dict(sim.boundaries)),
+                        ("friction", FrictionModel(eta=1.0)), ("periodic", True)):
+        with pytest.raises(FrozenInstanceError, match=f"'{name}'"):
+            setattr(sim, name, value)
+    with pytest.raises(FrozenInstanceError, match="'eta'"):
+        sim.friction.eta = 1.0
+    with pytest.raises(TypeError):
+        sim.boundaries[0, "end"] = BoundaryCondition("density", constant(1.0))
+    with pytest.raises(TypeError):
+        del sim.boundaries[0, "start"]
+    assert sim.friction == FrictionModel(eta=1e-5)
+    assert sim.friction_constants is constants
+    assert [bc.kind for bc in sim.boundaries.values()] == ["density", "flow"]
+    sim.t = 0.5
+    sim.extra_source = lambda x, t, rho, q: (0.0 * rho, 0.0 * q)
+    assert sim.t == 0.5 and sim.extra_source is not None
+
+
+def test_junction_ports_are_fixed_and_its_extraction_is_not(unit_isothermal):
+    sim = _two_pipe_sim(unit_isothermal)
+    junction = sim.junctions[0]
+    assert isinstance(sim.junctions, tuple) and isinstance(junction.ports, tuple)
+    with pytest.raises(FrozenInstanceError, match="'ports'"):
+        junction.ports = junction.ports[::-1]
+    with pytest.raises(FrozenInstanceError, match="'node'"):
+        junction.node = "n2"
+    with pytest.raises(AttributeError):
+        junction.ports.append(JunctionPort(0, "start"))
+    junction.extraction = 0.25
+    assert junction.extraction == 0.25
 
 
 @pytest.mark.parametrize("law", [GammaLaw(1.0, 1.4), IsothermalLaw(1.0), SumGammaLaw()],

@@ -238,6 +238,21 @@ REFUSALS = {
     "negative-dx": (
         "validation.scn", "dx: 5.0e-4", "dx: -5.0e-4",
         "numerics.dx", "expected a positive number, got -0.0005"),
+    "dx-of-too-many-cells": (
+        "validation.scn", "dx: 5.0e-4", "dx: 5.0e-10",
+        "numerics.dx", "5e-10 gives 1e+09 grid cells, more than the 1,000,000 allowed"),
+    "dx-of-more-cells-than-numpy-holds": (
+        "validation.scn", "dx: 5.0e-4", "dx: 1.0e-300",
+        "numerics.dx", "1e-300 gives 5e+299 grid cells, more than the 1,000,000 allowed"),
+    "dx-of-more-cells-than-a-float-holds": (
+        "validation.scn", "dx: 5.0e-4", "dx: 1.0e-320",
+        "numerics.dx", "1e-320 gives inf grid cells, more than the 1,000,000 allowed"),
+    "dx-of-more-cells-in-all-than-a-float-holds": (
+        "validation.scn", "dx: 5.0e-4", "dx: 1.5e-309",
+        "numerics.dx", "1.5e-309 gives inf grid cells, more than the 1,000,000 allowed"),
+    "box-dx-of-too-many-nodes": (
+        "gaslib9.scn", "dx: 500.0", "dx: 1.0e-3",
+        "numerics.dx", "0.001 gives 1.52335e+08 grid nodes, more than the 1,000,000 allowed"),
     "probe-at-no-node": (
         "validation.scn", "outputs:\n", "outputs:\n  series: [rho@nowhere]\n",
         "outputs.series[0]", "no gas node 'nowhere' for probe 'rho@nowhere'"),
@@ -273,6 +288,21 @@ def test_entries_that_repeat_or_attach_to_nothing_are_refused(tmp_path, case):
     with pytest.raises(SchemaError) as info:
         load_scenario(path)
     assert str(info.value) == f"{path}.{field}: {rest}"
+
+
+@pytest.mark.parametrize("scheme, per_pipe", [("cweno3", 0), ("ibox", 1)])
+def test_grid_cap_admits_its_size_and_refuses_one_more(scheme, per_pipe):
+    """``MAX_GRID_ENTRIES`` counts the cells or nodes of all pipes: the two
+    pipes of the validation scenario may have that many, not more."""
+    raw = scenario_to_dict(load_scenario(BUNDLED / "validation.scn"))
+    n_cells = gaspower.scenario.MAX_GRID_ENTRIES // 2 - per_pipe
+    del raw["numerics"]["dx"]
+    raw["numerics"].update(scheme=scheme, n_cells=n_cells)
+    assert scenario_from_dict(raw).numerics.n_cells == n_cells
+    raw["numerics"]["n_cells"] = n_cells + 1
+    with pytest.raises(SchemaError, match=r"^<dict>\.numerics\.n_cells: "
+                                          rf"{n_cells + 1} gives 1000002 grid "):
+        scenario_from_dict(raw)
 
 
 def test_probes_of_every_kind_pass_the_load():
@@ -396,6 +426,9 @@ def perturbed(raw, data):
     # A profile is taken within the horizon: its time is a drawn share of t_end.
     for profile in out.get("outputs", {}).get("profiles", ()):
         profile["time"] = out["numerics"]["t_end"] * data.draw(st.floats(0.0, 1.0))
+    # The grid stays within the cap: dx is at least 1e-5 of all pipes' length.
+    numerics = out["numerics"]
+    numerics["dx"] = max(numerics["dx"], 1e-5 * sum(p["length"] for p in out["pipes"]))
     return out
 
 
